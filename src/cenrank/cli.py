@@ -18,13 +18,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, modelio, solver
-from .cohort import assemble_design, extract_windows, imputed_copy, load_cohort, write_cohort
+from .cohort import assemble_design, extract_windows, load_cohort, write_cohort
 from .errors import DataError, NumericalError, UnimputedSampleError
 from .evaluation import Grid, cross_validate, fit_method, grid_report, write_csv, write_report_csvs
-from .imputation import build_imputation_matrix, cohort_matrix, fill_windows, make_imputer
+from .imputation import build_imputation_matrix, cohort_matrix, fill_windows, impute_windows, make_imputer
 from .synthetic import SyntheticSpec, generate_cohort
 
 
@@ -321,7 +319,7 @@ def _cmd_train(cfg, out_dir: Path):
 
 def _cmd_predict(cfg, out_dir: Path):
     cohort = _load_inputs(cfg)
-    model, meta = modelio.load_model(cfg["model"])
+    model, meta = modelio.load_model(cfg["model"], cohort.variables)
     T = meta.get("window_length") or meta.get("T")
     if T is None:
         raise DataError(f"{cfg['model']}: model file does not record the window length")
@@ -329,12 +327,7 @@ def _cmd_predict(cfg, out_dir: Path):
     if not windows:
         raise DataError(f"no windows of length {T} could be extracted")
     if cfg["imputer_model"]:
-        imputer = modelio.load_imputer(cfg["imputer_model"])
-        filled = []
-        for w in windows:
-            x = np.vstack([imputer.transform_row(w.x[t], w.x_mask[t]) for t in range(w.x.shape[0])])
-            filled.append(imputed_copy(w, x))
-        windows = filled
+        windows = impute_windows(windows, modelio.load_imputer(cfg["imputer_model"], cohort.variables))
     elif any(not w.x_mask.all() for w in windows):
         raise UnimputedSampleError("cohort has missing cells; pass --imputer-model to fill them")
     preds = evaluation.predict_windows(model, windows)

@@ -170,15 +170,17 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
             raise DataError(f"{outcomes_path} line {i + 2}: ssi must be 0 or 1, got {ssi}")
         if sid in outcomes:
             raise DuplicateRecordError(f"{outcomes_path} line {i + 2}: duplicate subject {sid!r}")
-        if ssi == 1:
-            raw = row["onset_day"].strip()
-            if not raw:
-                raise DataError(f"{outcomes_path} line {i + 2}: onset_day required when ssi=1")
-            onset = float(raw)
-            outcomes[sid] = Event(onset_day=onset)
-        else:
-            last = float(row["last_obs_day"])
-            outcomes[sid] = Censored(horizon_day=last)
+        field = "onset_day" if ssi == 1 else "last_obs_day"
+        raw = (row[field] or "").strip()
+        if not raw:
+            raise DataError(f"{outcomes_path} line {i + 2}: {field} required when ssi={ssi}")
+        try:
+            when = float(raw)
+        except ValueError as exc:
+            raise DataError(f"{outcomes_path} line {i + 2}: {field} must be a number, got {raw!r}") from exc
+        if not math.isfinite(when):
+            raise DataError(f"{outcomes_path} line {i + 2}: non-finite {field}")
+        outcomes[sid] = Event(onset_day=when) if ssi == 1 else Censored(horizon_day=when)
 
     # (subject, day) -> P-vector of observed values
     cells: dict[str, dict[int, np.ndarray]] = {}
@@ -194,7 +196,10 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
             raise DataError(f"{observations_path} line {i + 2}: day must be an integer") from exc
         if day < 1:
             raise DataError(f"{observations_path} line {i + 2}: day must be >= 1, got {day}")
-        value = float(row["value"])
+        try:
+            value = float(row["value"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{observations_path} line {i + 2}: value must be a number, got {row['value']!r}") from exc
         if not math.isfinite(value):
             raise DataError(f"{observations_path} line {i + 2}: non-finite value")
         if sid not in cells:

@@ -3,8 +3,9 @@
 The grid search iterates duration x rank x lambda x method. For each
 duration the windows and folds are drawn once so every grid point sees the
 identical partition (paired comparison), and within a fold the imputer is
-fitted on training windows only; test windows are filled row by row from
-the fitted imputer, never touching the training state.
+fitted on training windows only; test windows are filled by the fitted
+imputer from their own rows, each distinct (subject, day) row once, never
+from the training completion.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from .cohort import (
     WindowSample,
     assemble_design,
     extract_windows,
-    imputed_copy,
     split_folds,
     vectorize,
 )
 from .errors import DataError, UndefinedMetricError
-from .imputation import build_imputation_matrix, fill_windows
+from .imputation import build_imputation_matrix, fill_windows, impute_windows
 
 METHODS = ("censored_lowrank", "ols", "svr")
 
@@ -112,8 +112,8 @@ def mae(predictions: np.ndarray, samples: list[WindowSample]) -> float:
 def impute_split(windows, train_idx, test_idx, imputer):
     """Fit a fresh imputer on the training windows and fill both sides.
 
-    Returns (train_windows, test_windows, fitted_imputer); the test fill
-    uses only per-row transforms of the fitted imputer.
+    Returns (train_windows, test_windows, fitted_imputer); the test
+    windows are filled by `impute_windows` from their own rows in one batch.
     """
     train = [windows[i] for i in train_idx]
     test = [windows[i] for i in test_idx]
@@ -121,11 +121,7 @@ def impute_split(windows, train_idx, test_idx, imputer):
     matrix = build_imputation_matrix(train)
     imp.fit(matrix)
     train_filled = fill_windows(train, imp.completed, matrix.row_index)
-    test_filled = []
-    for w in test:
-        x = np.vstack([imp.transform_row(w.x[t], w.x_mask[t]) for t in range(w.x.shape[0])])
-        test_filled.append(imputed_copy(w, x))
-    return train_filled, test_filled, imp
+    return train_filled, impute_windows(test, imp), imp
 
 
 def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,

@@ -3,13 +3,14 @@
 The main method is bounded low-rank matrix completion: alternate a rank-r
 SVD truncation of the current matrix with a box-constrained refill of the
 missing cells, where each variable's box is the observed min/max of its
-column. Test-time vectors are filled by projecting onto the fitted daily
-basis under the same bounds. Column-mean and KNN imputers are provided as
-benchmarks.
+column. Test-time rows are filled, all in one batch, by projecting onto
+the fitted daily basis under the same bounds. Column-mean and KNN imputers
+are provided as benchmarks.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,8 @@ def bmc_fit(
     column means and are refreshed each iteration with the rank-r SVD
     truncation of the current matrix, clamped to [lower, upper]. The fit
     objective ||X - M||_F^2 is non-increasing; iteration stops when its
-    relative decrease drops below tol. `bounds` overrides the observed
+    relative decrease drops below tol; stopping at max_iter instead emits
+    a RuntimeWarning. `bounds` overrides the observed
     min/max boxes (used to study the unconstrained behaviour); `trace_out`,
     if given, collects the per-iteration objective values.
     """
@@ -126,10 +128,58 @@ def bmc_fit(
             if prev_obj <= 0.0 or (prev_obj - obj) / prev_obj < tol:
                 break
         prev_obj = obj
+    else:
+        warnings.warn(f"bmc_fit stopped at max_iter={max_iter} before reaching tol={tol:g}",
+                      RuntimeWarning, stacklevel=2)
 
     _, basis = _truncated_svd(M, r)
     model = BmcModel(basis=basis, lower=lower, upper=upper, rank=r, col_means=col_means)
     return X, model
+
+
+def impute_rows(
+    Z: np.ndarray,
+    mask: np.ndarray,
+    model: BmcModel,
+    tol: float = IMPUTE_TOL,
+    max_iter: int = IMPUTE_MAX_ITER,
+    trace_out: list | None = None,
+) -> np.ndarray:
+    """Fill the missing entries of every row of Z by basis projection.
+
+    Missing entries are seeded with the clamped training column means, then
+    alpha = basis' z and z_j = clamp((basis alpha)_j) alternate on all rows
+    at once. A row stops, and stays frozen, once the relative decrease of
+    its ||z - basis alpha||^2 falls below tol or its previous value is not
+    positive. Observed entries are never modified and every imputed entry
+    lies in its bounds. `trace_out`, if given, collects the summed objective.
+    """
+    Z = np.array(Z, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    if not np.all(np.isfinite(Z[mask])):
+        raise NumericalError("observed entries contain non-finite values")
+    U, lower, upper = model.basis, model.lower, model.upper
+    Z[~mask] = np.broadcast_to(np.clip(model.col_means, lower, upper), Z.shape)[~mask]
+    live = np.flatnonzero(~mask.all(axis=1))  # rows still iterating
+    obj = np.zeros(Z.shape[0])
+    z, missing, prev = Z[live], ~mask[live], np.full(live.size, np.inf)
+    fitted = (z @ U) @ U.T
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        z = np.where(missing, np.clip(fitted, lower, upper), z)
+        fitted = (z @ U) @ U.T
+        obj[live] = cur = np.sum((z - fitted) ** 2, axis=1)
+        if trace_out is not None:
+            trace_out.append(float(obj.sum()))
+        with np.errstate(divide="ignore", invalid="ignore"):  # prev is inf on the first iteration
+            go = (prev > 0.0) & ~((prev - cur) / prev < tol)
+        prev = cur
+        if not go.all():
+            Z[live[~go]] = z[~go]
+            live, z, missing, fitted, prev = live[go], z[go], missing[go], fitted[go], prev[go]
+    Z[live] = z
+    return Z
 
 
 def impute_new(
@@ -140,38 +190,11 @@ def impute_new(
     max_iter: int = IMPUTE_MAX_ITER,
     trace_out: list | None = None,
 ) -> np.ndarray:
-    """Fill the missing entries of one daily vector by basis projection.
-
-    Missing entries are seeded with the clamped training column means, then
-    alpha = basis' z and z_j = clamp((basis alpha)_j) alternate until the
-    relative decrease of ||z - basis alpha||^2 falls below tol. Observed
-    entries are never modified and every imputed entry lies in its bounds.
-    """
+    """Fill the missing entries of one daily vector: `impute_rows` on one row."""
     z = np.array(z, dtype=float)
-    P = z.size
-    observed = np.zeros(P, dtype=bool)
+    observed = np.zeros(z.size, dtype=bool)
     observed[np.asarray(list(observed_set), dtype=int)] = True
-    missing = ~observed
-    if not missing.any():
-        return z
-    if not np.all(np.isfinite(z[observed])):
-        raise NumericalError("observed entries contain non-finite values")
-
-    U = model.basis
-    z[missing] = np.clip(model.col_means, model.lower, model.upper)[missing]
-    prev_obj = None
-    for _ in range(max_iter):
-        alpha = U.T @ z
-        fitted = U @ alpha
-        z[missing] = np.clip(fitted, model.lower, model.upper)[missing]
-        obj = float(np.sum((z - U @ (U.T @ z)) ** 2))
-        if trace_out is not None:
-            trace_out.append(obj)
-        if prev_obj is not None:
-            if prev_obj <= 0.0 or (prev_obj - obj) / prev_obj < tol:
-                break
-        prev_obj = obj
-    return z
+    return impute_rows(z[None], observed[None], model, tol, max_iter, trace_out)[0]
 
 
 def mean_impute(X: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -269,6 +292,14 @@ def build_imputation_matrix(windows: list[WindowSample]) -> ImputationMatrix:
     return ImputationMatrix(X=np.array(rows, dtype=float), mask=np.array(masks, dtype=bool), row_index=index)
 
 
+def impute_windows(windows: list[WindowSample], imputer) -> list[WindowSample]:
+    """Fill windows with a fitted imputer from their own distinct (subject, day) rows, in one batch."""
+    if not windows:
+        return []
+    matrix = build_imputation_matrix(windows)
+    return fill_windows(windows, imputer.transform(matrix), matrix.row_index)
+
+
 def fill_windows(windows: list[WindowSample], completed: np.ndarray, row_index) -> list[WindowSample]:
     """Rebuild windows with rows taken from a completed imputation matrix."""
     lookup = {key: i for i, key in enumerate(row_index)}
@@ -303,9 +334,8 @@ class BmcImputer:
         self.completed, self.model = bmc_fit(matrix.X, matrix.mask, self.rank, self.tol, self.max_iter)
         return self
 
-    def transform_row(self, z: np.ndarray, observed: np.ndarray) -> np.ndarray:
-        return impute_new(z, np.flatnonzero(observed), self.model,
-                          tol=self.impute_tol, max_iter=self.impute_max_iter)
+    def transform(self, matrix: ImputationMatrix) -> np.ndarray:
+        return impute_rows(matrix.X, matrix.mask, self.model, self.impute_tol, self.impute_max_iter)
 
     def params(self) -> dict:
         return {"rank": self.rank, "tol": self.tol, "max_iter": self.max_iter}
@@ -328,10 +358,8 @@ class MeanImputer:
         self.completed = mean_impute(matrix.X, matrix.mask)
         return self
 
-    def transform_row(self, z, observed):
-        out = np.array(z, dtype=float)
-        out[~observed] = self.col_means[~observed]
-        return out
+    def transform(self, matrix: ImputationMatrix) -> np.ndarray:
+        return np.where(matrix.mask, matrix.X, self.col_means)
 
     def params(self) -> dict:
         return {}
@@ -359,11 +387,11 @@ class KnnImputer:
         self.completed = knn_impute(matrix.X, matrix.mask, self.k)
         return self
 
-    def transform_row(self, z, observed):
-        if observed.all():
-            return np.array(z, dtype=float)
-        return _knn_fill_row(np.asarray(z, dtype=float), observed,
-                             self.train_X, self.train_mask, self.k, self.col_means)
+    def transform(self, matrix: ImputationMatrix) -> np.ndarray:
+        out = np.array(matrix.X, dtype=float)
+        for i in np.flatnonzero(~matrix.mask.all(axis=1)):
+            out[i] = _knn_fill_row(out[i], matrix.mask[i], self.train_X, self.train_mask, self.k, self.col_means)
+        return out
 
     def params(self) -> dict:
         return {"k": self.k}

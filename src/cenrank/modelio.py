@@ -62,10 +62,21 @@ def save_model(path, model, variables=None, report: SolveReport | None = None,
         fh.write("\n")
 
 
-def load_model(path):
-    """Read a model file; returns (model, meta) where meta holds the extras."""
+def _check_variables(path, doc, variables):
+    stored = doc.get("variables")
+    if variables is not None and stored is not None and list(stored) != list(variables):
+        raise DataError(f"{path}: fitted on variables {stored}, but the dictionary lists {list(variables)}")
+
+
+def load_model(path, variables=None):
+    """Read a model file; returns (model, meta) where meta holds the extras.
+
+    When `variables` is given and the file records its variables, the two
+    lists must be equal, order included.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    _check_variables(path, doc, variables)
     kind = doc.get("kind")
     if kind == "censored_lowrank":
         T, P = int(doc["T"]), int(doc["P"])
@@ -142,10 +153,11 @@ def save_imputer(path, imputer, variables=None):
         fh.write("\n")
 
 
-def load_imputer(path):
-    """Load a fitted imputer saved by save_imputer."""
+def load_imputer(path, variables=None):
+    """Load a fitted imputer saved by save_imputer; `variables` is checked as in load_model."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    _check_variables(path, doc, variables)
     kind = doc.get("kind")
     if kind == "bmc":
         imp = BmcImputer(rank=int(doc["rank"]))

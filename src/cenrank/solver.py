@@ -14,6 +14,7 @@ so the descent iterates on a well-conditioned reparameterization.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +173,8 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     backtracking policy halves the step until the objective decreases, so
     the reported trace is non-increasing; step_policy "fixed" applies
     options.eta without a decrease guarantee. Convergence is declared when
-    (f_k - f_{k+1}) / max(|f_k|, 1) < tol. w is recovered from w_hat once,
+    (f_k - f_{k+1}) / max(|f_k|, 1) < tol; stopping at max_iter instead
+    emits a RuntimeWarning. w is recovered from w_hat once,
     at termination, so its numerical rank (reported in SolveReport.rank_w)
     can exceed r when preconditioning is on; the rank constraint itself is
     enforced on w_hat at every iteration.
@@ -247,6 +249,9 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
             converged = True
             break
 
+    if not converged:
+        warnings.warn(f"fit_pgd stopped at max_iter={opts.max_iter} before reaching tol={opts.tol:g}",
+                      RuntimeWarning, stacklevel=2)
     w_vec = A @ w_hat if A is not None else w_hat
     w = w_vec.reshape(T, P)
     params = ModelParams(w=w, b=float(b), rank=r, lambda_=lambda_)

@@ -7,6 +7,7 @@ import pytest
 from cenrank.cli import dispatch
 from cenrank.cohort import extract_windows, load_cohort
 from cenrank.evaluation import predict_windows
+from cenrank.imputation import build_imputation_matrix, fill_windows
 from cenrank.modelio import load_imputer, load_model
 
 
@@ -73,12 +74,8 @@ class TestTrainPredict:
                              cohort_dir / "variables.txt")
         windows = extract_windows(cohort, 4)
         imputer = load_imputer(run / "imputer_model.json")
-        filled = []
-        from cenrank.cohort import imputed_copy
-
-        for w in windows:
-            x = np.vstack([imputer.transform_row(w.x[t], w.x_mask[t]) for t in range(4)])
-            filled.append(imputed_copy(w, x))
+        matrix = build_imputation_matrix(windows)
+        filled = fill_windows(windows, imputer.transform(matrix), matrix.row_index)
         model, _ = load_model(run / "model.json")
         expected = predict_windows(model, filled)
         with open(pred / "predictions.csv") as fh:
@@ -97,6 +94,22 @@ class TestTrainPredict:
             "--model", str(run / "model.json"),
         ])
         assert code == 2
+
+    def test_predict_rejects_reordered_dictionary(self, cohort_dir, tmp_path):
+        run = tmp_path / "run3"
+        assert dispatch([
+            "train", *cohort_args(cohort_dir), "--out", str(run), "--T", "4", "--max-iter", "100",
+        ]) == 0
+        reversed_dic = tmp_path / "reversed.txt"
+        names = (cohort_dir / "variables.txt").read_text().split()
+        reversed_dic.write_text("".join(f"{v}\n" for v in reversed(names)))
+        pred = tmp_path / "p3"
+        code = dispatch([
+            "predict", *cohort_args(cohort_dir)[:4], "--dictionary", str(reversed_dic), "--out", str(pred),
+            "--model", str(run / "model.json"), "--imputer-model", str(run / "imputer_model.json"),
+        ])
+        assert code == 2
+        assert not (pred / "predictions.csv").exists()
 
     def test_baseline_models_roundtrip(self, cohort_dir, tmp_path):
         for method in ("ols", "svr"):
@@ -159,11 +172,15 @@ class TestImpute:
         assert all(np.isfinite(float(r[v])) for r in rows for v in cohort.variables)
 
     def test_knn_and_mean_imputers_run(self, cohort_dir, tmp_path):
+        windows = extract_windows(load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
+                                              cohort_dir / "variables.txt"), 4)
+        windows[0].x[0], windows[0].x_mask[0] = np.nan, False  # one fully missing day
+        matrix = build_imputation_matrix(windows)
         for imp in ("mean", "knn"):
             out = tmp_path / f"imp_{imp}"
             assert dispatch(["impute", *cohort_args(cohort_dir), "--out", str(out), "--imputer", imp]) == 0
             loaded = load_imputer(out / "imputer_model.json")
-            filled = loaded.transform_row(np.array([np.nan] * 6), np.zeros(6, dtype=bool))
+            filled = np.stack([w.x for w in fill_windows(windows, loaded.transform(matrix), matrix.row_index)])
             assert np.isfinite(filled).all()
 
 
@@ -184,6 +201,18 @@ class TestErrors:
         cfg.write_text(json.dumps({"durations": "3", "bogus_key": 1}))
         code = dispatch(["cv", *cohort_args(cohort_dir), "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 1
+
+    def test_non_numeric_value_is_data_error(self, cohort_dir, tmp_path, capsys):
+        bad = tmp_path / "observations.csv"
+        lines = (cohort_dir / "observations.csv").read_text().splitlines()
+        head, rest = lines[1].rsplit(",", 1)
+        bad.write_text("\n".join([lines[0], head + ",high", *lines[2:]]) + "\n")
+        code = dispatch([
+            "train", "--observations", str(bad), "--outcomes", str(cohort_dir / "outcomes.csv"),
+            "--dictionary", str(cohort_dir / "variables.txt"), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "observations.csv line 2" in capsys.readouterr().err
 
     def test_missing_required_flag_is_usage_error(self):
         assert dispatch(["train"]) == 1

@@ -77,6 +77,18 @@ class TestLoadCohort:
         with pytest.raises(InvalidOnsetError):
             load_cohort(obs, out, dic)
 
+    @pytest.mark.parametrize("observations, outcomes, bad_file", [
+        (["A,1,hr,fast"], ["A,0,,21"], "observations.csv"),
+        (["A,1,hr,60"], ["A,1,soon,2"], "outcomes.csv"),
+        (["A,1,hr,60"], ["A,0,,later"], "outcomes.csv"),
+        (["A,1,hr,60"], ["A,1,inf,2"], "outcomes.csv"),
+        (["A,1,hr,60"], ["A,0,,nan"], "outcomes.csv"),
+    ], ids=["value", "onset_day", "last_obs_day", "onset_day_inf", "last_obs_day_nan"])
+    def test_bad_number_is_data_error_naming_file_and_line(self, tmp_path, observations, outcomes, bad_file):
+        obs, out, dic = write_cohort_files(tmp_path, observations, outcomes, ["hr"])
+        with pytest.raises(DataError, match=rf"{bad_file} line 2: "):
+            load_cohort(obs, out, dic)
+
     def test_write_load_roundtrip_is_exact(self, tmp_path):
         cohort, _ = generate_cohort(
             SyntheticSpec(n_subjects=12, days_per_subject=7, P=4, T_star=3,

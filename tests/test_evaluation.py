@@ -18,7 +18,7 @@ from cenrank.evaluation import (
     save_cv_report,
     write_report_csvs,
 )
-from cenrank.imputation import BmcImputer, MeanImputer
+from cenrank.imputation import BmcImputer, MeanImputer, build_imputation_matrix, impute_new
 from cenrank.solver import ModelParams, SolverOptions
 from cenrank.synthetic import SyntheticSpec, generate_cohort
 
@@ -121,6 +121,26 @@ class TestCrossValidate:
         train_subjects = {windows[i].subject_id for i in train_idx}
         test_subjects = {windows[i].subject_id for i in folds[0]}
         assert not (train_subjects & test_subjects)
+
+    def test_row_shared_by_train_and_test_is_filled_from_test_side(self):
+        cohort = small_cohort(seed=4)
+        windows = extract_windows(cohort, 4)
+        test_idx = split_folds(windows, 3, unit="sample", seed=0)[0]
+        train_idx = np.setdiff1d(np.arange(len(windows)), test_idx)
+        train_filled, test_filled, imputer = impute_split(windows, train_idx, test_idx, BmcImputer(rank=3))
+        train_matrix = build_imputation_matrix([windows[i] for i in train_idx])
+        train_rows = {key: i for i, key in enumerate(train_matrix.row_index)}
+        checked = differs = 0
+        for raw, filled in zip((windows[i] for i in test_idx), test_filled):
+            for t in range(4):
+                key = (raw.subject_id, raw.window_end_day - 3 + t)
+                if key not in train_rows or raw.x_mask[t].all():
+                    continue
+                fresh = impute_new(raw.x[t], np.flatnonzero(raw.x_mask[t]), imputer.model)
+                assert np.max(np.abs(filled.x[t] - fresh)) <= 1e-12
+                differs += np.max(np.abs(filled.x[t] - imputer.completed[train_rows[key]])) > 1e-9
+                checked += 1
+        assert checked > 0 and differs > 0  # the training completion would have been told apart
 
 
 class TestGridReport:

@@ -1,19 +1,27 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from cenrank.errors import EmptyColumnError
+from cenrank.errors import EmptyColumnError, NumericalError
 from cenrank.imputation import (
+    BmcImputer,
     BmcModel,
+    ImputationMatrix,
+    KnnImputer,
+    MeanImputer,
     bmc_fit,
     build_imputation_matrix,
+    cohort_matrix,
     compute_bounds,
     fill_windows,
     impute_new,
+    impute_rows,
     knn_impute,
     mean_impute,
 )
 from cenrank.modelio import load_bmc_model, save_bmc_model
-from cenrank.synthetic import generate_lowrank_matrix
+from cenrank.synthetic import SyntheticSpec, generate_cohort, generate_lowrank_matrix
 
 
 def bmc_oracle(X, mask, r, n_iter=200):
@@ -29,6 +37,25 @@ def bmc_oracle(X, mask, r, n_iter=200):
         M = (U[:, :r] * s[:r]) @ Vt[:r]
         Xw[~mask] = np.minimum(upper, np.maximum(lower, M))[~mask]
     return Xw, M
+
+
+def impute_oracle(z, observed, model, tol=1e-8, max_iter=200):
+    """Straight transcription of the one-row projection loop, kept
+    independent of the library implementation."""
+    z = np.array(z, dtype=float)
+    U = model.basis
+    missing = ~observed
+    if not missing.any():
+        return z
+    z[missing] = np.minimum(model.upper, np.maximum(model.lower, model.col_means))[missing]
+    prev = None
+    for _ in range(max_iter):
+        z[missing] = np.minimum(model.upper, np.maximum(model.lower, U @ (U.T @ z)))[missing]
+        obj = float(np.sum((z - U @ (U.T @ z)) ** 2))
+        if prev is not None and (prev <= 0.0 or (prev - obj) / prev < tol):
+            break
+        prev = obj
+    return z
 
 
 class TestBounds:
@@ -115,6 +142,17 @@ class TestBmcFit:
         _, model = bmc_fit(np.where(mask, X, np.nan), mask, r=3)
         assert np.allclose(model.basis.T @ model.basis, np.eye(3), atol=1e-8)
 
+    def test_capped_fit_warns(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((20, 6))
+        mask = rng.random((20, 6)) >= 0.3
+        mask[0] = True
+        with pytest.warns(RuntimeWarning, match="max_iter=2"):
+            bmc_fit(np.where(mask, X, np.nan), mask, r=2, max_iter=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bmc_fit(np.where(mask, X, np.nan), mask, r=2, max_iter=5000)
+
     def test_empty_column_raises(self):
         X = np.array([[1.0, np.nan], [2.0, np.nan]])
         with pytest.raises(EmptyColumnError):
@@ -167,6 +205,73 @@ class TestImputeNew:
                          rank=1, col_means=np.array([1.0, 2.0]))
         out = impute_new(np.array([np.nan, np.nan]), [], model)
         assert np.all(np.isfinite(out))
+
+
+class TestImputeRows:
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        spec = SyntheticSpec(n_subjects=100, days_per_subject=6, P=10, T_star=5, true_rank=2,
+                             noise_sigma=1.0, missing_rate=0.2, latent_rank=8, seed=5)
+        matrix = cohort_matrix(generate_cohort(spec)[0])
+        assert matrix.X.shape[0] >= 500
+        assert matrix.mask.all(axis=1).any() and not matrix.mask.all()
+        return matrix, BmcImputer(rank=3).fit(matrix).model
+
+    def test_matches_one_row_at_a_time(self, fitted):
+        matrix, model = fitted
+        trace = []
+        out = impute_rows(matrix.X, matrix.mask, model, trace_out=trace)
+        for i in range(matrix.X.shape[0]):
+            observed = np.flatnonzero(matrix.mask[i])
+            assert np.max(np.abs(out[i] - impute_new(matrix.X[i], observed, model))) <= 1e-12
+            assert np.max(np.abs(out[i] - impute_oracle(matrix.X[i], matrix.mask[i], model))) <= 1e-12
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
+        full = matrix.mask.all(axis=1)
+        assert np.array_equal(out[full], matrix.X[full])
+        assert np.array_equal(out[matrix.mask], matrix.X[matrix.mask])
+
+    def test_one_row_trace_is_the_row_trace(self):
+        model = TestImputeNew()._model()
+        rows_trace, row_trace = [], []
+        impute_rows(np.array([[3.0, np.nan]]), np.array([[True, False]]), model, trace_out=rows_trace)
+        impute_new(np.array([3.0, np.nan]), [0], model, trace_out=row_trace)
+        assert rows_trace == row_trace and len(row_trace) > 1
+
+    def test_non_finite_observed_rejected(self):
+        with pytest.raises(NumericalError):
+            impute_rows(np.array([[np.inf, np.nan]]), np.array([[True, False]]), TestImputeNew()._model())
+
+
+class TestTransform:
+    X = np.array([[1.0, 2.0, np.nan], [np.nan, np.nan, 6.0], [0.5, 1.0, 3.0], [4.0, np.nan, 1.0]])
+
+    def _matrix(self):
+        return ImputationMatrix(X=self.X.copy(), mask=~np.isnan(self.X), row_index=[("S", d) for d in range(4)])
+
+    def test_mean_transform_fills_training_means(self):
+        train = ImputationMatrix(X=np.array([[2.0, 4.0, 0.0], [4.0, 8.0, 3.0]]), mask=np.ones((2, 3), bool),
+                                 row_index=[("T", 1), ("T", 2)])
+        out = MeanImputer().fit(train).transform(self._matrix())
+        expected = np.where(np.isnan(self.X), np.array([3.0, 6.0, 1.5]), self.X)
+        assert np.array_equal(out, expected)
+
+    def test_knn_transform_matches_per_row_neighbours(self):
+        train_X = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, np.nan], [5.0, 5.0, 5.0], [1.0, np.nan, 7.0]])
+        train = ImputationMatrix(X=train_X, mask=~np.isnan(train_X), row_index=[("T", d) for d in range(4)])
+        out = KnnImputer(k=2).fit(train).transform(self._matrix())
+        expected = self.X.copy()
+        train_mask = ~np.isnan(train_X)
+        for i, j in zip(*np.nonzero(np.isnan(self.X))):
+            dists = {}
+            for other in range(4):
+                shared = ~np.isnan(self.X[i]) & train_mask[other]
+                if shared.any():
+                    dists[other] = np.sqrt(np.mean((self.X[i, shared] - train_X[other, shared]) ** 2))
+            eligible = [o for o in sorted(dists, key=lambda o: (dists[o], o)) if train_mask[o, j]]
+            expected[i, j] = np.mean([train_X[o, j] for o in eligible[:2]])
+        assert np.array_equal(out, expected)
+        assert out[0, 2] == (3.0 + 7.0) / 2  # rows 0 and 3 tie at distance 0
+        assert np.array_equal(out[2], self.X[2])
 
 
 class TestMeanImpute:

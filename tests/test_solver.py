@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,16 @@ class TestFitPgd:
         _, rep_raw = fit_pgd(design, 0.2, 3, SolverOptions(precondition=False, **opts))
         rel = abs(rep_pre.final_objective - rep_raw.final_objective) / abs(rep_raw.final_objective)
         assert rel < 1e-6
+
+    def test_capped_fit_warns(self):
+        design = random_design(np.random.default_rng(15), 3, 4, 30, 10)
+        with pytest.warns(RuntimeWarning, match="max_iter=3"):
+            _, report = fit_pgd(design, 0.1, 2, SolverOptions(precondition=False, max_iter=3))
+        assert not report.converged and report.iterations == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = fit_pgd(design, 0.1, 2, SolverOptions(precondition=False, max_iter=5000))
+        assert report.converged
 
     def test_unpreconditioned_rank_budget_holds_on_w(self):
         rng = np.random.default_rng(14)
