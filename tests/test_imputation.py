@@ -208,6 +208,9 @@ class TestImputeNew:
 
 
 class TestImputeRows:
+    unit = BmcModel(basis=np.array([[0.6], [0.8]]), lower=np.zeros(2), upper=np.full(2, 10.0),
+                    rank=1, col_means=np.zeros(2))
+
     @pytest.fixture(scope="class")
     def fitted(self):
         spec = SyntheticSpec(n_subjects=100, days_per_subject=6, P=10, T_star=5, true_rank=2,
@@ -231,15 +234,14 @@ class TestImputeRows:
         assert np.array_equal(out[matrix.mask], matrix.X[matrix.mask])
 
     def test_one_row_trace_is_the_row_trace(self):
-        model = TestImputeNew()._model()
         rows_trace, row_trace = [], []
-        impute_rows(np.array([[3.0, np.nan]]), np.array([[True, False]]), model, trace_out=rows_trace)
-        impute_new(np.array([3.0, np.nan]), [0], model, trace_out=row_trace)
+        impute_rows(np.array([[3.0, np.nan]]), np.array([[True, False]]), self.unit, trace_out=rows_trace)
+        impute_new(np.array([3.0, np.nan]), [0], self.unit, trace_out=row_trace)
         assert rows_trace == row_trace and len(row_trace) > 1
 
     def test_non_finite_observed_rejected(self):
         with pytest.raises(NumericalError):
-            impute_rows(np.array([[np.inf, np.nan]]), np.array([[True, False]]), TestImputeNew()._model())
+            impute_rows(np.array([[np.inf, np.nan]]), np.array([[True, False]]), self.unit)
 
 
 class TestTransform:
