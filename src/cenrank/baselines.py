@@ -7,6 +7,7 @@ conventional way unbalanced samples are folded into these models).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ class SvrOptions:
     max_iter: int = 5000
     eta0: float | None = None
     patience: int = 50
-    seed: int | None = None  # reserved; the fit is deterministic
 
 
 def _augmented(design: DesignSet, lambda_: float, censored_mode: str):
@@ -72,29 +72,6 @@ def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weigh
     )
 
 
-def _svr_objective(theta, Z, y, Zc, yc, C, eps_tube, lambda_):
-    w = theta[:-1]
-    obj = 0.5 * float(w @ w)
-    res = Z.T @ theta - y
-    obj += C * float(np.maximum(0.0, np.abs(res) - eps_tube).sum())
-    if yc.size:
-        res_c = Zc.T @ theta - yc
-        obj += C * lambda_ * float(np.maximum(0.0, np.abs(res_c) - eps_tube).sum())
-    return obj
-
-
-def _svr_subgradient(theta, Z, y, Zc, yc, C, eps_tube, lambda_):
-    w_part = np.concatenate([theta[:-1], [0.0]])
-    res = Z.T @ theta - y
-    outside = np.abs(res) > eps_tube
-    g = w_part + C * (Z[:, outside] @ np.sign(res[outside]))
-    if yc.size:
-        res_c = Zc.T @ theta - yc
-        outside_c = np.abs(res_c) > eps_tube
-        g = g + C * lambda_ * (Zc[:, outside_c] @ np.sign(res_c[outside_c]))
-    return g
-
-
 def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
             lambda_: float = 0.0, censored_mode: str = "weighted",
             options: SvrOptions | None = None, trace_out: list | None = None) -> BaselineParams:
@@ -102,12 +79,17 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
 
     Minimizes 1/2 ||w||^2 + C * sum max(0, |z'theta - y| - eps) over the
     complete samples, plus the lambda-weighted censored terms in weighted
-    mode. Steps are normalized subgradients at a constant length that is
-    halved (restarting from the best iterate) whenever `patience` steps
-    pass without a relative improvement of tol, so the kept objective
-    decays geometrically. Stops at max_iter or once the step has shrunk
-    below 1e-12 of its starting value. The best iterate is returned and
-    `trace_out`, if given, records its objective per step (non-increasing).
+    mode. Both sample sets are stacked once, with per-sample weights C and
+    C * lambda, so each step makes one residual pass: it gives the objective
+    at the new iterate and the signed weights of the samples outside the
+    tube, from which the next subgradient follows. Steps are normalized
+    subgradients at a constant length that is halved (restarting from the
+    best iterate) whenever `patience` steps pass without a relative
+    improvement of tol, so the kept objective decays geometrically. Stops
+    once the step has shrunk below 1e-12 of its starting value or the
+    subgradient vanishes; stopping at max_iter instead emits a
+    RuntimeWarning. The best iterate is returned and `trace_out`, if given,
+    records its objective per step (non-increasing).
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -115,37 +97,51 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
         raise ValueError("epsilon_tube must be nonnegative")
     opts = options or SvrOptions()
     Z, y, Zc, yc = _augmented(design, lambda_, censored_mode)
-    d = Z.shape[0]
-
-    theta = np.zeros(d)
+    theta = np.zeros(Z.shape[0])
     theta[-1] = float(y.mean())
     eta0 = opts.eta0 if opts.eta0 is not None else max(1.0, float(np.std(y)))
     eta = eta0
 
-    best = theta.copy()
-    best_obj = _svr_objective(theta, Z, y, Zc, yc, C, epsilon_tube, lambda_)
+    weight = np.full(y.size, C)
+    if lambda_ != 0.0 and yc.size:
+        Z, y = np.hstack([Z, Zc]), np.concatenate([y, yc])
+        weight = np.concatenate([weight, np.full(yc.size, C * lambda_)])
+
+    def evaluate(theta):
+        # sign(excess) is 1 outside the tube and 0 inside it
+        res = Z.T @ theta - y
+        excess = np.maximum(np.abs(res) - epsilon_tube, 0.0)
+        signs = weight * np.sign(res) * np.sign(excess)
+        return 0.5 * float(theta[:-1] @ theta[:-1]) + float(weight @ excess), signs
+
+    best = theta
+    best_obj, signs = evaluate(theta)
+    best_signs = signs
     stall = 0
     for _ in range(opts.max_iter):
-        g = _svr_subgradient(theta, Z, y, Zc, yc, C, epsilon_tube, lambda_)
+        g = Z @ signs
+        g[:-1] += theta[:-1]
         norm = np.linalg.norm(g)
         if norm == 0.0:
             break
         theta = theta - eta * (g / norm)
-        obj = _svr_objective(theta, Z, y, Zc, yc, C, epsilon_tube, lambda_)
+        obj, signs = evaluate(theta)
         if obj < best_obj - opts.tol * max(abs(best_obj), 1.0):
-            best_obj = obj
-            best = theta.copy()
+            best, best_obj, best_signs = theta, obj, signs
             stall = 0
         else:
             stall += 1
             if stall >= opts.patience:
                 eta *= 0.5
-                theta = best.copy()
+                theta, signs = best, best_signs
                 stall = 0
                 if eta < 1e-12 * eta0:
                     break
         if trace_out is not None:
             trace_out.append(best_obj)
+    else:
+        warnings.warn(f"svr_fit stopped at max_iter={opts.max_iter} before its step length converged",
+                      RuntimeWarning, stacklevel=2)
     return BaselineParams(
         w_vec=best[:-1],
         b=float(best[-1]),

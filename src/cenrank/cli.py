@@ -233,7 +233,6 @@ def _solver_options(cfg) -> solver.SolverOptions:
         tol=cfg["tol"],
         max_iter=cfg["max_iter"],
         precondition=cfg["precondition"],
-        seed=cfg["seed"],
     )
 
 

@@ -31,7 +31,6 @@ class ModelParams:
     b: float
     rank: int
     lambda_: float
-    factors: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -66,7 +65,6 @@ class SolverOptions:
     precondition: bool = True
     ridge_policy: str | float = "auto"
     max_halvings: int = 50
-    seed: int | None = None  # reserved; the solve path is deterministic
 
 
 def _check_design(w, design):
@@ -81,12 +79,13 @@ def _margins(w_vec, b, design):
 
 
 def _objective_vec(w_vec, b, design, lambda_):
+    """Objective at (w_vec, b), with the margins it was computed from."""
     r, m = _margins(w_vec, b, design)
-    return 0.5 * float(r @ r) + 0.5 * lambda_ * float(m @ m)
+    return 0.5 * float(r @ r) + 0.5 * lambda_ * float(m @ m), (r, m)
 
 
-def _gradient_vec(w_vec, b, design, lambda_):
-    r, m = _margins(w_vec, b, design)
+def _gradient_vec(margins, design, lambda_):
+    r, m = margins
     g_w = design.X_complete @ r + lambda_ * (design.X_censored @ m)
     g_b = float(r.sum()) + lambda_ * float(m.sum())
     return g_w, g_b
@@ -95,13 +94,13 @@ def _gradient_vec(w_vec, b, design, lambda_):
 def objective(params: ModelParams, design: DesignSet) -> float:
     """Censored least-squares / squared-hinge objective value."""
     _check_design(params.w, design)
-    return _objective_vec(vectorize(params.w), params.b, design, params.lambda_)
+    return _objective_vec(vectorize(params.w), params.b, design, params.lambda_)[0]
 
 
 def gradient(params: ModelParams, design: DesignSet) -> tuple[np.ndarray, float]:
     """Analytic gradient (d/d vec(w), d/db) of the objective."""
     _check_design(params.w, design)
-    return _gradient_vec(vectorize(params.w), params.b, design, params.lambda_)
+    return _gradient_vec(_margins(vectorize(params.w), params.b, design), design, params.lambda_)
 
 
 def build_preconditioner(X_complete: np.ndarray, ridge_policy="auto") -> Preconditioner:
@@ -207,7 +206,7 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     L = _spectral_norm_sq(work.X_complete, n_c) + lambda_ * _spectral_norm_sq(work.X_censored, n_z)
     eta0 = opts.eta if opts.eta is not None else 1.0 / max(L, 1e-12)
 
-    f_cur = _objective_vec(w_hat, b, work, lambda_)
+    f_cur, margins = _objective_vec(w_hat, b, work, lambda_)
     if not np.isfinite(f_cur):
         raise NumericalError("objective is non-finite at the starting point")
     trace = [f_cur]
@@ -215,12 +214,12 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     converged = False
     max_leak = 0.0
     for _ in range(opts.max_iter):
-        g_w, g_b = _gradient_vec(w_hat, b, work, lambda_)
+        g_w, g_b = _gradient_vec(margins, work, lambda_)
         if opts.step_policy == "fixed":
             eta = eta0
             w_new, leak = _project_tracked((w_hat - eta * g_w).reshape(T, P), r)
             b_new = b - eta * g_b
-            f_new = _objective_vec(w_new.ravel(), b_new, work, lambda_)
+            f_new, new_margins = _objective_vec(w_new.ravel(), b_new, work, lambda_)
             if not np.isfinite(f_new):
                 raise NumericalError(f"objective became non-finite at iteration {len(steps) + 1} (eta={eta:g})")
         else:
@@ -229,7 +228,7 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
             for _ in range(opts.max_halvings + 1):
                 w_new, leak = _project_tracked((w_hat - eta * g_w).reshape(T, P), r)
                 b_new = b - eta * g_b
-                f_new = _objective_vec(w_new.ravel(), b_new, work, lambda_)
+                f_new, new_margins = _objective_vec(w_new.ravel(), b_new, work, lambda_)
                 if np.isfinite(f_new) and f_new < f_cur:
                     accepted = True
                     break
@@ -243,7 +242,7 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
         max_leak = max(max_leak, leak)
         decrease = f_cur - f_new
         w_hat, b, f_prev = w_new.ravel(), b_new, f_cur
-        f_cur = f_new
+        f_cur, margins = f_new, new_margins
         # an increase (possible under the fixed policy) is not convergence
         if 0.0 <= decrease and decrease / max(abs(f_prev), 1.0) < opts.tol:
             converged = True
@@ -274,10 +273,6 @@ def predict(params: ModelParams, sample: WindowSample) -> float:
     if sample.x.shape != params.w.shape:
         raise DataError(f"sample shape {sample.x.shape} does not match model {params.w.shape}")
     return float(np.sum(sample.x * params.w) + params.b)
-
-
-def predict_samples(params: ModelParams, samples: list[WindowSample]) -> np.ndarray:
-    return np.array([predict(params, s) for s in samples])
 
 
 def factorize(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,66 @@ def svr_objective(design, w_vec, b, C, eps, lam, mode):
         res_c = design.X_censored.T @ w_vec + b - design.y_censored
         obj += C * lam * float(np.maximum(0.0, np.abs(res_c) - eps).sum())
     return obj
+
+
+def reference_svr_fit(design, C, eps, lam, mode, opts, trace_out):
+    """The unfused subgradient loop, kept as the reference for svr_fit.
+
+    Complete and censored samples are held apart; each step evaluates the
+    residuals twice (subgradient at theta, objective at the new theta) and
+    copies the columns outside the tube.
+    """
+    Z = np.vstack([design.X_complete, np.ones((1, design.n_complete))])
+    y = design.y_complete
+    if mode == "weighted" and design.n_censored:
+        Zc = np.vstack([design.X_censored, np.ones((1, design.n_censored))])
+        yc = design.y_censored
+    else:
+        Zc, yc = np.zeros((Z.shape[0], 0)), np.zeros(0)
+
+    def objective(theta):
+        w = theta[:-1]
+        obj = 0.5 * float(w @ w)
+        res = Z.T @ theta - y
+        obj += C * float(np.maximum(0.0, np.abs(res) - eps).sum())
+        if yc.size:
+            res_c = Zc.T @ theta - yc
+            obj += C * lam * float(np.maximum(0.0, np.abs(res_c) - eps).sum())
+        return obj
+
+    def subgradient(theta):
+        res = Z.T @ theta - y
+        outside = np.abs(res) > eps
+        g = np.concatenate([theta[:-1], [0.0]]) + C * (Z[:, outside] @ np.sign(res[outside]))
+        if yc.size:
+            res_c = Zc.T @ theta - yc
+            outside_c = np.abs(res_c) > eps
+            g = g + C * lam * (Zc[:, outside_c] @ np.sign(res_c[outside_c]))
+        return g
+
+    theta = np.zeros(Z.shape[0])
+    theta[-1] = float(y.mean())
+    eta0 = max(1.0, float(np.std(y)))
+    eta = eta0
+    best, best_obj, stall = theta.copy(), objective(theta), 0
+    for _ in range(opts.max_iter):
+        g = subgradient(theta)
+        norm = np.linalg.norm(g)
+        if norm == 0.0:
+            break
+        theta = theta - eta * (g / norm)
+        obj = objective(theta)
+        if obj < best_obj - opts.tol * max(abs(best_obj), 1.0):
+            best_obj, best, stall = obj, theta.copy(), 0
+        else:
+            stall += 1
+            if stall >= opts.patience:
+                eta *= 0.5
+                theta, stall = best.copy(), 0
+                if eta < 1e-12 * eta0:
+                    break
+        trace_out.append(best_obj)
+    return best[:-1], float(best[-1])
 
 
 class TestOls:
@@ -123,3 +185,35 @@ class TestSvr:
             svr_fit(design, C=0.0)
         with pytest.raises(ValueError):
             svr_fit(design, epsilon_tube=-0.1)
+
+    def test_warns_when_stopped_at_max_iter(self):
+        rng = np.random.default_rng(9)
+        design = random_design(rng, 2, 3, 20, 6)
+        with pytest.warns(RuntimeWarning, match="max_iter=5"):
+            svr_fit(design, lambda_=0.3, options=SvrOptions(max_iter=5))
+
+    def test_no_warning_when_the_step_converges(self):
+        rng = np.random.default_rng(10)
+        design = random_design(rng, 2, 3, 20, 6)
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svr_fit(design, lambda_=0.3, trace_out=trace)
+        assert len(trace) < SvrOptions().max_iter
+
+
+@pytest.mark.parametrize("seed", range(20, 30))
+def test_svr_matches_unfused_reference(seed):
+    # one stacked residual pass per step reorders the sums but not the path
+    rng = np.random.default_rng(seed)
+    T, P = rng.integers(1, 4, size=2)
+    design = random_design(rng, T, P, int(rng.integers(15, 60)), int(rng.integers(4, 25)))
+    opts = SvrOptions()
+    for lam, mode in ((0.05, "weighted"), (0.3, "weighted"), (0.3, "ignore")):
+        got_trace, want_trace = [], []
+        got = svr_fit(design, C=2.0, epsilon_tube=0.1, lambda_=lam, censored_mode=mode, options=opts,
+                      trace_out=got_trace)
+        want_w, want_b = reference_svr_fit(design, 2.0, 0.1, lam, mode, opts, want_trace)
+        assert len(got_trace) == len(want_trace)
+        assert abs(got_trace[-1] - want_trace[-1]) <= 1e-12 * abs(want_trace[-1])
+        assert np.max(np.abs(got.w_vec - want_w)) <= 1e-9 and abs(got.b - want_b) <= 1e-9
