@@ -1,6 +1,6 @@
 """Censored low-rank time-to-event regression on sliding-window matrices."""
 
-from .baselines import BaselineParams, SvrOptions, ols_fit, svr_fit
+from .baselines import SvrOptions, ols_fit, svr_fit
 from .cohort import (
     Censored,
     Cohort,
@@ -50,7 +50,6 @@ from .solver import (
     fit_pgd,
     gradient,
     objective,
-    predict,
     project_rank,
 )
 from .synthetic import PlantedTruth, SyntheticSpec, generate_cohort, generate_lowrank_matrix, oracle_ols

@@ -2,7 +2,9 @@
 
 Both can either ignore censored samples or weight them into the fit by
 lambda, treating the censoring label as a plain regression target (the
-conventional way unbalanced samples are folded into these models).
+conventional way unbalanced samples are folded into these models); lambda
+must be finite and nonnegative. Both return the solver's ModelParams, with
+no rank budget.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ import numpy as np
 
 from .cohort import DesignSet
 from .errors import DataError
-
-
-@dataclass
-class BaselineParams:
-    w_vec: np.ndarray
-    b: float
-    kind: str  # "ols" or "svr"
-    hyperparams: dict
+from .solver import ModelParams, check_lambda
 
 
 @dataclass
@@ -35,6 +30,7 @@ class SvrOptions:
 def _augmented(design: DesignSet, lambda_: float, censored_mode: str):
     if censored_mode not in ("ignore", "weighted"):
         raise ValueError(f"unknown censored_mode {censored_mode!r}")
+    check_lambda(lambda_)
     if design.n_complete == 0:
         raise DataError("baseline fits require at least one complete sample")
     Z = np.vstack([design.X_complete, np.ones((1, design.n_complete))])
@@ -48,7 +44,7 @@ def _augmented(design: DesignSet, lambda_: float, censored_mode: str):
     return Z, y, Zc, yc
 
 
-def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weighted") -> BaselineParams:
+def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weighted") -> ModelParams:
     """Least squares on complete samples, optionally lambda-weighting censored ones.
 
     Solved by ridge-stabilized normal equations; the ridge is the same tiny
@@ -64,17 +60,12 @@ def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weigh
     # consistent system is interpolated exactly (min-norm solution there)
     inv = np.where(mu > 1e-12 * mu[-1], 1.0 / np.maximum(mu, eps), 0.0)
     theta = (V * inv) @ V.T @ rhs
-    return BaselineParams(
-        w_vec=theta[:-1],
-        b=float(theta[-1]),
-        kind="ols",
-        hyperparams={"lambda": lambda_, "censored_mode": censored_mode, "ridge": eps},
-    )
+    return ModelParams.unconstrained(theta, design, lambda_, "ols", {"censored_mode": censored_mode, "ridge": eps})
 
 
 def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
             lambda_: float = 0.0, censored_mode: str = "weighted",
-            options: SvrOptions | None = None, trace_out: list | None = None) -> BaselineParams:
+            options: SvrOptions | None = None, trace_out: list | None = None) -> ModelParams:
     """Linear epsilon-insensitive SVR by deterministic subgradient descent.
 
     Minimizes 1/2 ||w||^2 + C * sum max(0, |z'theta - y| - eps) over the
@@ -142,9 +133,5 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
     else:
         warnings.warn(f"svr_fit stopped at max_iter={opts.max_iter} before its step length converged",
                       RuntimeWarning, stacklevel=2)
-    return BaselineParams(
-        w_vec=best[:-1],
-        b=float(best[-1]),
-        kind="svr",
-        hyperparams={"C": C, "epsilon_tube": epsilon_tube, "lambda": lambda_, "censored_mode": censored_mode},
-    )
+    return ModelParams.unconstrained(best, design, lambda_, "svr",
+                                     {"C": C, "epsilon_tube": epsilon_tube, "censored_mode": censored_mode})

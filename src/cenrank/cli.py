@@ -57,7 +57,7 @@ DEFAULTS = {
         "methods": "censored_lowrank", "imputer": "bmc", "imputer_rank": 3, "knn_k": 5,
         "k": 5, "split_unit": "sample", "stride": 1, "horizon": 21.0,
         "step_policy": "backtracking", "eta": None, "tol": 1e-4, "max_iter": 500,
-        "precondition": True, "jobs": 1, "seed": 0,
+        "precondition": True, "seed": 0,
     },
     "report": {"cv_report": None, "out": None, "seed": 0},
 }
@@ -156,7 +156,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--no-precondition", dest="precondition", action="store_false", default=None)
-    p.add_argument("--jobs", type=int)
 
     p = add("report", "regenerate report CSVs from a stored CV result")
     p.add_argument("--cv-report")
@@ -297,20 +296,15 @@ def _cmd_train(cfg, out_dir: Path):
     design = assemble_design(filled)
     method = cfg["method"]
     if method == "censored_lowrank":
-        params, report = solver.fit_pgd(design, cfg["lambda"], cfg["rank"], _solver_options(cfg))
-        modelio.save_model(out_dir / "model.json", params, cohort.variables, report)
-        model = params
+        model, report = solver.fit_pgd(design, cfg["lambda"], cfg["rank"], _solver_options(cfg))
         print(f"fit converged={report.converged} iterations={report.iterations} "
               f"objective={report.final_objective:.6g} rank_w={report.rank_w}")
     else:
-        model = fit_method(design, method, cfg["rank"], cfg["lambda"], _solver_options(cfg))
-        modelio.save_model(out_dir / "model.json", model, cohort.variables, window_length=cfg["T"])
+        model, report = fit_method(design, method, cfg["rank"], cfg["lambda"]), None
         print(f"fit {method} on {design.n_complete} complete / {design.n_censored} censored samples")
+    modelio.save_model(out_dir / "model.json", model, cohort.variables, report)
     modelio.save_imputer(out_dir / "imputer_model.json", imputer, cohort.variables)
-    w = model.w if hasattr(model, "w") else model.w_vec.reshape(cfg["T"], -1)
-    ranked = evaluation.coefficient_report(
-        solver.ModelParams(w, 0.0, cfg["rank"], cfg["lambda"]), cohort.variables, top_n=w.size
-    )
+    ranked = evaluation.coefficient_report(model, cohort.variables, top_n=model.w.size)
     evaluation.write_coefficients_csv(out_dir / "coefficients.csv", ranked)
     edges, comp, cen = evaluation.onset_distribution(model, filled, bins=20)
     evaluation.write_onset_hist_csv(out_dir / "onset_hist.csv", edges, comp, cen)
@@ -318,11 +312,9 @@ def _cmd_train(cfg, out_dir: Path):
 
 def _cmd_predict(cfg, out_dir: Path):
     cohort = _load_inputs(cfg)
-    model, meta = modelio.load_model(cfg["model"], cohort.variables)
-    T = meta.get("window_length") or meta.get("T")
-    if T is None:
-        raise DataError(f"{cfg['model']}: model file does not record the window length")
-    windows = extract_windows(cohort, int(T), stride=cfg["stride"], horizon=cfg["horizon"])
+    model = modelio.load_model(cfg["model"], cohort.variables)
+    T = model.w.shape[0]
+    windows = extract_windows(cohort, T, stride=cfg["stride"], horizon=cfg["horizon"])
     if not windows:
         raise DataError(f"no windows of length {T} could be extracted")
     if cfg["imputer_model"]:
@@ -352,7 +344,7 @@ def _cmd_cv(cfg, out_dir: Path):
         cohort, grid, methods, _make_imputer(cfg),
         k=cfg["k"], split_unit=cfg["split_unit"], seed=cfg["seed"],
         stride=cfg["stride"], horizon=cfg["horizon"],
-        solver_options=_solver_options(cfg), n_jobs=cfg["jobs"],
+        solver_options=_solver_options(cfg),
     )
     evaluation.save_cv_report(report, out_dir / "cv_report.json")
     gr = grid_report(report)

@@ -11,8 +11,8 @@ from the training completion.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ from .cohort import (
     split_folds,
     vectorize,
 )
-from .errors import DataError, UndefinedMetricError
+from .errors import DataError, UndefinedMetricError, UnimputedSampleError
 from .imputation import build_imputation_matrix, fill_windows, impute_windows
 
 METHODS = ("censored_lowrank", "ols", "svr")
@@ -138,22 +138,23 @@ def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def predict_columns(model, X: np.ndarray) -> np.ndarray:
-    """Predictions for vectorized samples stacked as columns of X."""
-    w_vec = vectorize(model.w) if hasattr(model, "w") else model.w_vec
-    return X.T @ w_vec + model.b
-
-
-def predict_windows(model, samples: list[WindowSample]) -> np.ndarray:
+def predict_windows(model: solver.ModelParams, samples: list[WindowSample]) -> np.ndarray:
+    """<x, w> + b for each window; every window must be fully imputed and shaped like w."""
     if not samples:
         return np.zeros(0)
-    return predict_columns(model, np.column_stack([vectorize(s.x) for s in samples]))
+    columns = []
+    for s in samples:
+        if s.x.shape != model.w.shape:
+            raise DataError(f"window of subject {s.subject_id!r} has shape {s.x.shape}, model expects {model.w.shape}")
+        if not s.x_mask.all():
+            raise UnimputedSampleError(f"window of subject {s.subject_id!r} has unimputed cells")
+        columns.append(vectorize(s.x))
+    return np.column_stack(columns).T @ model.w_vec + model.b
 
 
 def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
                    split_unit: str = "sample", seed: int = 0, stride: int = 1,
-                   horizon: float = 21, solver_options=None, svr_options=None,
-                   n_jobs: int = 1) -> CvReport:
+                   horizon: float = 21, solver_options=None, svr_options=None) -> CvReport:
     """k-fold grid search over duration x rank x lambda for each method.
 
     Every fold serves as the test set once. Fold partitions, imputations
@@ -181,30 +182,17 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
             train_filled, test_filled, _ = impute_split(windows, train_idx, fold, imputer)
             prepared.append((assemble_design(train_filled), test_filled))
 
-        jobs = []
-        for rank in grid.ranks:
-            for lam in grid.lambdas:
-                for method in methods:
-                    jobs.append((T, rank, lam, method))
-
-        def run_point(point):
-            T_, rank, lam, method = point
+        for rank, lam, method in itertools.product(grid.ranks, grid.lambdas, methods):
             fold_maes = []
             for design, test_filled in prepared:
                 try:
                     model = fit_method(design, method, rank, lam, solver_options, svr_options)
                 except Exception as exc:
-                    exc.args = (f"grid point (duration={T_}, rank={rank}, lambda={lam}, method={method}): {exc}",)
+                    exc.args = (f"grid point (duration={T}, rank={rank}, lambda={lam}, method={method}): {exc}",)
                     raise
                 fold_maes.append(mae(predict_windows(model, test_filled), test_filled))
             fold_maes = np.asarray(fold_maes)
-            return CvEntry(T_, rank, lam, method, fold_maes, float(np.mean(fold_maes)))
-
-        if n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                entries.extend(pool.map(run_point, jobs))
-        else:
-            entries.extend(run_point(p) for p in jobs)
+            entries.append(CvEntry(T, rank, lam, method, fold_maes, float(np.mean(fold_maes))))
 
     return CvReport(entries=entries, seed=seed, k=k, split_unit=split_unit)
 

@@ -2,17 +2,20 @@
 
 Floats are written through Python's shortest round-trip representation,
 so a save/load cycle reproduces every parameter bit for bit and repeated
-saves of the same model are byte-identical.
+saves of the same model are byte-identical. A model file that cannot be
+read, is not JSON, lacks a key or holds arrays of the wrong size raises a
+DataError naming the file.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
-from .baselines import BaselineParams
 from .errors import DataError
+from .evaluation import METHODS
 from .imputation import BmcImputer, BmcModel, KnnImputer, MeanImputer
 from .solver import ModelParams, SolveReport
 
@@ -21,83 +24,79 @@ def _floats(a) -> list[float]:
     return [float(v) for v in np.asarray(a, dtype=float).ravel()]
 
 
-def save_model(path, model, variables=None, report: SolveReport | None = None,
-               window_length: int | None = None):
-    """Write a regression model (ModelParams or BaselineParams) to path."""
-    if isinstance(model, ModelParams):
-        T, P = model.w.shape
-        doc = {
-            "kind": "censored_lowrank",
-            "T": T,
-            "P": P,
-            "window_length": T,
-            "rank": model.rank,
-            "lambda": model.lambda_,
-            "b": model.b,
-            "w": _floats(model.w),
-            "variables": list(variables) if variables is not None else None,
-        }
-        if report is not None:
-            doc["solve_report"] = {
-                "iterations": report.iterations,
-                "converged": report.converged,
-                "final_objective": report.final_objective,
-                "ridge": report.ridge,
-                "rank_w": report.rank_w,
-            }
-    elif isinstance(model, BaselineParams):
-        doc = {
-            "kind": model.kind,
-            "dim": int(model.w_vec.size),
-            "window_length": window_length,
-            "b": model.b,
-            "w": _floats(model.w_vec),
-            "hyperparams": model.hyperparams,
-            "variables": list(variables) if variables is not None else None,
-        }
-    else:
-        raise TypeError(f"cannot save model of type {type(model).__name__}")
+def _write(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def _check_variables(path, doc, variables):
-    stored = doc.get("variables")
-    if variables is not None and stored is not None and list(stored) != list(variables):
-        raise DataError(f"{path}: fitted on variables {stored}, but the dictionary lists {list(variables)}")
-
-
-def load_model(path, variables=None):
-    """Read a model file; returns (model, meta) where meta holds the extras.
+@contextmanager
+def _read(path, variables=None):
+    """Yield the JSON object in a model file; any failure to parse it is a DataError naming the file.
 
     When `variables` is given and the file records its variables, the two
     lists must be equal, order included.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    _check_variables(path, doc, variables)
-    kind = doc.get("kind")
-    if kind == "censored_lowrank":
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise DataError(f"{path}: model file must hold a JSON object")
+        stored = doc.get("variables")
+        if variables is not None and stored is not None and list(stored) != list(variables):
+            raise DataError(f"{path}: fitted on variables {stored}, but the dictionary lists {list(variables)}")
+        yield doc
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise DataError(f"{path}: cannot read model file: {exc}") from exc
+
+
+def save_model(path, model: ModelParams, variables=None, report: SolveReport | None = None):
+    """Write a linear model; every kind has the same keys, plus `solve_report` when one is given."""
+    T, P = model.w.shape
+    doc = {
+        "kind": model.kind,
+        "T": T,
+        "P": P,
+        "rank": model.rank,
+        "lambda": model.lambda_,
+        "b": model.b,
+        "w": _floats(model.w),
+        "hyperparams": model.hyperparams,
+        "variables": list(variables) if variables is not None else None,
+    }
+    if report is not None:
+        doc["solve_report"] = {
+            "iterations": report.iterations,
+            "converged": report.converged,
+            "final_objective": report.final_objective,
+            "ridge": report.ridge,
+            "rank_w": report.rank_w,
+        }
+    _write(path, doc)
+
+
+def load_model(path, variables=None) -> ModelParams:
+    """Read a model file written by save_model; `variables` is checked against the stored list."""
+    with _read(path, variables) as doc:
+        kind = doc["kind"]
+        if kind not in METHODS:
+            raise DataError(f"{path}: unknown model kind {kind!r}")
         T, P = int(doc["T"]), int(doc["P"])
-        w = np.asarray(doc["w"], dtype=float).reshape(T, P)
-        model = ModelParams(w=w, b=float(doc["b"]), rank=int(doc["rank"]), lambda_=float(doc["lambda"]))
-    elif kind in ("ols", "svr"):
-        model = BaselineParams(
-            w_vec=np.asarray(doc["w"], dtype=float),
+        return ModelParams(
+            w=np.asarray(doc["w"], dtype=float).reshape(T, P),
             b=float(doc["b"]),
+            rank=int(doc["rank"]),
+            lambda_=float(doc["lambda"]),
             kind=kind,
-            hyperparams=dict(doc.get("hyperparams", {})),
+            hyperparams=dict(doc["hyperparams"]),
         )
-    else:
-        raise DataError(f"{path}: unknown model kind {kind!r}")
-    meta = {k: v for k, v in doc.items() if k not in ("w", "b")}
-    return model, meta
 
 
 def save_bmc_model(path, model: BmcModel, variables=None):
     """Write a fitted completion model: rank, bounds, means and basis (row-major)."""
-    doc = {
+    _write(path, {
         "kind": "bmc",
         "rank": model.rank,
         "P": int(model.basis.shape[0]),
@@ -106,17 +105,10 @@ def save_bmc_model(path, model: BmcModel, variables=None):
         "upper": _floats(model.upper),
         "col_means": _floats(model.col_means),
         "basis": _floats(model.basis),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
-def load_bmc_model(path) -> BmcModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "bmc":
-        raise DataError(f"{path}: not a completion model file")
+def _bmc_model(doc) -> BmcModel:
     P, r = int(doc["P"]), int(doc["rank"])
     return BmcModel(
         basis=np.asarray(doc["basis"], dtype=float).reshape(P, r),
@@ -125,6 +117,13 @@ def load_bmc_model(path) -> BmcModel:
         rank=r,
         col_means=np.asarray(doc["col_means"], dtype=float),
     )
+
+
+def load_bmc_model(path) -> BmcModel:
+    with _read(path) as doc:
+        if doc.get("kind") != "bmc":
+            raise DataError(f"{path}: not a completion model file")
+        return _bmc_model(doc)
 
 
 def save_imputer(path, imputer, variables=None):
@@ -148,31 +147,27 @@ def save_imputer(path, imputer, variables=None):
         }
     else:
         raise TypeError(f"cannot save imputer of type {type(imputer).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write(path, doc)
 
 
 def load_imputer(path, variables=None):
     """Load a fitted imputer saved by save_imputer; `variables` is checked as in load_model."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    _check_variables(path, doc, variables)
-    kind = doc.get("kind")
-    if kind == "bmc":
-        imp = BmcImputer(rank=int(doc["rank"]))
-        imp.model = load_bmc_model(path)
-        return imp
-    if kind == "mean":
-        imp = MeanImputer()
-        imp.col_means = np.asarray(doc["col_means"], dtype=float)
-        return imp
-    if kind == "knn":
-        imp = KnnImputer(k=int(doc["k"]))
-        n, P = int(doc["n_rows"]), int(doc["P"])
-        imp.train_mask = np.asarray(doc["train_mask"], dtype=bool).reshape(n, P)
-        imp.train_X = np.asarray(doc["train_values"], dtype=float).reshape(n, P)
-        imp.train_X[~imp.train_mask] = np.nan
-        imp.col_means = np.asarray(doc["col_means"], dtype=float)
-        return imp
-    raise DataError(f"{path}: unknown imputer kind {kind!r}")
+    with _read(path, variables) as doc:
+        kind = doc.get("kind")
+        if kind == "bmc":
+            imp = BmcImputer(rank=int(doc["rank"]))
+            imp.model = _bmc_model(doc)
+            return imp
+        if kind == "mean":
+            imp = MeanImputer()
+            imp.col_means = np.asarray(doc["col_means"], dtype=float)
+            return imp
+        if kind == "knn":
+            imp = KnnImputer(k=int(doc["k"]))
+            n, P = int(doc["n_rows"]), int(doc["P"])
+            imp.train_mask = np.asarray(doc["train_mask"], dtype=bool).reshape(n, P)
+            imp.train_X = np.asarray(doc["train_values"], dtype=float).reshape(n, P)
+            imp.train_X[~imp.train_mask] = np.nan
+            imp.col_means = np.asarray(doc["col_means"], dtype=float)
+            return imp
+        raise DataError(f"{path}: unknown imputer kind {kind!r}")

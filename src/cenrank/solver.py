@@ -14,23 +14,42 @@ so the descent iterates on a well-conditioned reparameterization.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import DesignSet, WindowSample, vectorize
-from .errors import DataError, NumericalError, UnimputedSampleError
+from .cohort import DesignSet, vectorize
+from .errors import DataError, NumericalError
 
 RANK_TOL = 1e-10
 
 
 @dataclass
 class ModelParams:
+    """The linear predictor <x, w> + b over a T x P window, for every method.
+
+    `rank` is the budget on w (min(T, P) when there is none), `kind` names
+    the method that fitted it and `hyperparams` that method's settings.
+    """
+
     w: np.ndarray
     b: float
     rank: int
     lambda_: float
+    kind: str = "censored_lowrank"
+    hyperparams: dict = field(default_factory=dict)
+
+    @property
+    def w_vec(self) -> np.ndarray:
+        return vectorize(self.w)
+
+    @classmethod
+    def unconstrained(cls, theta, design: DesignSet, lambda_: float, kind: str, hyperparams: dict):
+        """The model stacked as [vec(w); b] in theta, with no rank budget."""
+        T, P = design.T, design.P
+        return cls(theta[:-1].reshape(T, P), float(theta[-1]), min(T, P), lambda_, kind, hyperparams)
 
 
 @dataclass
@@ -65,6 +84,11 @@ class SolverOptions:
     precondition: bool = True
     ridge_policy: str | float = "auto"
     max_halvings: int = 50
+
+
+def check_lambda(lambda_):
+    if not (math.isfinite(lambda_) and lambda_ >= 0):
+        raise ValueError(f"lambda must be finite and nonnegative, got {lambda_!r}")
 
 
 def _check_design(w, design):
@@ -166,6 +190,8 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
             options: SolverOptions | None = None) -> tuple[ModelParams, SolveReport]:
     """Fit the rank-constrained censored regression by projected gradient descent.
 
+    lambda_ must be finite and nonnegative (ValueError otherwise).
+
     Runs on the preconditioned variables vec(w_hat) = (G + eps I)^{1/2} vec(w)
     when options.precondition is set (requires complete samples), taking a
     gradient step and an SVD rank-r truncation per iteration. The default
@@ -181,6 +207,7 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     opts = options or SolverOptions()
     if r < 1:
         raise ValueError("rank must be >= 1")
+    check_lambda(lambda_)
     if opts.step_policy not in ("backtracking", "fixed"):
         raise ValueError(f"unknown step policy {opts.step_policy!r}")
     T, P = design.T, design.P
@@ -264,15 +291,6 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
         max_excess_sv_ratio=max_leak,
     )
     return params, report
-
-
-def predict(params: ModelParams, sample: WindowSample) -> float:
-    """<x, w> + b for one fully imputed window."""
-    if not np.all(sample.x_mask):
-        raise UnimputedSampleError(f"sample for subject {sample.subject_id!r} has unimputed cells")
-    if sample.x.shape != params.w.shape:
-        raise DataError(f"sample shape {sample.x.shape} does not match model {params.w.shape}")
-    return float(np.sum(sample.x * params.w) + params.b)
 
 
 def factorize(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

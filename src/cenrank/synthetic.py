@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BaselineParams
 from .cohort import Censored, Cohort, DesignSet, Event, SubjectSeries
 from .errors import DataError
+from .solver import ModelParams
 
 
 @dataclass
@@ -108,7 +108,7 @@ def generate_cohort(spec: SyntheticSpec) -> tuple[Cohort, PlantedTruth]:
     return Cohort(subjects=subjects, variables=variables), PlantedTruth(w_star=w_star, b_star=b_star)
 
 
-def oracle_ols(design: DesignSet, ridge: float = 1e-10) -> BaselineParams:
+def oracle_ols(design: DesignSet, ridge: float = 1e-10) -> ModelParams:
     """Normal-equation reference solver, independent of baselines.ols_fit.
 
     Solves (Z Z' + ridge I) theta = Z y directly, where Z stacks the
@@ -119,4 +119,4 @@ def oracle_ols(design: DesignSet, ridge: float = 1e-10) -> BaselineParams:
     Z = np.vstack([design.X_complete, np.ones((1, design.n_complete))])
     H = Z @ Z.T + ridge * np.eye(Z.shape[0])
     theta = np.linalg.solve(H, Z @ design.y_complete)
-    return BaselineParams(w_vec=theta[:-1], b=float(theta[-1]), kind="ols", hyperparams={"ridge": ridge})
+    return ModelParams.unconstrained(theta, design, 0.0, "ols", {"ridge": ridge})

@@ -309,7 +309,7 @@ def test_c11_determinism_and_persistence(tmp_path):
     params, rep = fit_pgd(assemble_design(tr), 0.05, 2, opts)
     before = predict_windows(params, te)
     save_model(tmp_path / "model.json", params, cohort.variables, rep)
-    loaded, _ = load_model(tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
     after = predict_windows(loaded, te)
     roundtrip = np.array_equal(before, after)
     report("C11 determinism-and-persistence", identical and roundtrip,

@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from cenrank.baselines import ols_fit
 from cenrank.cli import dispatch
-from cenrank.cohort import extract_windows, load_cohort
+from cenrank.cohort import assemble_design, extract_windows, load_cohort
 from cenrank.evaluation import predict_windows
 from cenrank.imputation import build_imputation_matrix, fill_windows
-from cenrank.modelio import load_imputer, load_model
+from cenrank.modelio import load_imputer, load_model, save_model
+from cenrank.solver import ModelParams
 
 
 @pytest.fixture(scope="module")
@@ -23,12 +25,31 @@ def cohort_dir(tmp_path_factory):
     return out
 
 
+def cohort_files(d):
+    return d / "observations.csv", d / "outcomes.csv", d / "variables.txt"
+
+
 def cohort_args(d):
-    return [
-        "--observations", str(d / "observations.csv"),
-        "--outcomes", str(d / "outcomes.csv"),
-        "--dictionary", str(d / "variables.txt"),
-    ]
+    obs, out, dic = cohort_files(d)
+    return ["--observations", str(obs), "--outcomes", str(out), "--dictionary", str(dic)]
+
+
+def mean_imputer(cohort_dir, tmp_path):
+    """Path of a mean imputer fitted and saved by `cenrank impute`."""
+    assert dispatch(["impute", *cohort_args(cohort_dir), "--out", str(tmp_path / "imp"), "--imputer", "mean"]) == 0
+    return tmp_path / "imp" / "imputer_model.json"
+
+
+def filled_windows(cohort_dir, imputer_path, T=4):
+    """The cohort's windows filled in process by a saved imputer, as `cenrank predict` fills them."""
+    windows = extract_windows(load_cohort(*cohort_files(cohort_dir)), T)
+    matrix = build_imputation_matrix(windows)
+    return fill_windows(windows, load_imputer(imputer_path).transform(matrix), matrix.row_index)
+
+
+def read_predictions(out_dir):
+    with open(out_dir / "predictions.csv") as fh:
+        return np.array([float(r["prediction"]) for r in csv.DictReader(fh)])
 
 
 class TestSynth:
@@ -76,7 +97,7 @@ class TestTrainPredict:
         imputer = load_imputer(run / "imputer_model.json")
         matrix = build_imputation_matrix(windows)
         filled = fill_windows(windows, imputer.transform(matrix), matrix.row_index)
-        model, _ = load_model(run / "model.json")
+        model = load_model(run / "model.json")
         expected = predict_windows(model, filled)
         with open(pred / "predictions.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -118,9 +139,111 @@ class TestTrainPredict:
                 "train", *cohort_args(cohort_dir), "--out", str(run),
                 "--T", "4", "--method", method, "--lambda", "0.05",
             ]) == 0
-            model, meta = load_model(run / "model.json")
+            model = load_model(run / "model.json")
             assert model.kind == method
-            assert meta["window_length"] == 4
+            assert model.w.shape[0] == 4
+            pred = tmp_path / f"pred_{method}"
+            assert dispatch([
+                "predict", *cohort_args(cohort_dir), "--out", str(pred), "--model", str(run / "model.json"),
+                "--imputer-model", str(run / "imputer_model.json"),
+            ]) == 0
+            filled = filled_windows(cohort_dir, run / "imputer_model.json")
+            assert np.array_equal(read_predictions(pred), predict_windows(model, filled))
+
+    def test_model_files_share_one_key_set(self, cohort_dir, tmp_path):
+        keys = {}
+        for method in ("censored_lowrank", "ols", "svr"):
+            run = tmp_path / method
+            assert dispatch([
+                "train", *cohort_args(cohort_dir), "--out", str(run),
+                "--T", "4", "--method", method, "--max-iter", "100",
+            ]) == 0
+            keys[method] = set(json.loads((run / "model.json").read_text())) - {"solve_report"}
+        assert keys["censored_lowrank"] == keys["ols"] == keys["svr"]
+
+    def test_library_saved_ols_model_scores(self, cohort_dir, tmp_path):
+        imputer = mean_imputer(cohort_dir, tmp_path)
+        filled = filled_windows(cohort_dir, imputer)
+        model = ols_fit(assemble_design(filled), 0.05)
+        save_model(tmp_path / "model.json", model, load_cohort(*cohort_files(cohort_dir)).variables)
+        pred = tmp_path / "pred"
+        assert dispatch([
+            "predict", *cohort_args(cohort_dir), "--out", str(pred), "--model", str(tmp_path / "model.json"),
+            "--imputer-model", str(imputer),
+        ]) == 0
+        assert np.array_equal(read_predictions(pred), predict_windows(model, filled))
+
+    def test_model_of_the_wrong_width_is_data_error(self, cohort_dir, tmp_path, capsys):
+        # the cohort has 6 variables; with no stored variables only the shape check can catch it
+        save_model(tmp_path / "model.json", ModelParams(np.ones((4, 5)), 0.0, 2, 0.05), variables=None)
+        pred = tmp_path / "pred"
+        code = dispatch([
+            "predict", *cohort_args(cohort_dir), "--out", str(pred), "--model", str(tmp_path / "model.json"),
+            "--imputer-model", str(mean_imputer(cohort_dir, tmp_path)),
+        ])
+        assert code == 2
+        assert "shape" in capsys.readouterr().err
+        assert not (pred / "predictions.csv").exists()
+
+    def test_negative_lambda_is_usage_error(self, cohort_dir, tmp_path):
+        for method in ("censored_lowrank", "ols", "svr"):
+            run = tmp_path / method
+            code = dispatch([
+                "train", *cohort_args(cohort_dir), "--out", str(run),
+                "--T", "4", "--method", method, "--lambda", "-0.5",
+            ])
+            assert code == 1
+            assert not (run / "model.json").exists()
+
+
+class TestBrokenModelFiles:
+    @pytest.fixture(scope="class")
+    def trained(self, cohort_dir, tmp_path_factory):
+        run = tmp_path_factory.mktemp("trained")
+        assert dispatch([
+            "train", *cohort_args(cohort_dir), "--out", str(run), "--T", "4", "--max-iter", "100",
+        ]) == 0
+        return run
+
+    def predict(self, cohort_dir, trained, tmp_path, model=None, imputer=None):
+        return dispatch([
+            "predict", *cohort_args(cohort_dir), "--out", str(tmp_path / "pred"),
+            "--model", str(model or trained / "model.json"),
+            "--imputer-model", str(imputer or trained / "imputer_model.json"),
+        ])
+
+    def edited_model(self, trained, tmp_path, edit):
+        doc = json.loads((trained / "model.json").read_text())
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(w=doc["w"][:-1]), "cannot reshape"),
+        (lambda doc: doc.pop("T"), "missing key 'T'"),
+        (lambda doc: doc.pop("P"), "missing key 'P'"),
+        (lambda doc: doc.update(kind="forest"), "unknown model kind"),
+        # the schema baseline files had before they recorded T and P
+        (lambda doc: [doc.pop("T"), doc.pop("P"), doc.update(kind="ols", dim=len(doc["w"]))], "missing key 'T'"),
+    ], ids=["short_w", "no_T", "no_P", "unknown_kind", "old_baseline_schema"])
+    def test_malformed_model_is_data_error(self, cohort_dir, trained, tmp_path, capsys, edit, message):
+        path = self.edited_model(trained, tmp_path, edit)
+        assert self.predict(cohort_dir, trained, tmp_path, model=path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("which", ["model", "imputer"])
+    def test_non_json_file_is_data_error(self, cohort_dir, trained, tmp_path, capsys, which):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json\n")
+        assert self.predict(cohort_dir, trained, tmp_path, **{which: bad}) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_missing_model_file_is_data_error(self, cohort_dir, trained, tmp_path, capsys):
+        assert self.predict(cohort_dir, trained, tmp_path, model=tmp_path / "absent.json") == 2
+        assert "absent.json" in capsys.readouterr().err
 
 
 class TestCv:

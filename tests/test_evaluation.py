@@ -10,6 +10,7 @@ from cenrank.evaluation import (
     Grid,
     coefficient_report,
     cross_validate,
+    fit_method,
     grid_report,
     impute_split,
     load_cv_report,
@@ -21,6 +22,7 @@ from cenrank.evaluation import (
 from cenrank.imputation import BmcImputer, MeanImputer, build_imputation_matrix, impute_new
 from cenrank.solver import ModelParams, SolverOptions
 from cenrank.synthetic import SyntheticSpec, generate_cohort
+from helpers import random_design
 
 
 def sample(y, censored, x=None):
@@ -55,6 +57,23 @@ def small_cohort(seed=0, n=60):
 FAST = SolverOptions(max_iter=150)
 
 
+class TestFitMethod:
+    @pytest.mark.parametrize("method", ["censored_lowrank", "ols", "svr"])
+    @pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_lambda(self, method, lam):
+        design = random_design(np.random.default_rng(3), 3, 4, 20, 8)
+        with pytest.raises(ValueError, match="lambda"):
+            fit_method(design, method, 2, lam, FAST)
+
+    @pytest.mark.parametrize("method", ["censored_lowrank", "ols", "svr"])
+    def test_one_model_type_for_every_method(self, method):
+        design = random_design(np.random.default_rng(4), 3, 4, 20, 8)
+        model = fit_method(design, method, 2, 0.1, FAST)
+        assert isinstance(model, ModelParams) and model.kind == method
+        assert model.w.shape == (3, 4) and model.lambda_ == 0.1
+        assert np.array_equal(model.w_vec, model.w.ravel())
+
+
 class TestCrossValidate:
     def test_grid_entries_and_fold_counts(self):
         cohort = small_cohort()
@@ -75,17 +94,6 @@ class TestCrossValidate:
                            solver_options=FAST)
         b = cross_validate(cohort, grid, ["censored_lowrank"], MeanImputer(), k=3, seed=5,
                            solver_options=FAST)
-        save_cv_report(a, tmp_path / "a.json")
-        save_cv_report(b, tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-    def test_parallel_matches_serial(self, tmp_path):
-        cohort = small_cohort()
-        grid = Grid(durations=[3], ranks=[2, 3], lambdas=[0.05])
-        a = cross_validate(cohort, grid, ["censored_lowrank"], MeanImputer(), k=3, seed=1,
-                           solver_options=FAST, n_jobs=1)
-        b = cross_validate(cohort, grid, ["censored_lowrank"], MeanImputer(), k=3, seed=1,
-                           solver_options=FAST, n_jobs=3)
         save_cv_report(a, tmp_path / "a.json")
         save_cv_report(b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

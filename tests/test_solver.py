@@ -5,6 +5,7 @@ import pytest
 
 from cenrank.cohort import DesignSet, WindowSample
 from cenrank.errors import DataError, UnimputedSampleError
+from cenrank.evaluation import predict_windows
 from cenrank.solver import (
     ModelParams,
     SolverOptions,
@@ -14,7 +15,6 @@ from cenrank.solver import (
     gradient,
     numerical_rank,
     objective,
-    predict,
     project_rank,
 )
 from cenrank.synthetic import generate_lowrank_matrix, oracle_ols
@@ -242,18 +242,23 @@ class TestPredict:
 
     def test_constant_model(self):
         params = ModelParams(np.zeros((2, 2)), 3.5, 1, 0.0)
-        assert predict(params, self._sample([[9, 9], [9, 9]])) == 3.5
+        assert predict_windows(params, [self._sample([[9, 9], [9, 9]])])[0] == 3.5
 
     def test_inner_product(self):
         params = ModelParams(np.eye(2), 0.0, 2, 0.0)
-        assert predict(params, self._sample([[1, 2], [3, 4]])) == 5.0
+        assert predict_windows(params, [self._sample([[1, 2], [3, 4]])])[0] == 5.0
 
     def test_unimputed_rejected(self):
         params = ModelParams(np.eye(2), 0.0, 2, 0.0)
         s = self._sample([[1, 2], [3, 4]])
         s.x_mask[0, 0] = False
         with pytest.raises(UnimputedSampleError):
-            predict(params, s)
+            predict_windows(params, [self._sample([[5, 6], [7, 8]]), s])
+
+    def test_shape_mismatch_rejected(self):
+        params = ModelParams(np.eye(2), 0.0, 2, 0.0)
+        with pytest.raises(DataError, match="shape"):
+            predict_windows(params, [self._sample([[1, 2, 3], [4, 5, 6]])])
 
     def test_factor_form_agrees(self):
         rng = np.random.default_rng(15)
@@ -263,7 +268,7 @@ class TestPredict:
         for _ in range(20):
             x = rng.standard_normal((4, 6))
             bilinear = sum(u[:, r] @ x @ v[:, r] for r in range(2)) + params.b
-            assert abs(predict(params, self._sample(x)) - bilinear) < 1e-9
+            assert abs(predict_windows(params, [self._sample(x)])[0] - bilinear) < 1e-9
 
 
 class TestFactorize:
