@@ -35,11 +35,8 @@ from .imputation import (
     bmc_fit,
     compute_bounds,
     impute_new,
-    knn_impute,
-    make_imputer,
-    mean_impute,
 )
-from .modelio import load_bmc_model, load_imputer, load_model, save_bmc_model, save_imputer, save_model
+from .modelio import load_imputer, load_model, save_imputer, save_model
 from .solver import (
     ModelParams,
     Preconditioner,

@@ -21,8 +21,8 @@ from pathlib import Path
 from . import evaluation, modelio, solver
 from .cohort import assemble_design, extract_windows, load_cohort, write_cohort
 from .errors import DataError, NumericalError, UnimputedSampleError
-from .evaluation import Grid, cross_validate, fit_method, grid_report, write_csv, write_report_csvs
-from .imputation import build_imputation_matrix, cohort_matrix, fill_windows, impute_windows, make_imputer
+from .evaluation import Grid, cross_validate, fit_method, grid_report, impute_split, write_csv, write_report_csvs
+from .imputation import BmcImputer, KnnImputer, MeanImputer, cohort_matrix, impute_windows
 from .synthetic import SyntheticSpec, generate_cohort
 
 
@@ -216,13 +216,15 @@ def _load_inputs(cfg):
     return load_cohort(cfg["observations"], cfg["outcomes"], cfg["dictionary"])
 
 
-def _make_imputer(cfg):
+def _new_imputer(cfg):
     name = cfg["imputer"]
     if name == "bmc":
-        return make_imputer("bmc", rank=cfg["imputer_rank"])
+        return BmcImputer(rank=cfg["imputer_rank"])
     if name == "knn":
-        return make_imputer("knn", k=cfg["knn_k"])
-    return make_imputer("mean")
+        return KnnImputer(k=cfg["knn_k"])
+    if name == "mean":
+        return MeanImputer()
+    raise UsageError(f"unknown imputer {name!r}")
 
 
 def _solver_options(cfg) -> solver.SolverOptions:
@@ -269,7 +271,7 @@ def _cmd_synth(cfg, out_dir: Path):
 def _cmd_impute(cfg, out_dir: Path):
     cohort = _load_inputs(cfg)
     matrix = cohort_matrix(cohort)
-    imputer = _make_imputer(cfg).fit(matrix)
+    imputer = _new_imputer(cfg).fit(matrix)
     header = ["subject_id", "day"] + cohort.variables
     rows = [
         [sid, day] + ["%.17g" % v for v in imputer.completed[i]]
@@ -280,19 +282,12 @@ def _cmd_impute(cfg, out_dir: Path):
     print(f"imputed {int((~matrix.mask).sum())} missing cells over {matrix.X.shape[0]} rows")
 
 
-def _train_windows(cfg, cohort):
+def _cmd_train(cfg, out_dir: Path):
+    cohort = _load_inputs(cfg)
     windows = extract_windows(cohort, cfg["T"], stride=cfg["stride"], horizon=cfg["horizon"])
     if not windows:
         raise DataError(f"no windows of length {cfg['T']} could be extracted")
-    matrix = build_imputation_matrix(windows)
-    imputer = _make_imputer(cfg).fit(matrix)
-    filled = fill_windows(windows, imputer.completed, matrix.row_index)
-    return windows, filled, imputer
-
-
-def _cmd_train(cfg, out_dir: Path):
-    cohort = _load_inputs(cfg)
-    _, filled, imputer = _train_windows(cfg, cohort)
+    filled, _, imputer = impute_split(windows, range(len(windows)), [], _new_imputer(cfg))
     design = assemble_design(filled)
     method = cfg["method"]
     if method == "censored_lowrank":
@@ -306,7 +301,7 @@ def _cmd_train(cfg, out_dir: Path):
     modelio.save_imputer(out_dir / "imputer_model.json", imputer, cohort.variables)
     ranked = evaluation.coefficient_report(model, cohort.variables, top_n=model.w.size)
     evaluation.write_coefficients_csv(out_dir / "coefficients.csv", ranked)
-    edges, comp, cen = evaluation.onset_distribution(model, filled, bins=20)
+    edges, comp, cen = evaluation.onset_distribution(evaluation.predict_windows(model, filled), filled, bins=20)
     evaluation.write_onset_hist_csv(out_dir / "onset_hist.csv", edges, comp, cen)
 
 
@@ -327,7 +322,7 @@ def _cmd_predict(cfg, out_dir: Path):
         for w, p in zip(windows, preds)
     ]
     write_csv(out_dir / "predictions.csv", ["subject_id", "window_end_day", "censored", "y", "prediction"], rows)
-    edges, comp, cen = evaluation.onset_distribution(model, windows, bins=20)
+    edges, comp, cen = evaluation.onset_distribution(preds, windows, bins=20)
     evaluation.write_onset_hist_csv(out_dir / "onset_hist.csv", edges, comp, cen)
     print(f"wrote {len(rows)} predictions")
 
@@ -341,12 +336,12 @@ def _cmd_cv(cfg, out_dir: Path):
     )
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
     report = cross_validate(
-        cohort, grid, methods, _make_imputer(cfg),
+        cohort, grid, methods, _new_imputer(cfg),
         k=cfg["k"], split_unit=cfg["split_unit"], seed=cfg["seed"],
         stride=cfg["stride"], horizon=cfg["horizon"],
         solver_options=_solver_options(cfg),
     )
-    evaluation.save_cv_report(report, out_dir / "cv_report.json")
+    modelio.save_cv_report(report, out_dir / "cv_report.json")
     gr = grid_report(report)
     write_report_csvs(gr, report.k, out_dir)
     best = gr.best
@@ -355,7 +350,7 @@ def _cmd_cv(cfg, out_dir: Path):
 
 
 def _cmd_report(cfg, out_dir: Path):
-    report = evaluation.load_cv_report(cfg["cv_report"])
+    report = modelio.load_cv_report(cfg["cv_report"])
     gr = grid_report(report)
     write_report_csvs(gr, report.k, out_dir)
     print(f"regenerated report CSVs for {len(report.entries)} grid entries")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,17 +126,28 @@ def load_variable_dictionary(path) -> list[str]:
 
 
 def _read_csv_rows(path, required_cols):
+    """(line number, row dict) for each nonblank data row of a CSV file with a header line.
+
+    A row whose field count differs from the header's is a DataError
+    naming the file and line.
+    """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in required_cols if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
-        rows = list(reader)
+        rows = []
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise DataError(f"{path} line {reader.line_num}: {len(fields)} fields, the header has {len(header)}")
+            rows.append((reader.line_num, dict(zip(header, fields))))
     return rows
 
 
@@ -160,48 +171,48 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     P = len(variables)
 
     outcomes = {}
-    for i, row in enumerate(_read_csv_rows(outcomes_path, ["subject_id", "ssi", "onset_day", "last_obs_day"])):
+    for line, row in _read_csv_rows(outcomes_path, ["subject_id", "ssi", "onset_day", "last_obs_day"]):
         sid = row["subject_id"].strip()
         try:
             ssi = int(row["ssi"])
         except ValueError as exc:
-            raise DataError(f"{outcomes_path} line {i + 2}: ssi must be 0 or 1") from exc
+            raise DataError(f"{outcomes_path} line {line}: ssi must be 0 or 1") from exc
         if ssi not in (0, 1):
-            raise DataError(f"{outcomes_path} line {i + 2}: ssi must be 0 or 1, got {ssi}")
+            raise DataError(f"{outcomes_path} line {line}: ssi must be 0 or 1, got {ssi}")
         if sid in outcomes:
-            raise DuplicateRecordError(f"{outcomes_path} line {i + 2}: duplicate subject {sid!r}")
+            raise DuplicateRecordError(f"{outcomes_path} line {line}: duplicate subject {sid!r}")
         field = "onset_day" if ssi == 1 else "last_obs_day"
-        raw = (row[field] or "").strip()
+        raw = row[field].strip()
         if not raw:
-            raise DataError(f"{outcomes_path} line {i + 2}: {field} required when ssi={ssi}")
+            raise DataError(f"{outcomes_path} line {line}: {field} required when ssi={ssi}")
         try:
             when = float(raw)
         except ValueError as exc:
-            raise DataError(f"{outcomes_path} line {i + 2}: {field} must be a number, got {raw!r}") from exc
+            raise DataError(f"{outcomes_path} line {line}: {field} must be a number, got {raw!r}") from exc
         if not math.isfinite(when):
-            raise DataError(f"{outcomes_path} line {i + 2}: non-finite {field}")
+            raise DataError(f"{outcomes_path} line {line}: non-finite {field}")
         outcomes[sid] = Event(onset_day=when) if ssi == 1 else Censored(horizon_day=when)
 
     # (subject, day) -> P-vector of observed values
     cells: dict[str, dict[int, np.ndarray]] = {}
     order: list[str] = []
-    for i, row in enumerate(_read_csv_rows(observations_path, ["subject_id", "day", "variable", "value"])):
+    for line, row in _read_csv_rows(observations_path, ["subject_id", "day", "variable", "value"]):
         sid = row["subject_id"].strip()
         var = row["variable"].strip()
         if var not in var_index:
-            raise UnknownVariableError(f"{observations_path} line {i + 2}: unknown variable {var!r}")
+            raise UnknownVariableError(f"{observations_path} line {line}: unknown variable {var!r}")
         try:
             day = int(row["day"])
         except ValueError as exc:
-            raise DataError(f"{observations_path} line {i + 2}: day must be an integer") from exc
+            raise DataError(f"{observations_path} line {line}: day must be an integer") from exc
         if day < 1:
-            raise DataError(f"{observations_path} line {i + 2}: day must be >= 1, got {day}")
+            raise DataError(f"{observations_path} line {line}: day must be >= 1, got {day}")
         try:
             value = float(row["value"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{observations_path} line {i + 2}: value must be a number, got {row['value']!r}") from exc
+        except ValueError as exc:
+            raise DataError(f"{observations_path} line {line}: value must be a number, got {row['value']!r}") from exc
         if not math.isfinite(value):
-            raise DataError(f"{observations_path} line {i + 2}: non-finite value")
+            raise DataError(f"{observations_path} line {line}: non-finite value")
         if sid not in cells:
             cells[sid] = {}
             order.append(sid)
@@ -209,7 +220,7 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
         j = var_index[var]
         if not np.isnan(day_vec[j]):
             raise DuplicateRecordError(
-                f"{observations_path} line {i + 2}: duplicate record for ({sid!r}, day {day}, {var!r})"
+                f"{observations_path} line {line}: duplicate record for ({sid!r}, day {day}, {var!r})"
             )
         day_vec[j] = value
 
@@ -281,34 +292,37 @@ def unvectorize(v: np.ndarray, T: int, P: int) -> np.ndarray:
     return np.asarray(v).reshape(T, P, order="C")
 
 
+def stack_windows(samples: list[WindowSample], shape: tuple[int, int]) -> np.ndarray:
+    """Vectorized windows as the rows of an n x T*P array.
+
+    Every window must be shaped `shape` and fully imputed. The result is
+    the transpose of a C-contiguous T*P x n array, the layout the design
+    matrices and the prediction product use.
+    """
+    for s in samples:
+        where = f"window of subject {s.subject_id!r} ending day {s.window_end_day}"
+        if s.x.shape != shape:
+            raise DataError(f"{where} has shape {s.x.shape}, expected {shape}")
+        if not s.x_mask.all():
+            raise UnimputedSampleError(f"{where} has unimputed cells")
+    if not samples:
+        return np.zeros((shape[0] * shape[1], 0)).T
+    return np.column_stack([vectorize(s.x) for s in samples]).T
+
+
 def assemble_design(samples: list[WindowSample]) -> DesignSet:
     """Stack fully imputed samples into complete/censored design matrices."""
     if not samples:
         raise DataError("cannot assemble a design from zero samples")
     T, P = samples[0].x.shape
-    comp_cols, comp_y, cens_cols, cens_y = [], [], [], []
-    for s in samples:
-        if s.x.shape != (T, P):
-            raise DataError(f"sample for subject {s.subject_id!r} has shape {s.x.shape}, expected {(T, P)}")
-        if not np.all(s.x_mask):
-            raise UnimputedSampleError(
-                f"sample for subject {s.subject_id!r} ending day {s.window_end_day} has unimputed cells"
-            )
-        col = vectorize(s.x)
-        if s.censored:
-            cens_cols.append(col)
-            cens_y.append(s.y)
-        else:
-            comp_cols.append(col)
-            comp_y.append(s.y)
-    d = T * P
-    X_c = np.column_stack(comp_cols) if comp_cols else np.zeros((d, 0))
-    X_z = np.column_stack(cens_cols) if cens_cols else np.zeros((d, 0))
+    X = stack_windows(samples, (T, P)).T
+    y = np.array([s.y for s in samples], dtype=float)
+    censored = np.array([s.censored for s in samples], dtype=bool)
     return DesignSet(
-        X_complete=X_c,
-        y_complete=np.asarray(comp_y, dtype=float),
-        X_censored=X_z,
-        y_censored=np.asarray(cens_y, dtype=float),
+        X_complete=np.compress(~censored, X, axis=1),
+        y_complete=y[~censored],
+        X_censored=np.compress(censored, X, axis=1),
+        y_censored=y[censored],
         T=T,
         P=P,
     )
@@ -356,11 +370,6 @@ def split_folds(samples: list[WindowSample], k: int, unit: str = "sample", seed:
         target = min(range(k), key=lambda f: (len(fold_members[f]), f))
         fold_members[target].extend(by_subject[sid])
     return [np.sort(np.asarray(members, dtype=int)) for members in fold_members]
-
-
-def imputed_copy(sample: WindowSample, x: np.ndarray) -> WindowSample:
-    """Return the sample with x replaced and the mask set fully observed."""
-    return replace(sample, x=np.asarray(x, dtype=float), x_mask=np.ones_like(sample.x_mask, dtype=bool))
 
 
 def write_cohort(cohort: Cohort, observations_path, outcomes_path, dictionary_path):

@@ -12,22 +12,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, solver
-from .cohort import (
-    Cohort,
-    DesignSet,
-    WindowSample,
-    assemble_design,
-    extract_windows,
-    split_folds,
-    vectorize,
-)
-from .errors import DataError, UndefinedMetricError, UnimputedSampleError
+from .cohort import Cohort, DesignSet, WindowSample, assemble_design, extract_windows, split_folds, stack_windows
+from .errors import DataError, UndefinedMetricError
 from .imputation import build_imputation_matrix, fill_windows, impute_windows
 
 METHODS = ("censored_lowrank", "ols", "svr")
@@ -140,16 +131,7 @@ def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
 
 def predict_windows(model: solver.ModelParams, samples: list[WindowSample]) -> np.ndarray:
     """<x, w> + b for each window; every window must be fully imputed and shaped like w."""
-    if not samples:
-        return np.zeros(0)
-    columns = []
-    for s in samples:
-        if s.x.shape != model.w.shape:
-            raise DataError(f"window of subject {s.subject_id!r} has shape {s.x.shape}, model expects {model.w.shape}")
-        if not s.x_mask.all():
-            raise UnimputedSampleError(f"window of subject {s.subject_id!r} has unimputed cells")
-        columns.append(vectorize(s.x))
-    return np.column_stack(columns).T @ model.w_vec + model.b
+    return stack_windows(samples, model.w.shape) @ model.w_vec + model.b
 
 
 def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
@@ -255,13 +237,14 @@ def coefficient_report(params, variable_names, top_n: int = 20):
     return ranked[:top_n]
 
 
-def onset_distribution(params, samples: list[WindowSample], bins=20):
+def onset_distribution(predictions: np.ndarray, samples: list[WindowSample], bins=20):
     """Histogram the predicted values of the complete and censored groups.
 
-    Shared bin edges span all predictions; returns (edges, complete_counts,
+    `predictions` holds one value per sample, in order. Shared bin edges
+    span all predictions; returns (edges, complete_counts,
     censored_counts). Group counts always sum to the group sizes.
     """
-    preds = predict_windows(params, samples)
+    preds = np.asarray(predictions, dtype=float)
     censored = np.array([s.censored for s in samples], dtype=bool)
     edges = np.histogram_bin_edges(preds, bins=bins)
     complete_counts, _ = np.histogram(preds[~censored], bins=edges)
@@ -313,13 +296,3 @@ def write_onset_hist_csv(path, edges, complete_counts, censored_counts):
     ]
     write_csv(path, ["bin_left", "bin_right", "complete_count", "censored_count"], rows)
 
-
-def save_cv_report(report: CvReport, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_cv_report(path) -> CvReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CvReport.from_dict(json.load(fh))

@@ -11,11 +11,11 @@ are provided as benchmarks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cohort import WindowSample, imputed_copy
+from .cohort import WindowSample
 from .errors import EmptyColumnError, NumericalError
 
 BMC_TOL = 1e-6
@@ -197,16 +197,6 @@ def impute_new(
     return impute_rows(z[None], observed[None], model, tol, max_iter, trace_out)[0]
 
 
-def mean_impute(X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Replace each missing entry with its column's observed mean."""
-    X = np.array(X, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    means = _column_means(X, mask)
-    missing = ~mask
-    X[missing] = np.broadcast_to(means, X.shape)[missing]
-    return X
-
-
 def _row_distances(z, z_mask, X, mask):
     """RMS difference to each row of X over mutually observed columns.
 
@@ -232,30 +222,6 @@ def _knn_fill_row(z, z_mask, X, mask, k, col_means):
         order = candidates[np.argsort(dist[candidates], kind="stable")]
         nearest = order[:k]
         out[j] = X[nearest, j].mean()
-    return out
-
-
-def knn_impute(X: np.ndarray, mask: np.ndarray, k: int = 5) -> np.ndarray:
-    """Impute each missing entry from the k nearest rows that observe it.
-
-    Distance is the root mean squared difference over mutually observed
-    columns; rows sharing no observed column with the target are skipped
-    and the column mean is used when no eligible neighbor observes the
-    entry's column.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    X = np.array(X, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    col_means = _column_means(X, mask)
-    out = X.copy()
-    others = np.ones(X.shape[0], dtype=bool)
-    for i in range(X.shape[0]):
-        if mask[i].all():
-            continue
-        others[i] = False
-        out[i] = _knn_fill_row(X[i], mask[i], X[others], mask[others], k, col_means)
-        others[i] = True
     return out
 
 
@@ -308,14 +274,12 @@ def fill_windows(windows: list[WindowSample], completed: np.ndarray, row_index) 
         T = w.x.shape[0]
         first = w.window_end_day - T + 1
         x = np.vstack([completed[lookup[(w.subject_id, first + t)]] for t in range(T)])
-        out.append(imputed_copy(w, x))
+        out.append(replace(w, x=x, x_mask=np.ones_like(w.x_mask, dtype=bool)))
     return out
 
 
 class BmcImputer:
     """Bounded matrix completion over training rows; basis projection for new rows."""
-
-    name = "bmc"
 
     def __init__(self, rank: int = 3, tol: float = BMC_TOL, max_iter: int = BMC_MAX_ITER,
                  impute_tol: float = IMPUTE_TOL, impute_max_iter: int = IMPUTE_MAX_ITER):
@@ -337,14 +301,9 @@ class BmcImputer:
     def transform(self, matrix: ImputationMatrix) -> np.ndarray:
         return impute_rows(matrix.X, matrix.mask, self.model, self.impute_tol, self.impute_max_iter)
 
-    def params(self) -> dict:
-        return {"rank": self.rank, "tol": self.tol, "max_iter": self.max_iter}
-
 
 class MeanImputer:
-    """Column means of the training rows."""
-
-    name = "mean"
+    """Column means of the training rows; `fit` fills the training rows with `transform`."""
 
     def __init__(self):
         self.col_means: np.ndarray | None = None
@@ -355,22 +314,26 @@ class MeanImputer:
 
     def fit(self, matrix: ImputationMatrix) -> "MeanImputer":
         self.col_means = _column_means(matrix.X, matrix.mask)
-        self.completed = mean_impute(matrix.X, matrix.mask)
+        self.completed = self.transform(matrix)
         return self
 
     def transform(self, matrix: ImputationMatrix) -> np.ndarray:
         return np.where(matrix.mask, matrix.X, self.col_means)
 
-    def params(self) -> dict:
-        return {}
-
 
 class KnnImputer:
-    """K nearest training rows on mutually observed columns."""
+    """Each missing entry is the mean of its k nearest training rows that observe it.
 
-    name = "knn"
+    Distance is the root mean squared difference over mutually observed
+    columns; rows sharing no observed column are skipped, and the column
+    mean is used when no eligible row observes the entry's column. `fit`
+    fills the training rows with `transform`: a row never observes the
+    column it is missing, so it is never its own neighbour.
+    """
 
     def __init__(self, k: int = 5):
+        if k < 1:
+            raise ValueError("k must be >= 1")
         self.k = k
         self.train_X: np.ndarray | None = None
         self.train_mask: np.ndarray | None = None
@@ -384,7 +347,7 @@ class KnnImputer:
         self.train_X = matrix.X.copy()
         self.train_mask = matrix.mask.copy()
         self.col_means = _column_means(matrix.X, matrix.mask)
-        self.completed = knn_impute(matrix.X, matrix.mask, self.k)
+        self.completed = self.transform(matrix)
         return self
 
     def transform(self, matrix: ImputationMatrix) -> np.ndarray:
@@ -393,15 +356,3 @@ class KnnImputer:
             out[i] = _knn_fill_row(out[i], matrix.mask[i], self.train_X, self.train_mask, self.k, self.col_means)
         return out
 
-    def params(self) -> dict:
-        return {"k": self.k}
-
-
-def make_imputer(name: str, **params):
-    if name == "bmc":
-        return BmcImputer(**params)
-    if name == "mean":
-        return MeanImputer(**params)
-    if name == "knn":
-        return KnnImputer(**params)
-    raise ValueError(f"unknown imputer {name!r}")

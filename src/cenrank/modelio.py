@@ -1,9 +1,9 @@
-"""Save and load fitted models as structured text (JSON).
+"""Save and load fitted models, imputers and CV reports as structured text (JSON).
 
 Floats are written through Python's shortest round-trip representation,
 so a save/load cycle reproduces every parameter bit for bit and repeated
-saves of the same model are byte-identical. A model file that cannot be
-read, is not JSON, lacks a key or holds arrays of the wrong size raises a
+saves of the same object are byte-identical. A file that cannot be read,
+is not JSON, lacks a key or holds arrays of the wrong size raises a
 DataError naming the file.
 """
 
@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DataError
-from .evaluation import METHODS
+from .evaluation import METHODS, CvReport
 from .imputation import BmcImputer, BmcModel, KnnImputer, MeanImputer
 from .solver import ModelParams, SolveReport
 
@@ -32,7 +32,7 @@ def _write(path, doc):
 
 @contextmanager
 def _read(path, variables=None):
-    """Yield the JSON object in a model file; any failure to parse it is a DataError naming the file.
+    """Yield the JSON object in a file; any failure to parse it is a DataError naming the file.
 
     When `variables` is given and the file records its variables, the two
     lists must be equal, order included.
@@ -41,7 +41,7 @@ def _read(path, variables=None):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
-            raise DataError(f"{path}: model file must hold a JSON object")
+            raise DataError(f"{path}: file must hold a JSON object")
         stored = doc.get("variables")
         if variables is not None and stored is not None and list(stored) != list(variables):
             raise DataError(f"{path}: fitted on variables {stored}, but the dictionary lists {list(variables)}")
@@ -49,7 +49,7 @@ def _read(path, variables=None):
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
-        raise DataError(f"{path}: cannot read model file: {exc}") from exc
+        raise DataError(f"{path}: cannot read file: {exc}") from exc
 
 
 def save_model(path, model: ModelParams, variables=None, report: SolveReport | None = None):
@@ -94,46 +94,21 @@ def load_model(path, variables=None) -> ModelParams:
         )
 
 
-def save_bmc_model(path, model: BmcModel, variables=None):
-    """Write a fitted completion model: rank, bounds, means and basis (row-major)."""
-    _write(path, {
-        "kind": "bmc",
-        "rank": model.rank,
-        "P": int(model.basis.shape[0]),
-        "variables": list(variables) if variables is not None else None,
-        "lower": _floats(model.lower),
-        "upper": _floats(model.upper),
-        "col_means": _floats(model.col_means),
-        "basis": _floats(model.basis),
-    })
-
-
-def _bmc_model(doc) -> BmcModel:
-    P, r = int(doc["P"]), int(doc["rank"])
-    return BmcModel(
-        basis=np.asarray(doc["basis"], dtype=float).reshape(P, r),
-        lower=np.asarray(doc["lower"], dtype=float),
-        upper=np.asarray(doc["upper"], dtype=float),
-        rank=r,
-        col_means=np.asarray(doc["col_means"], dtype=float),
-    )
-
-
-def load_bmc_model(path) -> BmcModel:
-    with _read(path) as doc:
-        if doc.get("kind") != "bmc":
-            raise DataError(f"{path}: not a completion model file")
-        return _bmc_model(doc)
-
-
 def save_imputer(path, imputer, variables=None):
     """Persist a fitted imputer so new rows can be filled at predict time."""
     if isinstance(imputer, BmcImputer):
-        save_bmc_model(path, imputer.model, variables)
-        return
-    if isinstance(imputer, MeanImputer):
-        doc = {"kind": "mean", "col_means": _floats(imputer.col_means),
-               "variables": list(variables) if variables is not None else None}
+        model = imputer.model
+        doc = {
+            "kind": "bmc",
+            "rank": model.rank,
+            "P": int(model.basis.shape[0]),
+            "lower": _floats(model.lower),
+            "upper": _floats(model.upper),
+            "col_means": _floats(model.col_means),
+            "basis": _floats(model.basis),
+        }
+    elif isinstance(imputer, MeanImputer):
+        doc = {"kind": "mean", "col_means": _floats(imputer.col_means)}
     elif isinstance(imputer, KnnImputer):
         doc = {
             "kind": "knn",
@@ -143,10 +118,10 @@ def save_imputer(path, imputer, variables=None):
             "train_values": _floats(np.where(imputer.train_mask, imputer.train_X, 0.0)),
             "train_mask": [int(v) for v in imputer.train_mask.ravel()],
             "col_means": _floats(imputer.col_means),
-            "variables": list(variables) if variables is not None else None,
         }
     else:
         raise TypeError(f"cannot save imputer of type {type(imputer).__name__}")
+    doc["variables"] = list(variables) if variables is not None else None
     _write(path, doc)
 
 
@@ -155,8 +130,15 @@ def load_imputer(path, variables=None):
     with _read(path, variables) as doc:
         kind = doc.get("kind")
         if kind == "bmc":
-            imp = BmcImputer(rank=int(doc["rank"]))
-            imp.model = _bmc_model(doc)
+            P, r = int(doc["P"]), int(doc["rank"])
+            imp = BmcImputer(rank=r)
+            imp.model = BmcModel(
+                basis=np.asarray(doc["basis"], dtype=float).reshape(P, r),
+                lower=np.asarray(doc["lower"], dtype=float),
+                upper=np.asarray(doc["upper"], dtype=float),
+                rank=r,
+                col_means=np.asarray(doc["col_means"], dtype=float),
+            )
             return imp
         if kind == "mean":
             imp = MeanImputer()
@@ -171,3 +153,13 @@ def load_imputer(path, variables=None):
             imp.col_means = np.asarray(doc["col_means"], dtype=float)
             return imp
         raise DataError(f"{path}: unknown imputer kind {kind!r}")
+
+
+def save_cv_report(report: CvReport, path):
+    _write(path, report.to_dict())
+
+
+def load_cv_report(path) -> CvReport:
+    """Read a CV report written by save_cv_report."""
+    with _read(path) as doc:
+        return CvReport.from_dict(doc)

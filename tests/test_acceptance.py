@@ -11,9 +11,9 @@ import pytest
 
 from cenrank.baselines import ols_fit
 from cenrank.cohort import DesignSet, assemble_design, extract_windows, split_folds
-from cenrank.evaluation import Grid, cross_validate, fit_method, impute_split, mae, predict_windows, save_cv_report
+from cenrank.evaluation import Grid, cross_validate, fit_method, impute_split, mae, predict_windows
 from cenrank.imputation import BmcImputer, BmcModel, MeanImputer, bmc_fit, impute_new
-from cenrank.modelio import load_model, save_model
+from cenrank.modelio import load_model, save_cv_report, save_model
 from cenrank.solver import (
     ModelParams,
     SolverOptions,

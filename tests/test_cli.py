@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cenrank import evaluation
 from cenrank.baselines import ols_fit
 from cenrank.cli import dispatch
 from cenrank.cohort import assemble_design, extract_windows, load_cohort
@@ -103,6 +104,35 @@ class TestTrainPredict:
             rows = list(csv.DictReader(fh))
         got = np.array([float(r["prediction"]) for r in rows])
         assert np.array_equal(got, expected)
+
+    def test_predict_scores_each_window_once(self, cohort_dir, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        assert dispatch(["train", *cohort_args(cohort_dir), "--out", str(run), "--T", "4", "--max-iter", "100"]) == 0
+        scored = []
+        real = evaluation.predict_windows
+
+        def counting(model, samples):
+            scored.append(len(samples))
+            return real(model, samples)
+
+        monkeypatch.setattr(evaluation, "predict_windows", counting)
+        pred = tmp_path / "pred"
+        assert dispatch([
+            "predict", *cohort_args(cohort_dir), "--out", str(pred), "--model", str(run / "model.json"),
+            "--imputer-model", str(run / "imputer_model.json"),
+        ]) == 0
+        preds = read_predictions(pred)
+        assert scored == [preds.size]
+        # onset_hist.csv is the 20-bin histogram of predictions.csv, recomputed here with numpy alone
+        with open(pred / "predictions.csv") as fh:
+            censored = np.array([r["censored"] == "1" for r in csv.DictReader(fh)])
+        with open(pred / "onset_hist.csv") as fh:
+            hist = list(csv.DictReader(fh))
+        edges = np.histogram_bin_edges(preds, bins=20)
+        assert [float(r["bin_left"]) for r in hist] == edges[:-1].tolist()
+        assert [float(r["bin_right"]) for r in hist] == edges[1:].tolist()
+        assert [int(r["complete_count"]) for r in hist] == np.histogram(preds[~censored], edges)[0].tolist()
+        assert [int(r["censored_count"]) for r in hist] == np.histogram(preds[censored], edges)[0].tolist()
 
     def test_predict_requires_imputer_for_missing_data(self, cohort_dir, tmp_path):
         run = tmp_path / "run2"
@@ -279,6 +309,21 @@ class TestCv:
             assert (rep / name).read_bytes() == (out / name).read_bytes()
 
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        ("not json\n", "cannot read file"),
+        ('{"seed": 0, "k": 3, "split_unit": "sample"}\n', "missing key 'entries'"),
+    ], ids=["missing_file", "not_json", "no_entries"])
+    def test_bad_cv_report_is_data_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "cv_report.json"
+        if content is not None:
+            path.write_text(content)
+        assert dispatch(["report", "--cv-report", str(path), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not (tmp_path / "rep" / "grid.csv").exists()
+
+
 class TestImpute:
     def test_completed_matrix_covers_all_rows(self, cohort_dir, tmp_path):
         out = tmp_path / "imp"
@@ -336,6 +381,17 @@ class TestErrors:
         ])
         assert code == 2
         assert "observations.csv line 2" in capsys.readouterr().err
+
+    def test_row_with_too_few_fields_is_data_error(self, cohort_dir, tmp_path, capsys):
+        bad = tmp_path / "observations.csv"
+        lines = (cohort_dir / "observations.csv").read_text().splitlines()
+        bad.write_text("\n".join([lines[0], "", ",".join(lines[1].split(",")[:2]), *lines[2:]]) + "\n")
+        code = dispatch([
+            "train", "--observations", str(bad), "--outcomes", str(cohort_dir / "outcomes.csv"),
+            "--dictionary", str(cohort_dir / "variables.txt"), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "observations.csv line 3" in capsys.readouterr().err
 
     def test_missing_required_flag_is_usage_error(self):
         assert dispatch(["train"]) == 1

@@ -89,6 +89,20 @@ class TestLoadCohort:
         with pytest.raises(DataError, match=rf"{bad_file} line 2: "):
             load_cohort(obs, out, dic)
 
+    @pytest.mark.parametrize("observations, outcomes, bad_file, line", [
+        (["A,2"], ["A,0,,21"], "observations.csv", 2),
+        (["A,1,hr,60,61"], ["A,0,,21"], "observations.csv", 2),
+        (["A,1,hr,60"], ["A,0,,21,22"], "outcomes.csv", 2),
+        (["A,1,hr,60", "", "A,2,hr,fast"], ["A,0,,21"], "observations.csv", 4),
+        (["A,1,hr,60", "", "", "A,2"], ["A,0,,21"], "observations.csv", 5),
+        (["A,1,hr,60"], ["", "A,1,soon,2"], "outcomes.csv", 3),
+    ], ids=["short_row", "long_row", "long_outcome_row", "after_blank_line", "short_after_blank_lines",
+            "outcome_after_blank_line"])
+    def test_bad_row_is_data_error_naming_file_and_true_line(self, tmp_path, observations, outcomes, bad_file, line):
+        obs, out, dic = write_cohort_files(tmp_path, observations, outcomes, ["hr"])
+        with pytest.raises(DataError, match=rf"{bad_file} line {line}: "):
+            load_cohort(obs, out, dic)
+
     def test_write_load_roundtrip_is_exact(self, tmp_path):
         cohort, _ = generate_cohort(
             SyntheticSpec(n_subjects=12, days_per_subject=7, P=4, T_star=3,

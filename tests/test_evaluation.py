@@ -13,13 +13,13 @@ from cenrank.evaluation import (
     fit_method,
     grid_report,
     impute_split,
-    load_cv_report,
     mae,
     onset_distribution,
-    save_cv_report,
+    predict_windows,
     write_report_csvs,
 )
 from cenrank.imputation import BmcImputer, MeanImputer, build_imputation_matrix, impute_new
+from cenrank.modelio import load_cv_report, save_cv_report
 from cenrank.solver import ModelParams, SolverOptions
 from cenrank.synthetic import SyntheticSpec, generate_cohort
 from helpers import random_design
@@ -217,7 +217,7 @@ class TestOnsetDistribution:
     def test_identical_predictions_occupy_single_bin(self):
         params = ModelParams(np.zeros((1, 1)), 2.0, 1, 0.0)
         samples = [sample(1.0, False), sample(2.0, True), sample(3.0, True)]
-        edges, comp, cen = onset_distribution(params, samples, bins=5)
+        edges, comp, cen = onset_distribution(predict_windows(params, samples), samples, bins=5)
         assert comp.sum() == 1 and cen.sum() == 2
         assert (comp > 0).sum() == 1 and (cen > 0).sum() == 1
 
@@ -225,7 +225,7 @@ class TestOnsetDistribution:
         rng = np.random.default_rng(6)
         params = ModelParams(rng.standard_normal((2, 2)), 0.5, 2, 0.0)
         samples = [sample(float(i), i % 3 == 0, x=rng.standard_normal((2, 2))) for i in range(40)]
-        edges, comp, cen = onset_distribution(params, samples, bins=8)
+        edges, comp, cen = onset_distribution(predict_windows(params, samples), samples, bins=8)
         n_cen = sum(s.censored for s in samples)
         assert cen.sum() == n_cen and comp.sum() == 40 - n_cen
         assert len(edges) == 9

@@ -17,10 +17,8 @@ from cenrank.imputation import (
     fill_windows,
     impute_new,
     impute_rows,
-    knn_impute,
-    mean_impute,
 )
-from cenrank.modelio import load_bmc_model, save_bmc_model
+from cenrank.modelio import load_imputer, save_imputer
 from cenrank.synthetic import SyntheticSpec, generate_cohort, generate_lowrank_matrix
 
 
@@ -276,37 +274,46 @@ class TestTransform:
         assert np.array_equal(out[2], self.X[2])
 
 
+def completed(imputer, X, mask):
+    """The training completion of an imputer fitted on X."""
+    return imputer.fit(ImputationMatrix(X=X, mask=mask, row_index=[])).completed
+
+
 class TestMeanImpute:
     def test_column_mean(self):
         X = np.array([[2.0, 1.0], [4.0, 2.0], [np.nan, 3.0]])
-        out = mean_impute(X, ~np.isnan(X))
+        out = completed(MeanImputer(), X, ~np.isnan(X))
         assert out[2, 0] == 3.0
 
     def test_no_missing_unchanged(self):
         X = np.array([[1.0, 2.0]])
-        assert np.array_equal(mean_impute(X, np.ones_like(X, bool)), X)
+        assert np.array_equal(completed(MeanImputer(), X, np.ones_like(X, bool)), X)
 
     def test_single_observation_columns(self):
         X = np.array([[5.0, np.nan], [np.nan, 7.0]])
-        out = mean_impute(X, ~np.isnan(X))
+        out = completed(MeanImputer(), X, ~np.isnan(X))
         assert out[1, 0] == 5.0 and out[0, 1] == 7.0
 
 
 class TestKnnImpute:
     def test_nearest_row_wins(self):
         X = np.array([[1.0, 2.0], [1.0, np.nan], [5.0, 6.0]])
-        out = knn_impute(X, ~np.isnan(X), k=1)
+        out = completed(KnnImputer(k=1), X, ~np.isnan(X))
         assert out[1, 1] == 2.0
 
     def test_large_k_averages_eligible_rows(self):
         X = np.array([[1.0, 2.0], [1.0, np.nan], [5.0, 6.0], [2.0, 4.0]])
-        out = knn_impute(X, ~np.isnan(X), k=10)
+        out = completed(KnnImputer(k=10), X, ~np.isnan(X))
         assert out[1, 1] == pytest.approx((2.0 + 6.0 + 4.0) / 3)
 
     def test_isolated_row_falls_back_to_column_mean(self):
         X = np.array([[1.0, np.nan], [np.nan, 6.0], [np.nan, 2.0]])
-        out = knn_impute(X, ~np.isnan(X), k=2)
+        out = completed(KnnImputer(k=2), X, ~np.isnan(X))
         assert out[0, 1] == 4.0  # no row shares an observed column with row 0
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            KnnImputer(k=0)
 
     def test_exhaustive_distance_oracle(self):
         rng = np.random.default_rng(8)
@@ -314,7 +321,7 @@ class TestKnnImpute:
         mask = rng.random((9, 4)) >= 0.3
         mask[0] = True
         X_in = np.where(mask, X, np.nan)
-        out = knn_impute(X_in, mask, k=3)
+        out = completed(KnnImputer(k=3), X_in, mask)
         col_means = np.nanmean(np.where(mask, X, np.nan), axis=0)
         for i in range(9):
             for j in range(4):
@@ -361,10 +368,11 @@ class TestBmcPersistence:
         X = rng.standard_normal((30, 5))
         mask = rng.random((30, 5)) >= 0.2
         mask[0] = True
-        _, model = bmc_fit(np.where(mask, X, np.nan), mask, r=2)
+        imputer = BmcImputer(rank=2).fit(ImputationMatrix(X=np.where(mask, X, np.nan), mask=mask, row_index=[]))
+        model = imputer.model
         path = tmp_path / "bmc.json"
-        save_bmc_model(path, model, [f"v{i}" for i in range(5)])
-        loaded = load_bmc_model(path)
+        save_imputer(path, imputer, [f"v{i}" for i in range(5)])
+        loaded = load_imputer(path).model
         assert np.array_equal(loaded.basis, model.basis)
         assert np.array_equal(loaded.lower, model.lower)
         assert np.array_equal(loaded.upper, model.upper)
