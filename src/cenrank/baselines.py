@@ -23,7 +23,6 @@ from .solver import ModelParams, check_lambda
 class SvrOptions:
     tol: float = 1e-8
     max_iter: int = 5000
-    eta0: float | None = None
     patience: int = 50
 
 
@@ -90,7 +89,7 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
     Z, y, Zc, yc = _augmented(design, lambda_, censored_mode)
     theta = np.zeros(Z.shape[0])
     theta[-1] = float(y.mean())
-    eta0 = opts.eta0 if opts.eta0 is not None else max(1.0, float(np.std(y)))
+    eta0 = max(1.0, float(np.std(y)))
     eta = eta0
 
     weight = np.full(y.size, C)

@@ -5,8 +5,10 @@ Subcommands cover the full pipeline: `synth` writes a synthetic cohort,
 configuration, `predict` scores a cohort with a saved model, `cv` runs the
 cross-validated grid search and `report` regenerates the report CSVs from
 a stored CV result. Every run writes its effective configuration (all
-defaults materialized) and seed next to its outputs, and identical
-configurations produce byte-identical output files.
+defaults materialized, including the seed of `synth` and `cv`) next to its
+outputs, and identical configurations produce byte-identical output files.
+Each setting is declared once, as a key of DEFAULTS; its flag is derived
+from the key.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -33,33 +35,46 @@ class UsageError(Exception):
 DEFAULTS = {
     "synth": {
         "out": None, "seed": 0, "n_subjects": 60, "days_per_subject": 8, "num_vars": 10,
-        "t_star": 5, "true_rank": 2, "noise_sigma": 1.0, "censor_horizon": 21.0,
+        "T_star": 5, "true_rank": 2, "noise_sigma": 1.0, "censor_horizon": 21.0,
         "missing_rate": 0.1, "latent_rank": 3, "round_onsets": False,
     },
     "impute": {
         "observations": None, "outcomes": None, "dictionary": None, "out": None,
-        "imputer": "bmc", "imputer_rank": 3, "knn_k": 5, "seed": 0,
+        "imputer": "bmc", "imputer_rank": 3, "knn_k": 5,
     },
     "train": {
         "observations": None, "outcomes": None, "dictionary": None, "out": None,
         "T": 5, "stride": 1, "horizon": 21.0, "imputer": "bmc", "imputer_rank": 3, "knn_k": 5,
         "method": "censored_lowrank", "rank": 2, "lambda": 0.05,
-        "step_policy": "backtracking", "eta": None, "tol": 1e-4, "max_iter": 500,
-        "precondition": True, "seed": 0,
+        "tol": 1e-4, "max_iter": 500, "precondition": True,
     },
     "predict": {
         "observations": None, "outcomes": None, "dictionary": None, "model": None, "out": None,
-        "stride": 1, "horizon": 21.0, "imputer_model": None, "seed": 0,
+        "stride": 1, "horizon": 21.0, "imputer_model": None,
     },
     "cv": {
         "observations": None, "outcomes": None, "dictionary": None, "out": None,
         "durations": "3,4,5,6", "ranks": "2,3", "lambdas": "0.01,0.05,0.1",
         "methods": "censored_lowrank", "imputer": "bmc", "imputer_rank": 3, "knn_k": 5,
         "k": 5, "split_unit": "sample", "stride": 1, "horizon": 21.0,
-        "step_policy": "backtracking", "eta": None, "tol": 1e-4, "max_iter": 500,
-        "precondition": True, "seed": 0,
+        "tol": 1e-4, "max_iter": 500, "precondition": True, "seed": 0,
     },
-    "report": {"cv_report": None, "out": None, "seed": 0},
+    "report": {"cv_report": None, "out": None},
+}
+
+HELP = {
+    "synth": "write a synthetic cohort with planted structure",
+    "impute": "fit an imputer on a cohort and write the completed matrix",
+    "train": "fit one model configuration and save it",
+    "predict": "score a cohort with a saved model",
+    "cv": "cross-validated grid search over duration, rank and lambda",
+    "report": "regenerate report CSVs from a stored CV result",
+}
+
+CHOICES = {
+    "imputer": ["bmc", "mean", "knn"],
+    "method": list(evaluation.METHODS),
+    "split_unit": ["sample", "subject"],
 }
 
 REQUIRED = {
@@ -77,91 +92,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _build_parser() -> _Parser:
+    """One subcommand per DEFAULTS entry and one flag per key, typed like its default.
+
+    A boolean key flips its default: `--no-key` turns a True default off,
+    `--key` turns a False default on. Unset flags parse to None, so config
+    file keys and defaults show through.
+    """
     parser = _Parser(prog="cenrank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for command, defaults in DEFAULTS.items():
+        p = sub.add_parser(command, help=HELP[command])
         p.error = parser.error
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        return p
-
-    p = add("synth", "write a synthetic cohort with planted structure")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-subjects", type=int)
-    p.add_argument("--days-per-subject", type=int)
-    p.add_argument("--num-vars", type=int)
-    p.add_argument("--T-star", dest="t_star", type=int)
-    p.add_argument("--true-rank", type=int)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--censor-horizon", type=float)
-    p.add_argument("--missing-rate", type=float)
-    p.add_argument("--latent-rank", type=int)
-    p.add_argument("--round-onsets", action="store_true", default=None)
-
-    def add_cohort_args(p):
-        p.add_argument("--observations")
-        p.add_argument("--outcomes")
-        p.add_argument("--dictionary")
-        p.add_argument("--out")
-        p.add_argument("--seed", type=int)
-
-    p = add("impute", "fit an imputer on a cohort and write the completed matrix")
-    add_cohort_args(p)
-    p.add_argument("--imputer", choices=["bmc", "mean", "knn"])
-    p.add_argument("--imputer-rank", type=int)
-    p.add_argument("--knn-k", type=int)
-
-    p = add("train", "fit one model configuration and save it")
-    add_cohort_args(p)
-    p.add_argument("--T", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--imputer", choices=["bmc", "mean", "knn"])
-    p.add_argument("--imputer-rank", type=int)
-    p.add_argument("--knn-k", type=int)
-    p.add_argument("--method", choices=list(evaluation.METHODS))
-    p.add_argument("--rank", type=int)
-    p.add_argument("--lambda", dest="lambda", type=float)
-    p.add_argument("--step-policy", choices=["backtracking", "fixed"])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--no-precondition", dest="precondition", action="store_false", default=None)
-
-    p = add("predict", "score a cohort with a saved model")
-    add_cohort_args(p)
-    p.add_argument("--model")
-    p.add_argument("--stride", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--imputer-model")
-
-    p = add("cv", "cross-validated grid search over duration, rank and lambda")
-    add_cohort_args(p)
-    p.add_argument("--durations")
-    p.add_argument("--ranks")
-    p.add_argument("--lambdas")
-    p.add_argument("--methods")
-    p.add_argument("--imputer", choices=["bmc", "mean", "knn"])
-    p.add_argument("--imputer-rank", type=int)
-    p.add_argument("--knn-k", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--split-unit", choices=["sample", "subject"])
-    p.add_argument("--stride", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--step-policy", choices=["backtracking", "fixed"])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--no-precondition", dest="precondition", action="store_false", default=None)
-
-    p = add("report", "regenerate report CSVs from a stored CV result")
-    p.add_argument("--cv-report")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-
+        for key, default in defaults.items():
+            if isinstance(default, bool):
+                p.add_argument(_flag("no_" + key if default else key), dest=key, action="store_const",
+                               const=not default)
+            else:
+                p.add_argument(_flag(key), dest=key, type=str if default is None else type(default),
+                               choices=CHOICES.get(key))
     return parser
 
 
@@ -189,13 +143,6 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     if missing:
         raise UsageError(f"{command}: missing required options: {', '.join('--' + m.replace('_', '-') for m in missing)}")
     return cfg
-
-
-def _write_effective_config(out_dir: Path, command: str, cfg: dict):
-    doc = {"command": command, **cfg}
-    with open(out_dir / "effective_config.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _int_list(text, name):
@@ -228,13 +175,7 @@ def _new_imputer(cfg):
 
 
 def _solver_options(cfg) -> solver.SolverOptions:
-    return solver.SolverOptions(
-        step_policy=cfg["step_policy"],
-        eta=cfg["eta"],
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-        precondition=cfg["precondition"],
-    )
+    return solver.SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"], precondition=cfg["precondition"])
 
 
 def _cmd_synth(cfg, out_dir: Path):
@@ -242,7 +183,7 @@ def _cmd_synth(cfg, out_dir: Path):
         n_subjects=cfg["n_subjects"],
         days_per_subject=cfg["days_per_subject"],
         P=cfg["num_vars"],
-        T_star=cfg["t_star"],
+        T_star=cfg["T_star"],
         true_rank=cfg["true_rank"],
         noise_sigma=cfg["noise_sigma"],
         censor_horizon=cfg["censor_horizon"],
@@ -253,17 +194,12 @@ def _cmd_synth(cfg, out_dir: Path):
     )
     cohort, truth = generate_cohort(spec)
     write_cohort(cohort, out_dir / "observations.csv", out_dir / "outcomes.csv", out_dir / "variables.txt")
-    with open(out_dir / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "b_star": truth.b_star,
-                "w_star": [float(v) for v in truth.w_star.ravel()],
-                "T_star": spec.T_star,
-                "P": spec.P,
-            },
-            fh, indent=1, sort_keys=True,
-        )
-        fh.write("\n")
+    modelio.write_json(out_dir / "truth.json", {
+        "b_star": truth.b_star,
+        "w_star": [float(v) for v in truth.w_star.ravel()],
+        "T_star": spec.T_star,
+        "P": spec.P,
+    })
     n_event = sum(1 for s in cohort.subjects if hasattr(s.outcome, "onset_day"))
     print(f"wrote cohort with {len(cohort.subjects)} subjects ({n_event} with events) to {out_dir}")
 
@@ -375,7 +311,7 @@ def dispatch(argv) -> int:
         cfg = _merge_config(args.command, args)
         out_dir = Path(cfg["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_effective_config(out_dir, args.command, cfg)
+        modelio.write_json(out_dir / "effective_config.json", {"command": args.command, **cfg})
         COMMANDS[args.command](cfg, out_dir)
         return 0
     except (UsageError, ValueError) as exc:

@@ -74,6 +74,8 @@ class CvReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CvReport":
+        """Rebuild a report from to_dict's output; an entry whose fold count is not k is a ValueError."""
+        k = int(d["k"])
         entries = [
             CvEntry(
                 duration=int(e["duration"]),
@@ -85,7 +87,10 @@ class CvReport:
             )
             for e in d["entries"]
         ]
-        return cls(entries=entries, seed=int(d["seed"]), k=int(d["k"]), split_unit=str(d["split_unit"]))
+        for i, e in enumerate(entries):
+            if e.fold_maes.size != k:
+                raise ValueError(f"entry {i} holds {e.fold_maes.size} fold MAEs, but k is {k}")
+        return cls(entries=entries, seed=int(d["seed"]), k=k, split_unit=str(d["split_unit"]))
 
 
 def mae(predictions: np.ndarray, samples: list[WindowSample]) -> float:
@@ -116,8 +121,7 @@ def impute_split(windows, train_idx, test_idx, imputer):
 
 
 def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
-               solver_options: solver.SolverOptions | None = None,
-               svr_options: baselines.SvrOptions | None = None):
+               solver_options: solver.SolverOptions | None = None):
     """Fit one configuration; rank only applies to the censored_lowrank method."""
     if method == "censored_lowrank":
         params, _ = solver.fit_pgd(design, lambda_, rank, solver_options)
@@ -125,7 +129,7 @@ def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
     if method == "ols":
         return baselines.ols_fit(design, lambda_, censored_mode="weighted")
     if method == "svr":
-        return baselines.svr_fit(design, lambda_=lambda_, censored_mode="weighted", options=svr_options)
+        return baselines.svr_fit(design, lambda_=lambda_, censored_mode="weighted")
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -136,7 +140,7 @@ def predict_windows(model: solver.ModelParams, samples: list[WindowSample]) -> n
 
 def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
                    split_unit: str = "sample", seed: int = 0, stride: int = 1,
-                   horizon: float = 21, solver_options=None, svr_options=None) -> CvReport:
+                   horizon: float = 21, solver_options=None) -> CvReport:
     """k-fold grid search over duration x rank x lambda for each method.
 
     Every fold serves as the test set once. Fold partitions, imputations
@@ -168,7 +172,7 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
             fold_maes = []
             for design, test_filled in prepared:
                 try:
-                    model = fit_method(design, method, rank, lam, solver_options, svr_options)
+                    model = fit_method(design, method, rank, lam, solver_options)
                 except Exception as exc:
                     exc.args = (f"grid point (duration={T}, rank={rank}, lambda={lam}, method={method}): {exc}",)
                     raise

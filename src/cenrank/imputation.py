@@ -281,25 +281,20 @@ def fill_windows(windows: list[WindowSample], completed: np.ndarray, row_index) 
 class BmcImputer:
     """Bounded matrix completion over training rows; basis projection for new rows."""
 
-    def __init__(self, rank: int = 3, tol: float = BMC_TOL, max_iter: int = BMC_MAX_ITER,
-                 impute_tol: float = IMPUTE_TOL, impute_max_iter: int = IMPUTE_MAX_ITER):
+    def __init__(self, rank: int = 3):
         self.rank = rank
-        self.tol = tol
-        self.max_iter = max_iter
-        self.impute_tol = impute_tol
-        self.impute_max_iter = impute_max_iter
         self.model: BmcModel | None = None
         self.completed: np.ndarray | None = None
 
     def clone(self) -> "BmcImputer":
-        return BmcImputer(self.rank, self.tol, self.max_iter, self.impute_tol, self.impute_max_iter)
+        return BmcImputer(self.rank)
 
     def fit(self, matrix: ImputationMatrix) -> "BmcImputer":
-        self.completed, self.model = bmc_fit(matrix.X, matrix.mask, self.rank, self.tol, self.max_iter)
+        self.completed, self.model = bmc_fit(matrix.X, matrix.mask, self.rank)
         return self
 
     def transform(self, matrix: ImputationMatrix) -> np.ndarray:
-        return impute_rows(matrix.X, matrix.mask, self.model, self.impute_tol, self.impute_max_iter)
+        return impute_rows(matrix.X, matrix.mask, self.model)
 
 
 class MeanImputer:

@@ -24,7 +24,8 @@ def _floats(a) -> list[float]:
     return [float(v) for v in np.asarray(a, dtype=float).ravel()]
 
 
-def _write(path, doc):
+def write_json(path, doc):
+    """Write `doc` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -74,7 +75,7 @@ def save_model(path, model: ModelParams, variables=None, report: SolveReport | N
             "ridge": report.ridge,
             "rank_w": report.rank_w,
         }
-    _write(path, doc)
+    write_json(path, doc)
 
 
 def load_model(path, variables=None) -> ModelParams:
@@ -122,7 +123,7 @@ def save_imputer(path, imputer, variables=None):
     else:
         raise TypeError(f"cannot save imputer of type {type(imputer).__name__}")
     doc["variables"] = list(variables) if variables is not None else None
-    _write(path, doc)
+    write_json(path, doc)
 
 
 def load_imputer(path, variables=None):
@@ -156,7 +157,7 @@ def load_imputer(path, variables=None):
 
 
 def save_cv_report(report: CvReport, path):
-    _write(path, report.to_dict())
+    write_json(path, report.to_dict())
 
 
 def load_cv_report(path) -> CvReport:

@@ -9,7 +9,9 @@ subject to rank(w) <= r. The squared hinge charges a censored sample only
 when the predicted time-to-event falls short of its censoring label. The
 rank constraint is handled by SVD truncation after each gradient step; the
 complete-sample Gram matrix supplies an inverse-square-root preconditioner
-so the descent iterates on a well-conditioned reparameterization.
+so the descent iterates on a well-conditioned reparameterization. There is
+one step rule: start at the inverse Lipschitz bound and halve until the
+objective decreases.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .cohort import DesignSet, vectorize
 from .errors import DataError, NumericalError
 
 RANK_TOL = 1e-10
+MAX_HALVINGS = 50
 
 
 @dataclass
@@ -65,7 +68,6 @@ class SolveReport:
     objective_trace: np.ndarray
     iterations: int
     converged: bool
-    step_sizes: np.ndarray
     ridge: float = 0.0
     rank_w: int = 0
     max_excess_sv_ratio: float = 0.0
@@ -77,13 +79,9 @@ class SolveReport:
 
 @dataclass
 class SolverOptions:
-    step_policy: str = "backtracking"  # "backtracking" or "fixed"
-    eta: float | None = None
     tol: float = 1e-4
     max_iter: int = 500
     precondition: bool = True
-    ridge_policy: str | float = "auto"
-    max_halvings: int = 50
 
 
 def check_lambda(lambda_):
@@ -193,11 +191,13 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     lambda_ must be finite and nonnegative (ValueError otherwise).
 
     Runs on the preconditioned variables vec(w_hat) = (G + eps I)^{1/2} vec(w)
-    when options.precondition is set (requires complete samples), taking a
-    gradient step and an SVD rank-r truncation per iteration. The default
-    backtracking policy halves the step until the objective decreases, so
-    the reported trace is non-increasing; step_policy "fixed" applies
-    options.eta without a decrease guarantee. Convergence is declared when
+    when options.precondition is set (requires complete samples; the ridge
+    eps is the "auto" one of build_preconditioner), taking a gradient step
+    and an SVD rank-r truncation per iteration. Each step starts at 1/L, L
+    the Lipschitz bound of the smooth part, and is halved up to
+    MAX_HALVINGS times until the objective decreases, so the reported trace
+    is strictly decreasing; when no halving decreases it the iterate is
+    taken as stationary. Convergence is declared when
     (f_k - f_{k+1}) / max(|f_k|, 1) < tol; stopping at max_iter instead
     emits a RuntimeWarning. w is recovered from w_hat once,
     at termination, so its numerical rank (reported in SolveReport.rank_w)
@@ -208,8 +208,6 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     if r < 1:
         raise ValueError("rank must be >= 1")
     check_lambda(lambda_)
-    if opts.step_policy not in ("backtracking", "fixed"):
-        raise ValueError(f"unknown step policy {opts.step_policy!r}")
     T, P = design.T, design.P
     n_c, n_z = design.n_complete, design.n_censored
     if n_c == 0 and n_z == 0:
@@ -218,7 +216,7 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     if opts.precondition:
         if n_c == 0:
             raise DataError("preconditioning requires at least one complete sample")
-        pre = build_preconditioner(design.X_complete, opts.ridge_policy)
+        pre = build_preconditioner(design.X_complete)
         A, ridge = pre.A, pre.ridge
         work = DesignSet(A @ design.X_complete, design.y_complete,
                          A @ design.X_censored, design.y_censored, T, P)
@@ -231,47 +229,34 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
 
     # Lipschitz bound of the smooth part over (w_hat, b), intercept row included
     L = _spectral_norm_sq(work.X_complete, n_c) + lambda_ * _spectral_norm_sq(work.X_censored, n_z)
-    eta0 = opts.eta if opts.eta is not None else 1.0 / max(L, 1e-12)
+    eta0 = 1.0 / max(L, 1e-12)
 
     f_cur, margins = _objective_vec(w_hat, b, work, lambda_)
     if not np.isfinite(f_cur):
         raise NumericalError("objective is non-finite at the starting point")
     trace = [f_cur]
-    steps = []
     converged = False
     max_leak = 0.0
     for _ in range(opts.max_iter):
         g_w, g_b = _gradient_vec(margins, work, lambda_)
-        if opts.step_policy == "fixed":
-            eta = eta0
+        eta = eta0
+        for _ in range(MAX_HALVINGS + 1):
             w_new, leak = _project_tracked((w_hat - eta * g_w).reshape(T, P), r)
             b_new = b - eta * g_b
             f_new, new_margins = _objective_vec(w_new.ravel(), b_new, work, lambda_)
-            if not np.isfinite(f_new):
-                raise NumericalError(f"objective became non-finite at iteration {len(steps) + 1} (eta={eta:g})")
-        else:
-            eta = eta0
-            accepted = False
-            for _ in range(opts.max_halvings + 1):
-                w_new, leak = _project_tracked((w_hat - eta * g_w).reshape(T, P), r)
-                b_new = b - eta * g_b
-                f_new, new_margins = _objective_vec(w_new.ravel(), b_new, work, lambda_)
-                if np.isfinite(f_new) and f_new < f_cur:
-                    accepted = True
-                    break
-                eta *= 0.5
-            if not accepted:
-                # no decreasing step within the halving budget: stationary
-                converged = True
+            if np.isfinite(f_new) and f_new < f_cur:
                 break
-        steps.append(eta)
+            eta *= 0.5
+        else:
+            # no decreasing step within the halving budget: stationary
+            converged = True
+            break
         trace.append(f_new)
         max_leak = max(max_leak, leak)
         decrease = f_cur - f_new
         w_hat, b, f_prev = w_new.ravel(), b_new, f_cur
         f_cur, margins = f_new, new_margins
-        # an increase (possible under the fixed policy) is not convergence
-        if 0.0 <= decrease and decrease / max(abs(f_prev), 1.0) < opts.tol:
+        if decrease / max(abs(f_prev), 1.0) < opts.tol:
             converged = True
             break
 
@@ -283,9 +268,8 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     params = ModelParams(w=w, b=float(b), rank=r, lambda_=lambda_)
     report = SolveReport(
         objective_trace=np.asarray(trace),
-        iterations=len(steps),
+        iterations=len(trace) - 1,
         converged=converged,
-        step_sizes=np.asarray(steps),
         ridge=ridge,
         rank_w=numerical_rank(w),
         max_excess_sv_ratio=max_leak,

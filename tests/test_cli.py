@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from cenrank import evaluation
+from cenrank import cli, evaluation
 from cenrank.baselines import ols_fit
 from cenrank.cli import dispatch
 from cenrank.cohort import assemble_design, extract_windows, load_cohort
@@ -46,6 +47,13 @@ def filled_windows(cohort_dir, imputer_path, T=4):
     windows = extract_windows(load_cohort(*cohort_files(cohort_dir)), T)
     matrix = build_imputation_matrix(windows)
     return fill_windows(windows, load_imputer(imputer_path).transform(matrix), matrix.row_index)
+
+
+def cv_report_text(fold_maes):
+    """A one-entry cv_report.json with k = 3 whose entry holds `fold_maes`."""
+    entry = {"duration": 3, "rank": 2, "lambda": 0.05, "method": "ols",
+             "fold_maes": fold_maes, "mean_mae": float(np.mean(fold_maes))}
+    return json.dumps({"seed": 0, "k": 3, "split_unit": "sample", "entries": [entry]}) + "\n"
 
 
 def read_predictions(out_dir):
@@ -313,7 +321,9 @@ class TestCv:
         (None, "No such file"),
         ("not json\n", "cannot read file"),
         ('{"seed": 0, "k": 3, "split_unit": "sample"}\n', "missing key 'entries'"),
-    ], ids=["missing_file", "not_json", "no_entries"])
+        (cv_report_text([0.5, 0.7]), "entry 0 holds 2 fold MAEs, but k is 3"),
+        (cv_report_text([0.5, 0.7, 0.6, 0.9]), "entry 0 holds 4 fold MAEs, but k is 3"),
+    ], ids=["missing_file", "not_json", "no_entries", "too_few_folds", "too_many_folds"])
     def test_bad_cv_report_is_data_error(self, tmp_path, capsys, content, message):
         path = tmp_path / "cv_report.json"
         if content is not None:
@@ -399,13 +409,23 @@ class TestErrors:
     def test_bad_flag_value_is_usage_error(self):
         assert dispatch(["cv", "--k", "not_a_number"]) == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-    def test_divergent_fixed_step_is_numerical_error(self, cohort_dir, tmp_path):
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_objective_is_numerical_error(self, cohort_dir, tmp_path, capsys):
+        outcomes = (cohort_dir / "outcomes.csv").read_text().splitlines()
+        first_event = next(i for i, line in enumerate(outcomes) if line.split(",")[1] == "1")
+        sid, _, _, last = outcomes[first_event].split(",")
+        outcomes[first_event] = f"{sid},1,1e200,{last}"
+        bad = tmp_path / "outcomes.csv"
+        bad.write_text("\n".join(outcomes) + "\n")
+        obs, _, dic = cohort_files(cohort_dir)
+        run = tmp_path / "x"
         code = dispatch([
-            "train", *cohort_args(cohort_dir), "--out", str(tmp_path / "x"),
-            "--T", "4", "--step-policy", "fixed", "--eta", "1e6", "--max-iter", "200",
+            "train", "--observations", str(obs), "--outcomes", str(bad), "--dictionary", str(dic),
+            "--out", str(run), "--imputer", "mean",
         ])
         assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (run / "model.json").exists()
 
     def test_config_flag_override(self, cohort_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -417,3 +437,50 @@ class TestErrors:
         eff = json.loads((out / "effective_config.json").read_text())
         assert eff["k"] == 4  # flag wins over config file
         assert eff["durations"] == "3"
+
+
+COHORT_FLAGS = ["--observations", "--outcomes", "--dictionary"]
+
+FLAGS = {
+    "synth": ["--out", "--seed", "--n-subjects", "--days-per-subject", "--num-vars", "--T-star", "--true-rank",
+              "--noise-sigma", "--censor-horizon", "--missing-rate", "--latent-rank", "--round-onsets"],
+    "impute": [*COHORT_FLAGS, "--out", "--imputer", "--imputer-rank", "--knn-k"],
+    "train": [*COHORT_FLAGS, "--out", "--T", "--stride", "--horizon", "--imputer", "--imputer-rank", "--knn-k",
+              "--method", "--rank", "--lambda", "--tol", "--max-iter", "--no-precondition"],
+    "predict": [*COHORT_FLAGS, "--model", "--out", "--stride", "--horizon", "--imputer-model"],
+    "cv": [*COHORT_FLAGS, "--out", "--durations", "--ranks", "--lambdas", "--methods", "--imputer",
+           "--imputer-rank", "--knn-k", "--k", "--split-unit", "--stride", "--horizon", "--tol", "--max-iter",
+           "--no-precondition", "--seed"],
+    "report": ["--cv-report", "--out"],
+}
+
+
+class TestFlagTable:
+    def test_option_strings_per_subcommand(self):
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        got = {
+            name: [s for a in p._actions if a.dest != "help" for s in a.option_strings]
+            for name, p in subparsers.items()
+        }
+        assert got == {name: ["--config", *flags] for name, flags in FLAGS.items()}
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["synth", "--T-star", "7"], "T_star", 7),
+        (["train", "--no-precondition"], "precondition", False),
+        (["synth", "--round-onsets"], "round_onsets", True),
+    ])
+    def test_flag_sets_its_key(self, argv, key, value):
+        parsed = vars(cli._build_parser().parse_args(argv))
+        assert type(parsed[key]) is type(value) and parsed[key] == value != cli.DEFAULTS[argv[0]][key]
+        assert all(v is None for k, v in parsed.items() if k not in ("command", key))
+
+    @pytest.mark.parametrize("command, key", [
+        ("train", "step_policy"), ("cv", "eta"), ("synth", "t_star"), ("impute", "seed"), ("train", "seed"),
+        ("predict", "seed"), ("report", "seed"),
+    ])
+    def test_removed_config_key_is_usage_error(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0}))
+        assert dispatch([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert f"unknown keys for {command!r}: [{key!r}]" in capsys.readouterr().err

@@ -191,15 +191,6 @@ class TestFitPgd:
         assert np.all(np.diff(trace) <= 0)
         assert report.max_excess_sv_ratio <= 1e-10
 
-    def test_fixed_step_mode_runs(self):
-        rng = np.random.default_rng(11)
-        design = random_design(rng, 2, 3, 15, 5)
-        params, report = fit_pgd(
-            design, 0.1, 2, SolverOptions(step_policy="fixed", eta=1e-3, max_iter=2000)
-        )
-        assert np.isfinite(report.final_objective)
-        assert params.w.shape == (2, 3)
-
     def test_precondition_without_complete_samples_rejected(self):
         rng = np.random.default_rng(12)
         Xz = rng.standard_normal((6, 4))
@@ -213,7 +204,7 @@ class TestFitPgd:
         rng = np.random.default_rng(13)
         design = random_design(rng, 3, 3, 30, 8)
         opts = dict(tol=1e-16, max_iter=60000)
-        _, rep_pre = fit_pgd(design, 0.2, 3, SolverOptions(precondition=True, ridge_policy=1e-12, **opts))
+        _, rep_pre = fit_pgd(design, 0.2, 3, SolverOptions(precondition=True, **opts))
         _, rep_raw = fit_pgd(design, 0.2, 3, SolverOptions(precondition=False, **opts))
         rel = abs(rep_pre.final_objective - rep_raw.final_objective) / abs(rep_raw.final_objective)
         assert rel < 1e-6
