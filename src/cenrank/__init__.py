@@ -39,10 +39,8 @@ from .imputation import (
 from .modelio import load_imputer, load_model, save_imputer, save_model
 from .solver import (
     ModelParams,
-    Preconditioner,
     SolveReport,
     SolverOptions,
-    build_preconditioner,
     factorize,
     fit_pgd,
     gradient,

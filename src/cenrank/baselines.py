@@ -46,8 +46,8 @@ def _augmented(design: DesignSet, lambda_: float, censored_mode: str):
 def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weighted") -> ModelParams:
     """Least squares on complete samples, optionally lambda-weighting censored ones.
 
-    Solved by ridge-stabilized normal equations; the ridge is the same tiny
-    trace-scaled floor the preconditioner uses, so exactly fittable data is
+    Solved by ridge-stabilized normal equations; the ridge is a tiny
+    trace-scaled floor, 1e-8 * trace(H) / dim, so exactly fittable data is
     interpolated to machine precision.
     """
     Z, y, Zc, yc = _augmented(design, lambda_, censored_mode)

@@ -46,7 +46,7 @@ DEFAULTS = {
         "observations": None, "outcomes": None, "dictionary": None, "out": None,
         "T": 5, "stride": 1, "horizon": 21.0, "imputer": "bmc", "imputer_rank": 3, "knn_k": 5,
         "method": "censored_lowrank", "rank": 2, "lambda": 0.05,
-        "tol": 1e-4, "max_iter": 500, "precondition": True,
+        "tol": 1e-4, "max_iter": 500,
     },
     "predict": {
         "observations": None, "outcomes": None, "dictionary": None, "model": None, "out": None,
@@ -57,7 +57,7 @@ DEFAULTS = {
         "durations": "3,4,5,6", "ranks": "2,3", "lambdas": "0.01,0.05,0.1",
         "methods": "censored_lowrank", "imputer": "bmc", "imputer_rank": 3, "knn_k": 5,
         "k": 5, "split_unit": "sample", "stride": 1, "horizon": 21.0,
-        "tol": 1e-4, "max_iter": 500, "precondition": True, "seed": 0,
+        "tol": 1e-4, "max_iter": 500, "seed": 0,
     },
     "report": {"cv_report": None, "out": None},
 }
@@ -99,9 +99,8 @@ def _flag(key: str) -> str:
 def _build_parser() -> _Parser:
     """One subcommand per DEFAULTS entry and one flag per key, typed like its default.
 
-    A boolean key flips its default: `--no-key` turns a True default off,
-    `--key` turns a False default on. Unset flags parse to None, so config
-    file keys and defaults show through.
+    A boolean key defaults to False and `--key` turns it on. Unset flags
+    parse to None, so config file keys and defaults show through.
     """
     parser = _Parser(prog="cenrank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
@@ -111,8 +110,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override its keys")
         for key, default in defaults.items():
             if isinstance(default, bool):
-                p.add_argument(_flag("no_" + key if default else key), dest=key, action="store_const",
-                               const=not default)
+                p.add_argument(_flag(key), dest=key, action="store_const", const=True)
             else:
                 p.add_argument(_flag(key), dest=key, type=str if default is None else type(default),
                                choices=CHOICES.get(key))
@@ -175,7 +173,7 @@ def _new_imputer(cfg):
 
 
 def _solver_options(cfg) -> solver.SolverOptions:
-    return solver.SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"], precondition=cfg["precondition"])
+    return solver.SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
 
 
 def _cmd_synth(cfg, out_dir: Path):
@@ -226,12 +224,11 @@ def _cmd_train(cfg, out_dir: Path):
     filled, _, imputer = impute_split(windows, range(len(windows)), [], _new_imputer(cfg))
     design = assemble_design(filled)
     method = cfg["method"]
-    if method == "censored_lowrank":
-        model, report = solver.fit_pgd(design, cfg["lambda"], cfg["rank"], _solver_options(cfg))
+    model, report = fit_method(design, method, cfg["rank"], cfg["lambda"], _solver_options(cfg))
+    if report is not None:
         print(f"fit converged={report.converged} iterations={report.iterations} "
               f"objective={report.final_objective:.6g} rank_w={report.rank_w}")
     else:
-        model, report = fit_method(design, method, cfg["rank"], cfg["lambda"]), None
         print(f"fit {method} on {design.n_complete} complete / {design.n_censored} censored samples")
     modelio.save_model(out_dir / "model.json", model, cohort.variables, report)
     modelio.save_imputer(out_dir / "imputer_model.json", imputer, cohort.variables)
@@ -278,6 +275,10 @@ def _cmd_cv(cfg, out_dir: Path):
         solver_options=_solver_options(cfg),
     )
     modelio.save_cv_report(report, out_dir / "cv_report.json")
+    fits = [(it, conv) for e in report.entries for it, conv in zip(e.iterations, e.converged)]
+    capped = sum(not conv and it == cfg["max_iter"] for it, conv in fits)
+    if capped:
+        print(f"{capped} of {len(fits)} censored_lowrank fits stopped at max_iter")
     gr = grid_report(report)
     write_report_csvs(gr, report.k, out_dir)
     best = gr.best

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,12 +39,16 @@ class Grid:
 
 @dataclass
 class CvEntry:
+    """One grid cell; `iterations` and `converged` hold the solver's per-fold report (empty for baselines)."""
+
     duration: int
     rank: int
     lambda_: float
     method: str
     fold_maes: np.ndarray
     mean_mae: float
+    iterations: list[int] = field(default_factory=list)
+    converged: list[bool] = field(default_factory=list)
 
 
 @dataclass
@@ -67,6 +71,8 @@ class CvReport:
                     "method": e.method,
                     "fold_maes": [float(v) for v in e.fold_maes],
                     "mean_mae": e.mean_mae,
+                    "iterations": [int(v) for v in e.iterations],
+                    "converged": [bool(v) for v in e.converged],
                 }
                 for e in self.entries
             ],
@@ -74,7 +80,10 @@ class CvReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CvReport":
-        """Rebuild a report from to_dict's output; an entry whose fold count is not k is a ValueError."""
+        """Rebuild a report from to_dict's output; an entry whose fold count is not k is a ValueError.
+
+        Reports written before the per-fold solver fields existed load with empty lists.
+        """
         k = int(d["k"])
         entries = [
             CvEntry(
@@ -84,6 +93,8 @@ class CvReport:
                 method=str(e["method"]),
                 fold_maes=np.asarray(e["fold_maes"], dtype=float),
                 mean_mae=float(e["mean_mae"]),
+                iterations=[int(v) for v in e.get("iterations", [])],
+                converged=[bool(v) for v in e.get("converged", [])],
             )
             for e in d["entries"]
         ]
@@ -122,14 +133,17 @@ def impute_split(windows, train_idx, test_idx, imputer):
 
 def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
                solver_options: solver.SolverOptions | None = None):
-    """Fit one configuration; rank only applies to the censored_lowrank method."""
+    """Fit one configuration; rank only applies to the censored_lowrank method.
+
+    Returns (model, report): the SolveReport of fit_pgd for censored_lowrank,
+    None for the baselines.
+    """
     if method == "censored_lowrank":
-        params, _ = solver.fit_pgd(design, lambda_, rank, solver_options)
-        return params
+        return solver.fit_pgd(design, lambda_, rank, solver_options)
     if method == "ols":
-        return baselines.ols_fit(design, lambda_, censored_mode="weighted")
+        return baselines.ols_fit(design, lambda_, censored_mode="weighted"), None
     if method == "svr":
-        return baselines.svr_fit(design, lambda_=lambda_, censored_mode="weighted")
+        return baselines.svr_fit(design, lambda_=lambda_, censored_mode="weighted"), None
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -146,7 +160,8 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
     Every fold serves as the test set once. Fold partitions, imputations
     and designs are computed once per duration and shared across all grid
     points and methods, so the comparison is paired. Deterministic given
-    the seed.
+    the seed. censored_lowrank entries keep each fold's solver iterations
+    and converged flag.
     """
     methods = list(methods)
     for m in methods:
@@ -169,16 +184,19 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
             prepared.append((assemble_design(train_filled), test_filled))
 
         for rank, lam, method in itertools.product(grid.ranks, grid.lambdas, methods):
-            fold_maes = []
+            fold_maes, iterations, converged = [], [], []
             for design, test_filled in prepared:
                 try:
-                    model = fit_method(design, method, rank, lam, solver_options)
+                    model, report = fit_method(design, method, rank, lam, solver_options)
                 except Exception as exc:
                     exc.args = (f"grid point (duration={T}, rank={rank}, lambda={lam}, method={method}): {exc}",)
                     raise
                 fold_maes.append(mae(predict_windows(model, test_filled), test_filled))
+                if report is not None:
+                    iterations.append(report.iterations)
+                    converged.append(report.converged)
             fold_maes = np.asarray(fold_maes)
-            entries.append(CvEntry(T, rank, lam, method, fold_maes, float(np.mean(fold_maes))))
+            entries.append(CvEntry(T, rank, lam, method, fold_maes, float(np.mean(fold_maes)), iterations, converged))
 
     return CvReport(entries=entries, seed=seed, k=k, split_unit=split_unit)
 

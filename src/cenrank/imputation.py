@@ -70,10 +70,14 @@ def _column_means(X, mask):
 
 
 def _truncated_svd(X, r):
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    k = min(r, s.size)
-    M = (U[:, :k] * s[:k]) @ Vt[:k]
-    return M, Vt[:k].T
+    """Rank-r truncation (X V_r) V_r' of X and V_r, its top r right singular vectors.
+
+    V_r comes from the eigenvectors of the P x P Gram matrix X'X, which is
+    far cheaper than an SVD of X when X has many more rows than columns.
+    """
+    _, V = np.linalg.eigh(X.T @ X)
+    V_r = V[:, ::-1][:, :r]
+    return (X @ V_r) @ V_r.T, V_r
 
 
 def bmc_fit(

@@ -72,7 +72,6 @@ def save_model(path, model: ModelParams, variables=None, report: SolveReport | N
             "iterations": report.iterations,
             "converged": report.converged,
             "final_objective": report.final_objective,
-            "ridge": report.ridge,
             "rank_w": report.rank_w,
         }
     write_json(path, doc)

@@ -1,4 +1,4 @@
-"""Censored low-rank regression solved by preconditioned projected gradient descent.
+"""Censored low-rank regression solved by exact alternating minimisation over w = U V'.
 
 The objective over a weight matrix w (T x P) and intercept b is
 
@@ -6,12 +6,17 @@ The objective over a weight matrix w (T x P) and intercept b is
   + sum_censored lambda/2 (min(0, <x, w> + b - y))^2
 
 subject to rank(w) <= r. The squared hinge charges a censored sample only
-when the predicted time-to-event falls short of its censoring label. The
-rank constraint is handled by SVD truncation after each gradient step; the
-complete-sample Gram matrix supplies an inverse-square-root preconditioner
-so the descent iterates on a well-conditioned reparameterization. There is
-one step rule: start at the inverse Lipschitz bound and halve until the
-objective decreases.
+when the predicted time-to-event falls short of its censoring label.
+
+The rank constraint is met by writing w = U V' with U (T x r) and V
+(P x r), the bilinear form sum_k u_k' x v_k. With V fixed the objective is
+a convex piecewise-quadratic least-squares problem in (U, b), and with U
+fixed one in (V, b). Each such block is solved exactly by finite Newton
+steps (Mangasarian 2002; Keerthi & DeCoste 2005): the generalised Hessian
+covers the complete samples plus the censored samples whose margin is
+below zero, and an Armijo backtracking search guards each step. The same
+routine solves the unconstrained problem over [vec(w); b], whose rank-r
+truncation is the starting point.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from .errors import DataError, NumericalError
 
 RANK_TOL = 1e-10
 MAX_HALVINGS = 50
+NEWTON_STEPS = 50
+ARMIJO = 1e-4
 
 
 @dataclass
@@ -56,19 +63,10 @@ class ModelParams:
 
 
 @dataclass
-class Preconditioner:
-    """A = (X_complete X_complete' + ridge I)^(-1/2), symmetric PD."""
-
-    A: np.ndarray
-    ridge: float
-
-
-@dataclass
 class SolveReport:
     objective_trace: np.ndarray
     iterations: int
     converged: bool
-    ridge: float = 0.0
     rank_w: int = 0
     max_excess_sv_ratio: float = 0.0
 
@@ -79,6 +77,13 @@ class SolveReport:
 
 @dataclass
 class SolverOptions:
+    """Stopping rule of fit_pgd: gradient tolerance and the cap on alternating passes.
+
+    `precondition` is read by nothing. It stays only because the benchmark
+    (bench/workloads.py) passes precondition=False; it goes when that
+    argument does.
+    """
+
     tol: float = 1e-4
     max_iter: int = 500
     precondition: bool = True
@@ -125,33 +130,6 @@ def gradient(params: ModelParams, design: DesignSet) -> tuple[np.ndarray, float]
     return _gradient_vec(_margins(vectorize(params.w), params.b, design), design, params.lambda_)
 
 
-def build_preconditioner(X_complete: np.ndarray, ridge_policy="auto") -> Preconditioner:
-    """Inverse square root of the complete-sample Gram matrix.
-
-    ridge_policy "auto" picks eps = 1e-8 * trace(G)/dim and raises it to
-    1e-6 * max eigenvalue when the Gram matrix is rank-deficient; a float
-    fixes eps directly. Eigenvalues of G + eps I are floored at eps before
-    the inverse square root so roundoff cannot produce negative curvature.
-    """
-    if X_complete.shape[1] == 0:
-        raise DataError("preconditioner requires at least one complete sample")
-    G = X_complete @ X_complete.T
-    d = G.shape[0]
-    mu, V = np.linalg.eigh(G)
-    mu_max = float(mu[-1])
-    if isinstance(ridge_policy, str):
-        if ridge_policy != "auto":
-            raise ValueError(f"unknown ridge policy {ridge_policy!r}")
-        eps = 1e-8 * float(np.trace(G)) / d
-        if mu[0] < 1e-10 * mu_max:  # rank-deficient Gram
-            eps = max(eps, 1e-6 * mu_max)
-    else:
-        eps = float(ridge_policy)
-    nu = np.maximum(mu + eps, eps)
-    A = (V / np.sqrt(nu)) @ V.T
-    return Preconditioner(A=0.5 * (A + A.T), ridge=eps)
-
-
 def project_rank(w_hat: np.ndarray, r: int) -> np.ndarray:
     """Best rank-r Frobenius approximation via SVD truncation."""
     if r < 1:
@@ -161,22 +139,6 @@ def project_rank(w_hat: np.ndarray, r: int) -> np.ndarray:
     return (U[:, :k] * s[:k]) @ Vt[:k]
 
 
-def _project_tracked(w_hat, r):
-    U, s, Vt = np.linalg.svd(w_hat, full_matrices=False)
-    k = min(r, s.size)
-    out = (U[:, :k] * s[:k]) @ Vt[:k]
-    sv = np.linalg.svd(out, compute_uv=False)
-    leak = float(sv[k] / sv[0]) if sv.size > k and sv[0] > 0 else 0.0
-    return out, leak
-
-
-def _spectral_norm_sq(X, n):
-    if X.shape[1] == 0:
-        return 0.0
-    Z = np.vstack([X, np.ones((1, n))])
-    return float(np.linalg.norm(Z, 2) ** 2)
-
-
 def numerical_rank(w: np.ndarray, rel_tol: float = RANK_TOL) -> int:
     s = np.linalg.svd(w, compute_uv=False)
     if s.size == 0 or s[0] == 0:
@@ -184,25 +146,96 @@ def numerical_rank(w: np.ndarray, rel_tol: float = RANK_TOL) -> int:
     return int(np.sum(s > rel_tol * s[0]))
 
 
+def _block(F_c, F_z, design) -> DesignSet:
+    """The least-squares block over theta = [coefficients; b]: features F plus a row of ones."""
+    def ones_row(F):
+        return np.vstack([F, np.ones((1, F.shape[1]))])
+    return DesignSet(ones_row(F_c), design.y_complete, ones_row(F_z), design.y_censored, 1, F_c.shape[0] + 1)
+
+
+def _newton_direction(H, g):
+    """Solve H d = -g with a trace-scaled tiny ridge, by least squares if that fails."""
+    k = g.size
+    try:
+        d = np.linalg.solve(H + (1e-12 * np.trace(H) / k) * np.eye(k), -g)
+        if np.all(np.isfinite(d)):
+            return d
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(H, -g, rcond=None)[0]
+
+
+def _newton(block: DesignSet, lambda_, theta):
+    """Minimise the block objective over theta by finite Newton steps.
+
+    The intercept is the last entry of theta, so the objective is taken at
+    b = 0; a non-finite objective at the start raises NumericalError.
+    Returns (theta, exact); exact means the last full step kept the active
+    set of censored margins, so theta minimises the quadratic that agrees
+    with the objective around it, or that no descent direction is left.
+    """
+    H_c = block.X_complete @ block.X_complete.T
+    f, margins = _objective_vec(theta, 0.0, block, lambda_)
+    if not np.isfinite(f):
+        raise NumericalError("objective is non-finite at the starting point")
+    for _ in range(NEWTON_STEPS):
+        active = margins[1] < 0
+        g = _gradient_vec(margins, block, lambda_)[0]
+        Z = block.X_censored[:, active]
+        d = _newton_direction(H_c + lambda_ * (Z @ Z.T), g)
+        slope = float(g @ d)
+        if not slope < 0:
+            return theta, True
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            f_new, new_margins = _objective_vec(theta + t * d, 0.0, block, lambda_)
+            if f_new <= f + ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            return theta, False
+        theta, f, margins = theta + t * d, f_new, new_margins
+        if t == 1.0 and np.array_equal(margins[1] < 0, active):
+            return theta, True
+    return theta, False
+
+
+def _balance(U, V):
+    """Refactor U V' so that U and V have orthogonal columns of equal norms."""
+    Q_u, R_u = np.linalg.qr(U)
+    Q_v, R_v = np.linalg.qr(V)
+    A, s, Bt = np.linalg.svd(R_u @ R_v.T)
+    root = np.sqrt(s)
+    return Q_u @ (A * root), Q_v @ (Bt.T * root)
+
+
 def fit_pgd(design: DesignSet, lambda_: float, r: int,
             options: SolverOptions | None = None) -> tuple[ModelParams, SolveReport]:
-    """Fit the rank-constrained censored regression by projected gradient descent.
+    """Fit the rank-constrained censored regression by exact alternating minimisation.
 
-    lambda_ must be finite and nonnegative (ValueError otherwise).
+    lambda_ must be finite and nonnegative (ValueError otherwise); a
+    non-finite objective raises NumericalError. The name is kept from the
+    projected-gradient solver this replaced.
 
-    Runs on the preconditioned variables vec(w_hat) = (G + eps I)^{1/2} vec(w)
-    when options.precondition is set (requires complete samples; the ridge
-    eps is the "auto" one of build_preconditioner), taking a gradient step
-    and an SVD rank-r truncation per iteration. Each step starts at 1/L, L
-    the Lipschitz bound of the smooth part, and is halved up to
-    MAX_HALVINGS times until the objective decreases, so the reported trace
-    is strictly decreasing; when no halving decreases it the iterate is
-    taken as stationary. Convergence is declared when
-    (f_k - f_{k+1}) / max(|f_k|, 1) < tol; stopping at max_iter instead
-    emits a RuntimeWarning. w is recovered from w_hat once,
-    at termination, so its numerical rank (reported in SolveReport.rank_w)
-    can exceed r when preconditioning is on; the rank constraint itself is
-    enforced on w_hat at every iteration.
+    The start is the unconstrained minimiser over [vec(w); b], found by the
+    finite Newton routine. When r >= min(T, P) it is the answer, after 0
+    passes, and it is converged when the Newton routine ended exactly or
+    its gradient meets the bound below. Otherwise its rank-r SVD truncation
+    w = U V' (U = U_r S_r^1/2, V = V_r S_r^1/2) starts a sequence of passes.
+    Each pass solves for (U, b) with V fixed, then for (V, b) with U fixed,
+    then rebalances the factors (QR of each, SVD of R_U R_V') so that U
+    and V keep equal scale.
+
+    converged=True means that, after the last pass (or at the start),
+    ||(G V, G' U, g_b)|| <= tol * (||X_c y_c|| + lambda ||X_z y_z||), where
+    (G, g_b) is `gradient` at (w, b) and U, V are the balanced factors,
+    that is the SVD factors of w with the singular values split evenly.
+    A pass that does not lower the objective ends the fit and is not
+    recorded, so objective_trace is strictly decreasing after its first
+    entry, the objective at the start. `iterations` counts the recorded
+    passes, at most options.max_iter; a fit that stops before the bound is
+    met emits a RuntimeWarning. rank(w) <= r by construction, so
+    `max_excess_sv_ratio` is 0 and `rank_w` is numerical_rank(w).
     """
     opts = options or SolverOptions()
     if r < 1:
@@ -212,69 +245,73 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     n_c, n_z = design.n_complete, design.n_censored
     if n_c == 0 and n_z == 0:
         raise DataError("design has no samples")
-
-    if opts.precondition:
-        if n_c == 0:
-            raise DataError("preconditioning requires at least one complete sample")
-        pre = build_preconditioner(design.X_complete)
-        A, ridge = pre.A, pre.ridge
-        work = DesignSet(A @ design.X_complete, design.y_complete,
-                         A @ design.X_censored, design.y_censored, T, P)
+    b0 = float(design.y_complete.mean()) if n_c else 0.0
+    full = _block(design.X_complete, design.X_censored, design)
+    theta, exact = _newton(full, lambda_, np.append(np.zeros(T * P), b0))
+    bound = opts.tol * (np.linalg.norm(design.X_complete @ design.y_complete)
+                        + lambda_ * np.linalg.norm(design.X_censored @ design.y_censored))
+    w, b = theta[:-1].reshape(T, P), float(theta[-1])
+    if r >= min(T, P):
+        f, margins = _objective_vec(w.ravel(), b, design, lambda_)
+        g_w, g_b = _gradient_vec(margins, design, lambda_)
+        trace, capped = [f], False
+        converged = exact or math.hypot(np.linalg.norm(g_w), g_b) <= bound
     else:
-        A, ridge = None, 0.0
-        work = design
-
-    w_hat = np.zeros(T * P)
-    b = float(design.y_complete.mean()) if n_c else 0.0
-
-    # Lipschitz bound of the smooth part over (w_hat, b), intercept row included
-    L = _spectral_norm_sq(work.X_complete, n_c) + lambda_ * _spectral_norm_sq(work.X_censored, n_z)
-    eta0 = 1.0 / max(L, 1e-12)
-
-    f_cur, margins = _objective_vec(w_hat, b, work, lambda_)
-    if not np.isfinite(f_cur):
-        raise NumericalError("objective is non-finite at the starting point")
-    trace = [f_cur]
-    converged = False
-    max_leak = 0.0
-    for _ in range(opts.max_iter):
-        g_w, g_b = _gradient_vec(margins, work, lambda_)
-        eta = eta0
-        for _ in range(MAX_HALVINGS + 1):
-            w_new, leak = _project_tracked((w_hat - eta * g_w).reshape(T, P), r)
-            b_new = b - eta * g_b
-            f_new, new_margins = _objective_vec(w_new.ravel(), b_new, work, lambda_)
-            if np.isfinite(f_new) and f_new < f_cur:
-                break
-            eta *= 0.5
-        else:
-            # no decreasing step within the halving budget: stationary
-            converged = True
-            break
-        trace.append(f_new)
-        max_leak = max(max_leak, leak)
-        decrease = f_cur - f_new
-        w_hat, b, f_prev = w_new.ravel(), b_new, f_cur
-        f_cur, margins = f_new, new_margins
-        if decrease / max(abs(f_prev), 1.0) < opts.tol:
-            converged = True
-            break
+        w, b, trace, converged, capped = _alternate(design, lambda_, r, w, b, bound, opts.max_iter)
 
     if not converged:
-        warnings.warn(f"fit_pgd stopped at max_iter={opts.max_iter} before reaching tol={opts.tol:g}",
-                      RuntimeWarning, stacklevel=2)
-    w_vec = A @ w_hat if A is not None else w_hat
-    w = w_vec.reshape(T, P)
-    params = ModelParams(w=w, b=float(b), rank=r, lambda_=lambda_)
+        why = f"stopped at max_iter={opts.max_iter}" if capped else "stalled"
+        warnings.warn(f"fit_pgd {why} before reaching tol={opts.tol:g}", RuntimeWarning, stacklevel=2)
+    params = ModelParams(w=w, b=b, rank=r, lambda_=lambda_)
     report = SolveReport(
         objective_trace=np.asarray(trace),
         iterations=len(trace) - 1,
-        converged=converged,
-        ridge=ridge,
+        converged=bool(converged),
         rank_w=numerical_rank(w),
-        max_excess_sv_ratio=max_leak,
     )
     return params, report
+
+
+def _alternate(design, lambda_, r, w, b, bound, max_iter):
+    """Alternating passes from the rank-r truncation of w.
+
+    Returns (w, b, objective trace, converged, capped); capped means the
+    passes ran out at max_iter.
+    """
+    T, P, n_c, n_z = design.T, design.P, design.n_complete, design.n_censored
+    Uw, s, Vt = np.linalg.svd(w, full_matrices=False)
+    root = np.sqrt(s[:r])
+    U, V = Uw[:, :r] * root, Vt[:r].T * root
+    w = U @ V.T
+    f, margins = _objective_vec(w.ravel(), b, design, lambda_)
+    trace = [f]
+    # each sample's window as T x P (for the U block) and P x T (for the V block)
+    X_c, X_z = design.X_complete.reshape(T, P, n_c), design.X_censored.reshape(T, P, n_z)
+    Xt_c, Xt_z = X_c.transpose(1, 0, 2), X_z.transpose(1, 0, 2)
+
+    def stationary(U, V, margins):
+        g_w, g_b = _gradient_vec(margins, design, lambda_)
+        G = g_w.reshape(T, P)
+        return math.sqrt(np.sum((G @ V) ** 2) + np.sum((G.T @ U) ** 2) + g_b * g_b) <= bound
+
+    while not stationary(U, V, margins):
+        if len(trace) - 1 == max_iter:
+            return w, b, trace, False, True
+        # (U, b) with V fixed: the features of a sample are X V (T x r)
+        block = _block((V.T @ X_c).reshape(T * r, n_c), (V.T @ X_z).reshape(T * r, n_z), design)
+        theta = _newton(block, lambda_, np.append(U.ravel(), b))[0]
+        U_new = theta[:-1].reshape(T, r)
+        # (V, b) with U fixed: the features of a sample are X' U (P x r)
+        block = _block((U_new.T @ Xt_c).reshape(P * r, n_c), (U_new.T @ Xt_z).reshape(P * r, n_z), design)
+        theta = _newton(block, lambda_, np.append(V.ravel(), theta[-1]))[0]
+        U_new, V_new = _balance(U_new, theta[:-1].reshape(P, r))
+        w_new, b_new = U_new @ V_new.T, float(theta[-1])
+        f_new, new_margins = _objective_vec(w_new.ravel(), b_new, design, lambda_)
+        if not f_new < f:
+            return w, b, trace, False, False
+        U, V, w, b, f, margins = U_new, V_new, w_new, b_new, f_new, new_margins
+        trace.append(f)
+    return w, b, trace, True, False
 
 
 def factorize(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

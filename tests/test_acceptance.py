@@ -108,13 +108,11 @@ def test_c03_monotonicity_and_feasibility():
     rng = np.random.default_rng(303)
     ok = True
     details = []
-    for k in range(6):
+    for _ in range(6):
         T, P = int(rng.integers(2, 6)), int(rng.integers(2, 8))
         design = random_instance(rng, T, P, int(rng.integers(5, 40)), int(rng.integers(0, 20)))
         r = int(rng.integers(1, min(T, P) + 1))
-        precondition = bool(k % 2)
-        _, rep = fit_pgd(design, float(rng.uniform(0, 2)), r,
-                         SolverOptions(max_iter=400, precondition=precondition))
+        _, rep = fit_pgd(design, float(rng.uniform(0, 2)), r, SolverOptions(max_iter=400))
         if not np.all(np.diff(rep.objective_trace) <= 0):
             ok = False
             details.append("pgd trace increased")
@@ -327,8 +325,8 @@ def test_c12_leakage_canary(tmp_path):
         test_idx = folds[0]
         train_idx = np.setdiff1d(np.arange(len(windows)), test_idx)
         tr, _, _ = impute_split(windows, train_idx, test_idx, BmcImputer(rank=3))
-        model = fit_method(assemble_design(tr), "censored_lowrank", 2, 0.05,
-                           SolverOptions(max_iter=300))
+        model, _ = fit_method(assemble_design(tr), "censored_lowrank", 2, 0.05,
+                              SolverOptions(max_iter=300))
         save_model(path, model, cohort.variables)
         return path.read_bytes(), windows, test_idx
 

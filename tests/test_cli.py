@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,28 @@ class TestCv:
         for name in ("grid.csv", "lambda_curve.csv", "duration_curve.csv"):
             assert (rep / name).read_bytes() == (out / name).read_bytes()
 
+    @pytest.mark.parametrize("max_iter, capped", [(1, True), (500, False)])
+    def test_solver_report_kept_per_fold(self, cohort_dir, tmp_path, capsys, max_iter, capped):
+        out = tmp_path / "cv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert dispatch([
+                "cv", *cohort_args(cohort_dir), "--out", str(out), "--durations", "3", "--ranks", "1,2",
+                "--lambdas", "0.05", "--methods", "censored_lowrank,ols", "--k", "3", "--max-iter", str(max_iter),
+            ]) == 0
+        entries = json.loads((out / "cv_report.json").read_text())["entries"]
+        fits = []
+        for e in entries:
+            if e["method"] == "censored_lowrank":
+                assert len(e["iterations"]) == len(e["converged"]) == 3
+                fits += [(it, conv) for it, conv in zip(e["iterations"], e["converged"])]
+            else:
+                assert e["iterations"] == [] and e["converged"] == []
+        n_capped = sum(it == max_iter and not conv for it, conv in fits)
+        assert (n_capped > 0) == capped
+        line = f"{n_capped} of 6 censored_lowrank fits stopped at max_iter"
+        assert (line in capsys.readouterr().out) == capped
+
 
     @pytest.mark.parametrize("content, message", [
         (None, "No such file"),
@@ -446,11 +469,11 @@ FLAGS = {
               "--noise-sigma", "--censor-horizon", "--missing-rate", "--latent-rank", "--round-onsets"],
     "impute": [*COHORT_FLAGS, "--out", "--imputer", "--imputer-rank", "--knn-k"],
     "train": [*COHORT_FLAGS, "--out", "--T", "--stride", "--horizon", "--imputer", "--imputer-rank", "--knn-k",
-              "--method", "--rank", "--lambda", "--tol", "--max-iter", "--no-precondition"],
+              "--method", "--rank", "--lambda", "--tol", "--max-iter"],
     "predict": [*COHORT_FLAGS, "--model", "--out", "--stride", "--horizon", "--imputer-model"],
     "cv": [*COHORT_FLAGS, "--out", "--durations", "--ranks", "--lambdas", "--methods", "--imputer",
            "--imputer-rank", "--knn-k", "--k", "--split-unit", "--stride", "--horizon", "--tol", "--max-iter",
-           "--no-precondition", "--seed"],
+           "--seed"],
     "report": ["--cv-report", "--out"],
 }
 
@@ -467,7 +490,7 @@ class TestFlagTable:
 
     @pytest.mark.parametrize("argv, key, value", [
         (["synth", "--T-star", "7"], "T_star", 7),
-        (["train", "--no-precondition"], "precondition", False),
+        (["cv", "--max-iter", "7"], "max_iter", 7),
         (["synth", "--round-onsets"], "round_onsets", True),
     ])
     def test_flag_sets_its_key(self, argv, key, value):
@@ -477,7 +500,7 @@ class TestFlagTable:
 
     @pytest.mark.parametrize("command, key", [
         ("train", "step_policy"), ("cv", "eta"), ("synth", "t_star"), ("impute", "seed"), ("train", "seed"),
-        ("predict", "seed"), ("report", "seed"),
+        ("predict", "seed"), ("report", "seed"), ("train", "precondition"), ("cv", "precondition"),
     ])
     def test_removed_config_key_is_usage_error(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "cfg.json"

@@ -68,8 +68,9 @@ class TestFitMethod:
     @pytest.mark.parametrize("method", ["censored_lowrank", "ols", "svr"])
     def test_one_model_type_for_every_method(self, method):
         design = random_design(np.random.default_rng(4), 3, 4, 20, 8)
-        model = fit_method(design, method, 2, 0.1, FAST)
+        model, report = fit_method(design, method, 2, 0.1, FAST)
         assert isinstance(model, ModelParams) and model.kind == method
+        assert (report is not None) == (method == "censored_lowrank")
         assert model.w.shape == (3, 4) and model.lambda_ == 0.1
         assert np.array_equal(model.w_vec, model.w.ravel())
 
@@ -106,9 +107,27 @@ class TestCrossValidate:
         loaded = load_cv_report(tmp_path / "r.json")
         assert loaded.to_dict() == report.to_dict()
 
+    def test_report_without_solver_fields_still_loads(self, tmp_path):
+        cohort = small_cohort()
+        grid = Grid(durations=[3], ranks=[2], lambdas=[0.05])
+        report = cross_validate(cohort, grid, ["censored_lowrank", "ols"], MeanImputer(), k=3, seed=2,
+                                solver_options=FAST)
+        lowrank, ols = report.entries
+        assert len(lowrank.iterations) == len(lowrank.converged) == 3
+        assert ols.iterations == [] and ols.converged == []
+        doc = report.to_dict()
+        for e in doc["entries"]:
+            del e["iterations"], e["converged"]
+        older = CvReport.from_dict(doc)
+        assert all(e.iterations == [] and e.converged == [] for e in older.entries)
+        write_report_csvs(grid_report(report), 3, tmp_path)
+        (tmp_path / "older").mkdir()
+        write_report_csvs(grid_report(older), 3, tmp_path / "older")
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "older" / "grid.csv").read_bytes()
+
     def test_true_rank_beats_full_rank_on_majority_of_seeds(self):
         grid = Grid(durations=[4], ranks=[2, 4], lambdas=[0.05])
-        opts = SolverOptions(precondition=False, tol=1e-8, max_iter=2500)
+        opts = SolverOptions(tol=1e-8, max_iter=2500)
         rank_wins = 0
         for seed in range(10):
             spec = SyntheticSpec(n_subjects=130, days_per_subject=4, P=8, T_star=4, true_rank=2,

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from cenrank.cohort import DesignSet, WindowSample
-from cenrank.errors import DataError, UnimputedSampleError
+from cenrank.errors import DataError, NumericalError, UnimputedSampleError
 from cenrank.evaluation import predict_windows
 from cenrank.solver import (
     ModelParams,
     SolverOptions,
-    build_preconditioner,
     factorize,
     fit_pgd,
     gradient,
@@ -109,32 +108,6 @@ class TestGradient:
             assert rel.max() < 1e-6
 
 
-class TestPreconditioner:
-    def test_orthonormal_rows_give_identity(self):
-        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 6)))
-        X = Q.T  # 6 x 10 with orthonormal rows
-        pre = build_preconditioner(X, ridge_policy=0.0)
-        assert np.allclose(pre.A, np.eye(6), atol=1e-10)
-
-    def test_scalar_gram(self):
-        X = 2.0 * np.eye(3)  # Gram = 4 I
-        pre = build_preconditioner(X, ridge_policy=0.0)
-        assert np.allclose(pre.A, 0.5 * np.eye(3), atol=1e-12)
-
-    def test_inverse_identity(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((8, 30))
-        pre = build_preconditioner(X)
-        G = X @ X.T + pre.ridge * np.eye(8)
-        err = np.linalg.norm(pre.A @ G @ pre.A - np.eye(8)) / np.linalg.norm(np.eye(8))
-        assert err < 1e-6
-
-    def test_rank_deficient_gets_larger_ridge(self):
-        X = np.ones((5, 2))  # Gram rank 1
-        pre = build_preconditioner(X)
-        assert pre.ridge >= 1e-6 * 10  # 1e-6 times the top eigenvalue
-
-
 class TestProjectRank:
     def test_feasible_input_unchanged(self):
         w = np.outer([1.0, 2.0], [3.0, 4.0, 5.0])
@@ -191,39 +164,147 @@ class TestFitPgd:
         assert np.all(np.diff(trace) <= 0)
         assert report.max_excess_sv_ratio <= 1e-10
 
-    def test_precondition_without_complete_samples_rejected(self):
+    def test_design_without_complete_samples_fits(self):
         rng = np.random.default_rng(12)
         Xz = rng.standard_normal((6, 4))
         design = DesignSet(np.zeros((6, 0)), np.zeros(0), Xz, np.ones(4), 2, 3)
-        with pytest.raises(DataError):
-            fit_pgd(design, 1.0, 1, SolverOptions(precondition=True))
-        params, _ = fit_pgd(design, 1.0, 1, SolverOptions(precondition=False, max_iter=50))
+        params, report = fit_pgd(design, 1.0, 1, SolverOptions(max_iter=50))
         assert params.w.shape == (2, 3)
+        assert numerical_rank(params.w) <= 1 and np.all(np.diff(report.objective_trace) <= 0)
 
-    def test_full_rank_argmin_matches_without_preconditioning(self):
+    def test_full_rank_fit_is_stationary(self):
         rng = np.random.default_rng(13)
         design = random_design(rng, 3, 3, 30, 8)
-        opts = dict(tol=1e-16, max_iter=60000)
-        _, rep_pre = fit_pgd(design, 0.2, 3, SolverOptions(precondition=True, **opts))
-        _, rep_raw = fit_pgd(design, 0.2, 3, SolverOptions(precondition=False, **opts))
-        rel = abs(rep_pre.final_objective - rep_raw.final_objective) / abs(rep_raw.final_objective)
-        assert rel < 1e-6
+        params, report = fit_pgd(design, 0.2, 3, SolverOptions(tol=1e-16))
+        g_w, g_b = gradient(params, design)
+        assert report.converged and report.iterations == 0
+        assert np.linalg.norm(np.append(g_w, g_b)) < 1e-9 * data_scale(design, 0.2)
 
     def test_capped_fit_warns(self):
         design = random_design(np.random.default_rng(15), 3, 4, 30, 10)
         with pytest.warns(RuntimeWarning, match="max_iter=3"):
-            _, report = fit_pgd(design, 0.1, 2, SolverOptions(precondition=False, max_iter=3))
+            _, report = fit_pgd(design, 0.1, 2, SolverOptions(max_iter=3))
         assert not report.converged and report.iterations == 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, report = fit_pgd(design, 0.1, 2, SolverOptions(precondition=False, max_iter=5000))
+            _, report = fit_pgd(design, 0.1, 2, SolverOptions(max_iter=5000))
         assert report.converged
+
+    def test_pass_that_does_not_lower_the_objective_ends_the_fit(self):
+        design = random_design(np.random.default_rng(17), 4, 5, 40, 15)
+        with pytest.warns(RuntimeWarning, match="stalled"):
+            _, report = fit_pgd(design, 0.3, 2, SolverOptions(tol=1e-15, max_iter=5000))
+        assert not report.converged and 0 < report.iterations < 5000
+        assert np.all(np.diff(report.objective_trace) < 0)
 
     def test_unpreconditioned_rank_budget_holds_on_w(self):
         rng = np.random.default_rng(14)
         design = random_design(rng, 4, 6, 30, 10)
-        params, _ = fit_pgd(design, 0.3, 2, SolverOptions(precondition=False, max_iter=500))
+        params, _ = fit_pgd(design, 0.3, 2, SolverOptions(max_iter=500))
         assert numerical_rank(params.w) <= 2
+
+    @pytest.mark.parametrize("T", [3, 4, 5, 6])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_rank_budget_holds_on_default_options(self, T, r):
+        design = random_design(np.random.default_rng(10 * T + r), T, 5, 60, 20)
+        params, report = fit_pgd(design, 0.05, r)
+        assert numerical_rank(params.w) <= r and report.rank_w <= r
+        assert report.max_excess_sv_ratio == 0.0
+
+    def test_non_finite_objective_is_numerical_error(self):
+        design = random_design(np.random.default_rng(16), 3, 4, 20, 5)
+        design.y_complete[0] = 1e200
+        with pytest.raises(NumericalError):
+            fit_pgd(design, 0.05, 2)
+
+
+def data_scale(design, lambda_):
+    """The scale of fit_pgd's stopping bound: ||X_c y_c|| + lambda ||X_z y_z||."""
+    return (np.linalg.norm(design.X_complete @ design.y_complete)
+            + lambda_ * np.linalg.norm(design.X_censored @ design.y_censored))
+
+
+def planted_design(rng, T, P, r, n_complete, n_censored):
+    """A random design with labels from a planted rank-r model plus unit noise."""
+    w = generate_lowrank_matrix(T, P, r, seed=int(rng.integers(1 << 31)))
+    w *= 3.0 / np.linalg.norm(w)
+    b = rng.standard_normal()
+    Xc = rng.standard_normal((T * P, n_complete))
+    Xz = rng.standard_normal((T * P, n_censored))
+    yc = Xc.T @ w.ravel() + b + rng.standard_normal(n_complete)
+    yz = Xz.T @ w.ravel() + b + rng.standard_normal(n_censored)
+    return DesignSet(Xc, yc, Xz, yz, T, P)
+
+
+def reference_pgd(design, lambda_, r, tol=1e-12, max_iter=100_000):
+    """Unpreconditioned projected gradient descent, written out independently of the solver.
+
+    Starts at w = 0, b = mean(y_complete); each step starts at 1/L (L the
+    squared spectral norms of the designs with their intercept rows) and is
+    halved until the objective decreases; stops when the relative decrease
+    falls below tol. Returns the final objective.
+    """
+    T, P = design.T, design.P
+    Xc, yc, Xz, yz = design.X_complete, design.y_complete, design.X_censored, design.y_censored
+
+    def evaluate(w, b):
+        res = Xc.T @ w + b - yc
+        hinge = np.minimum(0.0, Xz.T @ w + b - yz)
+        return 0.5 * res @ res + 0.5 * lambda_ * hinge @ hinge, res, hinge
+
+    def lipschitz(X):
+        return np.linalg.norm(np.vstack([X, np.ones((1, X.shape[1]))]), 2) ** 2
+
+    eta0 = 1.0 / (lipschitz(Xc) + lambda_ * lipschitz(Xz))
+    w, b = np.zeros(T * P), float(yc.mean())
+    f, res, hinge = evaluate(w, b)
+    for _ in range(max_iter):
+        g_w = Xc @ res + lambda_ * (Xz @ hinge)
+        g_b = res.sum() + lambda_ * hinge.sum()
+        eta = eta0
+        for _ in range(51):
+            w_new = project_rank((w - eta * g_w).reshape(T, P), r).ravel()
+            f_new, res_new, hinge_new = evaluate(w_new, b - eta * g_b)
+            if f_new < f:
+                break
+            eta *= 0.5
+        else:
+            break
+        decrease, f_prev = f - f_new, f
+        w, b, f, res, hinge = w_new, b - eta * g_b, f_new, res_new, hinge_new
+        if decrease / max(f_prev, 1.0) < tol:
+            break
+    return f
+
+
+class TestAlternatingSolver:
+    def test_objective_at_or_below_projected_gradient_reference(self):
+        rng = np.random.default_rng(20)
+        for i in range(12):
+            T, P = int(rng.integers(3, 7)), int(rng.integers(4, 9))
+            r = int(rng.integers(1, min(T, P)))
+            lam = (0.05, 0.3)[i % 2]
+            design = planted_design(rng, T, P, r, int(rng.integers(60, 150)), int(rng.integers(20, 60)))
+            _, report = fit_pgd(design, lam, r, SolverOptions(tol=1e-8))
+            assert report.converged
+            assert report.final_objective <= (1 + 1e-8) * reference_pgd(design, lam, r)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    def test_converged_means_stationary_in_the_factors(self, tol):
+        rng = np.random.default_rng(21)
+        for i in range(8):
+            T, P = int(rng.integers(3, 7)), int(rng.integers(4, 9))
+            r, lam = int(rng.integers(1, min(T, P))), (0.05, 0.3)[i % 2]
+            design = planted_design(rng, T, P, r, 80, 30)
+            params, report = fit_pgd(design, lam, r, SolverOptions(tol=tol))
+            assert report.converged
+            # the balanced factors: the SVD of w with its singular values split evenly
+            U, s, Vt = np.linalg.svd(params.w)
+            u, v = U[:, :r] * np.sqrt(s[:r]), Vt[:r].T * np.sqrt(s[:r])
+            g_w, g_b = gradient(params, design)
+            G = g_w.reshape(T, P)
+            norm = np.sqrt(np.sum((G @ v) ** 2) + np.sum((G.T @ u) ** 2) + g_b ** 2)
+            assert norm <= tol * data_scale(design, lam) * (1 + 1e-6)
 
 
 class TestPredict:

@@ -70,7 +70,7 @@ class TestGenerateCohort:
         windows = extract_windows(cohort, T=5, horizon=1e9)
         assert len(windows) == 600
         design = assemble_design(windows)
-        params, _ = fit_pgd(design, 0.0, 2, SolverOptions(precondition=False, tol=1e-12, max_iter=8000))
+        params, _ = fit_pgd(design, 0.0, 2, SolverOptions(tol=1e-12, max_iter=8000))
         assert mae(predict_windows(params, windows), windows) < 0.1
 
     def test_infeasible_spec_rejected(self):
