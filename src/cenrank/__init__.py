@@ -29,7 +29,6 @@ from .evaluation import (
 from .imputation import (
     BmcImputer,
     BmcModel,
-    ImputationMatrix,
     KnnImputer,
     MeanImputer,
     bmc_fit,

@@ -20,11 +20,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, modelio, solver
 from .cohort import assemble_design, extract_windows, load_cohort, write_cohort
-from .errors import DataError, NumericalError, UnimputedSampleError
+from .errors import DataError, EmptyColumnError, NumericalError, UnimputedSampleError
 from .evaluation import Grid, cross_validate, fit_method, grid_report, impute_split, write_csv, write_report_csvs
-from .imputation import BmcImputer, KnnImputer, MeanImputer, cohort_matrix, impute_windows
+from .imputation import BmcImputer, KnnImputer, MeanImputer, impute_windows
 from .synthetic import SyntheticSpec, generate_cohort
 
 
@@ -117,6 +119,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# what a config-file value may be, by the type of its key's default
+CONFIG_TYPES = {bool: (bool, "true or false"), int: (int, "an integer"), float: ((int, float), "a number"),
+                str: (str, "a string"), type(None): (str, "a string")}
+
+
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS[command])
     if args.config:
@@ -132,6 +139,13 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise UsageError(f"config {args.config}: unknown keys for {command!r}: {unknown}")
+        for key, value in file_cfg.items():  # typed like its flag, with the same choices
+            kinds, what = CONFIG_TYPES[type(cfg[key])]
+            ok = isinstance(value, kinds) and isinstance(value, bool) == isinstance(cfg[key], bool)
+            if key in CHOICES:
+                ok, what = value in CHOICES[key], f"one of {CHOICES[key]}"
+            if not ok:
+                raise UsageError(f"config {args.config}: {key} must be {what}, got {value!r}")
         cfg.update(file_cfg)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
@@ -204,16 +218,15 @@ def _cmd_synth(cfg, out_dir: Path):
 
 def _cmd_impute(cfg, out_dir: Path):
     cohort = _load_inputs(cfg)
-    matrix = cohort_matrix(cohort)
-    imputer = _new_imputer(cfg).fit(matrix)
-    header = ["subject_id", "day"] + cohort.variables
-    rows = [
-        [sid, day] + ["%.17g" % v for v in imputer.completed[i]]
-        for i, (sid, day) in enumerate(matrix.row_index)
-    ]
-    write_csv(out_dir / "completed_matrix.csv", header, rows)
+    if not cohort.subjects:
+        raise EmptyColumnError("cohort has no observation rows")
+    mask = np.concatenate([s.mask for s in cohort.subjects])
+    imputer = _new_imputer(cfg).fit(np.concatenate([s.values for s in cohort.subjects]), mask)
+    labels = ([s.subject_id, s.first_day + t] for s in cohort.subjects for t in range(s.values.shape[0]))
+    rows = [label + ["%.17g" % v for v in values] for label, values in zip(labels, imputer.completed)]
+    write_csv(out_dir / "completed_matrix.csv", ["subject_id", "day"] + cohort.variables, rows)
     modelio.save_imputer(out_dir / "imputer_model.json", imputer, cohort.variables)
-    print(f"imputed {int((~matrix.mask).sum())} missing cells over {matrix.X.shape[0]} rows")
+    print(f"imputed {int((~mask).sum())} missing cells over {mask.shape[0]} rows")
 
 
 def _cmd_train(cfg, out_dir: Path):

@@ -6,7 +6,9 @@ day the event was observed or the horizon up to which the subject stayed
 event-free. Windows of T consecutive days become the regression samples;
 a window from an event subject is labeled with the remaining days to
 onset, a window from an event-free subject with the remaining days to the
-censoring horizon.
+censoring horizon. `load_cohort` scatters every observed cell into one
+N x P day-row array, ordered subject by subject (in order of first
+appearance) and day by day; each subject's values and mask are slices of it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -126,10 +129,10 @@ def load_variable_dictionary(path) -> list[str]:
 
 
 def _read_csv_rows(path, required_cols):
-    """(line number, row dict) for each nonblank data row of a CSV file with a header line.
+    """(line number, required fields) for each nonblank data row of a CSV file with a header line.
 
-    A row whose field count differs from the header's is a DataError
-    naming the file and line.
+    The fields come in `required_cols` order. A row whose field count
+    differs from the header's is a DataError naming the file and line.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -141,13 +144,15 @@ def _read_csv_rows(path, required_cols):
         missing = [c for c in required_cols if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
+        position = {name: i for i, name in enumerate(header)}
+        pick = itemgetter(*(position[c] for c in required_cols))
         rows = []
         for fields in reader:
             if not fields:
                 continue
             if len(fields) != len(header):
                 raise DataError(f"{path} line {reader.line_num}: {len(fields)} fields, the header has {len(header)}")
-            rows.append((reader.line_num, dict(zip(header, fields))))
+            rows.append((reader.line_num, pick(fields)))
     return rows
 
 
@@ -159,6 +164,7 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     `dictionary` is either a list of variable names or a path to a
     one-name-per-line text file.
 
+    Rows are checked in file order, so the first bad line is reported.
     Unrecorded (subject, day, variable) cells are masked missing; days with
     no rows between a subject's first and last recorded day become fully
     missing rows so windows stay contiguous.
@@ -168,21 +174,21 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     else:
         variables = list(dictionary)
     var_index = {name: j for j, name in enumerate(variables)}
-    P = len(variables)
 
     outcomes = {}
-    for line, row in _read_csv_rows(outcomes_path, ["subject_id", "ssi", "onset_day", "last_obs_day"]):
-        sid = row["subject_id"].strip()
+    for line, (sid, ssi_text, onset_text, last_text) in _read_csv_rows(
+            outcomes_path, ["subject_id", "ssi", "onset_day", "last_obs_day"]):
+        sid = sid.strip()
         try:
-            ssi = int(row["ssi"])
+            ssi = int(ssi_text)
         except ValueError as exc:
             raise DataError(f"{outcomes_path} line {line}: ssi must be 0 or 1") from exc
         if ssi not in (0, 1):
             raise DataError(f"{outcomes_path} line {line}: ssi must be 0 or 1, got {ssi}")
         if sid in outcomes:
             raise DuplicateRecordError(f"{outcomes_path} line {line}: duplicate subject {sid!r}")
-        field = "onset_day" if ssi == 1 else "last_obs_day"
-        raw = row[field].strip()
+        field, raw = ("onset_day", onset_text) if ssi == 1 else ("last_obs_day", last_text)
+        raw = raw.strip()
         if not raw:
             raise DataError(f"{outcomes_path} line {line}: {field} required when ssi={ssi}")
         try:
@@ -193,54 +199,55 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
             raise DataError(f"{outcomes_path} line {line}: non-finite {field}")
         outcomes[sid] = Event(onset_day=when) if ssi == 1 else Censored(horizon_day=when)
 
-    # (subject, day) -> P-vector of observed values
-    cells: dict[str, dict[int, np.ndarray]] = {}
-    order: list[str] = []
-    for line, row in _read_csv_rows(observations_path, ["subject_id", "day", "variable", "value"]):
-        sid = row["subject_id"].strip()
-        var = row["variable"].strip()
+    codes: dict[str, int] = {}  # subject id -> code, in order of first appearance
+    cells: dict[tuple[int, int, int], float] = {}  # (subject code, day, column) -> value
+    for line, (sid, day_text, var, value_text) in _read_csv_rows(
+            observations_path, ["subject_id", "day", "variable", "value"]):
+        sid = sid.strip()
+        var = var.strip()
         if var not in var_index:
             raise UnknownVariableError(f"{observations_path} line {line}: unknown variable {var!r}")
         try:
-            day = int(row["day"])
+            day = int(day_text)
         except ValueError as exc:
             raise DataError(f"{observations_path} line {line}: day must be an integer") from exc
         if day < 1:
             raise DataError(f"{observations_path} line {line}: day must be >= 1, got {day}")
         try:
-            value = float(row["value"])
+            value = float(value_text)
         except ValueError as exc:
-            raise DataError(f"{observations_path} line {line}: value must be a number, got {row['value']!r}") from exc
+            raise DataError(f"{observations_path} line {line}: value must be a number, got {value_text!r}") from exc
         if not math.isfinite(value):
             raise DataError(f"{observations_path} line {line}: non-finite value")
-        if sid not in cells:
-            cells[sid] = {}
-            order.append(sid)
-        day_vec = cells[sid].setdefault(day, np.full(P, np.nan))
-        j = var_index[var]
-        if not np.isnan(day_vec[j]):
+        cell = (codes.setdefault(sid, len(codes)), day, var_index[var])
+        if cell in cells:
             raise DuplicateRecordError(
                 f"{observations_path} line {line}: duplicate record for ({sid!r}, day {day}, {var!r})"
             )
-        day_vec[j] = value
+        cells[cell] = value
+
+    code, days, col = np.array(list(cells), dtype=np.int64).reshape(-1, 3).T
+    first = np.full(len(codes), np.iinfo(np.int64).max)
+    last = np.zeros(len(codes), dtype=np.int64)
+    np.minimum.at(first, code, days)
+    np.maximum.at(last, code, days)
+    start = np.concatenate([[0], np.cumsum(last - first + 1)])
+    values = np.full((start[-1], len(variables)), np.nan)
+    values[start[code] + days - first[code], col] = list(cells.values())
+    mask = ~np.isnan(values)
 
     subjects = []
-    for sid in order:
+    for sid, c in codes.items():
         if sid not in outcomes:
             raise MissingOutcomeError(f"subject {sid!r} has observations but no outcome row")
-        days = sorted(cells[sid])
-        first_day, last_day = days[0], days[-1]
-        D = last_day - first_day + 1
-        values = np.full((D, P), np.nan)
-        for day, vec in cells[sid].items():
-            values[day - first_day] = vec
-        mask = ~np.isnan(values)
+        first_day = int(first[c])
         outcome = outcomes[sid]
         if isinstance(outcome, Event) and outcome.onset_day <= first_day:
             raise InvalidOnsetError(
                 f"subject {sid!r}: onset_day {outcome.onset_day} is not after first observed day {first_day}"
             )
-        subjects.append(SubjectSeries(sid, first_day, values, mask, outcome))
+        rows = slice(start[c], start[c + 1])
+        subjects.append(SubjectSeries(sid, first_day, values[rows], mask[rows], outcome))
 
     return Cohort(subjects=subjects, variables=variables)
 

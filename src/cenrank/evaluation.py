@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines, solver
 from .cohort import Cohort, DesignSet, WindowSample, assemble_design, extract_windows, split_folds, stack_windows
 from .errors import DataError, UndefinedMetricError
-from .imputation import build_imputation_matrix, fill_windows, impute_windows
+from .imputation import distinct_rows, fill_windows, impute_windows
 
 METHODS = ("censored_lowrank", "ols", "svr")
 
@@ -124,11 +124,9 @@ def impute_split(windows, train_idx, test_idx, imputer):
     """
     train = [windows[i] for i in train_idx]
     test = [windows[i] for i in test_idx]
-    imp = imputer.clone()
-    matrix = build_imputation_matrix(train)
-    imp.fit(matrix)
-    train_filled = fill_windows(train, imp.completed, matrix.row_index)
-    return train_filled, impute_windows(test, imp), imp
+    X, mask, where = distinct_rows(train)
+    imp = imputer.clone().fit(X, mask)
+    return fill_windows(train, imp.completed, where), impute_windows(test, imp), imp
 
 
 def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,

@@ -5,7 +5,10 @@ SVD truncation of the current matrix with a box-constrained refill of the
 missing cells, where each variable's box is the observed min/max of its
 column. Test-time rows are filled, all in one batch, by projecting onto
 the fitted daily basis under the same bounds. Column-mean and KNN imputers
-are provided as benchmarks.
+are provided as benchmarks. Imputers take N x P day rows and their mask:
+`fit(X, mask)` keeps the training completion in `completed`, `transform(X,
+mask)` fills new rows. `distinct_rows` indexes a window set's distinct
+(subject, day) rows once; `fill_windows` gathers completed rows back.
 """
 
 from __future__ import annotations
@@ -22,15 +25,6 @@ BMC_TOL = 1e-6
 BMC_MAX_ITER = 500
 IMPUTE_TOL = 1e-8
 IMPUTE_MAX_ITER = 200
-
-
-@dataclass
-class ImputationMatrix:
-    """Person-day observation vectors stacked row-wise (N x P)."""
-
-    X: np.ndarray
-    mask: np.ndarray
-    row_index: list[tuple[str, int]]
 
 
 @dataclass
@@ -229,57 +223,40 @@ def _knn_fill_row(z, z_mask, X, mask, k, col_means):
     return out
 
 
-def cohort_matrix(cohort) -> ImputationMatrix:
-    """Stack every subject-day row of a cohort into one imputation matrix."""
-    rows, masks, index = [], [], []
-    for s in cohort.subjects:
-        for t in range(s.values.shape[0]):
-            rows.append(s.values[t])
-            masks.append(s.mask[t])
-            index.append((s.subject_id, s.first_day + t))
-    if not rows:
-        raise EmptyColumnError("cohort has no observation rows")
-    return ImputationMatrix(X=np.array(rows, dtype=float), mask=np.array(masks, dtype=bool), row_index=index)
+def distinct_rows(windows: list[WindowSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (subject, day) rows of equal-length windows and where each window finds them.
 
-
-def build_imputation_matrix(windows: list[WindowSample]) -> ImputationMatrix:
-    """Stack the unique (subject, day) rows of a window set, in input order."""
-    rows, masks, index = [], [], []
-    seen = set()
-    for w in windows:
-        T = w.x.shape[0]
-        first = w.window_end_day - T + 1
-        for t in range(T):
-            key = (w.subject_id, first + t)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(w.x[t])
-            masks.append(w.x_mask[t])
-            index.append(key)
-    if not rows:
+    Returns (X, mask, where): X and mask hold one row per distinct
+    (subject, day), in order of first appearance across the windows, and
+    where[i, t] is the row of day t of window i.
+    """
+    if not windows:
         raise EmptyColumnError("no rows to impute")
-    return ImputationMatrix(X=np.array(rows, dtype=float), mask=np.array(masks, dtype=bool), row_index=index)
+    T = windows[0].x.shape[0]
+    codes: dict[str, int] = {}
+    subject = np.array([codes.setdefault(w.subject_id, len(codes)) for w in windows])
+    days = np.array([w.window_end_day for w in windows])[:, None] + np.arange(1 - T, 1)
+    days -= days.min()
+    keys = (subject[:, None] * (days.max() + 1) + days).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # of each distinct key in first-appearance order
+    X = np.stack([w.x for w in windows]).reshape(keys.size, -1)[np.sort(first)]
+    mask = np.stack([w.x_mask for w in windows]).reshape(keys.size, -1)[np.sort(first)]
+    return X, mask, rank[inverse].reshape(len(windows), T)
+
+
+def fill_windows(windows: list[WindowSample], completed: np.ndarray, where: np.ndarray) -> list[WindowSample]:
+    """Rebuild windows with their rows gathered from a completed row matrix by `where`."""
+    filled = completed[where]
+    return [replace(w, x=x, x_mask=np.ones_like(w.x_mask, dtype=bool)) for w, x in zip(windows, filled)]
 
 
 def impute_windows(windows: list[WindowSample], imputer) -> list[WindowSample]:
     """Fill windows with a fitted imputer from their own distinct (subject, day) rows, in one batch."""
     if not windows:
         return []
-    matrix = build_imputation_matrix(windows)
-    return fill_windows(windows, imputer.transform(matrix), matrix.row_index)
-
-
-def fill_windows(windows: list[WindowSample], completed: np.ndarray, row_index) -> list[WindowSample]:
-    """Rebuild windows with rows taken from a completed imputation matrix."""
-    lookup = {key: i for i, key in enumerate(row_index)}
-    out = []
-    for w in windows:
-        T = w.x.shape[0]
-        first = w.window_end_day - T + 1
-        x = np.vstack([completed[lookup[(w.subject_id, first + t)]] for t in range(T)])
-        out.append(replace(w, x=x, x_mask=np.ones_like(w.x_mask, dtype=bool)))
-    return out
+    X, mask, where = distinct_rows(windows)
+    return fill_windows(windows, imputer.transform(X, mask), where)
 
 
 class BmcImputer:
@@ -293,12 +270,12 @@ class BmcImputer:
     def clone(self) -> "BmcImputer":
         return BmcImputer(self.rank)
 
-    def fit(self, matrix: ImputationMatrix) -> "BmcImputer":
-        self.completed, self.model = bmc_fit(matrix.X, matrix.mask, self.rank)
+    def fit(self, X: np.ndarray, mask: np.ndarray) -> "BmcImputer":
+        self.completed, self.model = bmc_fit(X, mask, self.rank)
         return self
 
-    def transform(self, matrix: ImputationMatrix) -> np.ndarray:
-        return impute_rows(matrix.X, matrix.mask, self.model)
+    def transform(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return impute_rows(X, mask, self.model)
 
 
 class MeanImputer:
@@ -311,13 +288,13 @@ class MeanImputer:
     def clone(self) -> "MeanImputer":
         return MeanImputer()
 
-    def fit(self, matrix: ImputationMatrix) -> "MeanImputer":
-        self.col_means = _column_means(matrix.X, matrix.mask)
-        self.completed = self.transform(matrix)
+    def fit(self, X: np.ndarray, mask: np.ndarray) -> "MeanImputer":
+        self.col_means = _column_means(X, mask)
+        self.completed = self.transform(X, mask)
         return self
 
-    def transform(self, matrix: ImputationMatrix) -> np.ndarray:
-        return np.where(matrix.mask, matrix.X, self.col_means)
+    def transform(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return np.where(mask, X, self.col_means)
 
 
 class KnnImputer:
@@ -342,16 +319,16 @@ class KnnImputer:
     def clone(self) -> "KnnImputer":
         return KnnImputer(self.k)
 
-    def fit(self, matrix: ImputationMatrix) -> "KnnImputer":
-        self.train_X = matrix.X.copy()
-        self.train_mask = matrix.mask.copy()
-        self.col_means = _column_means(matrix.X, matrix.mask)
-        self.completed = self.transform(matrix)
+    def fit(self, X: np.ndarray, mask: np.ndarray) -> "KnnImputer":
+        self.train_X = np.array(X, dtype=float)
+        self.train_mask = np.array(mask, dtype=bool)
+        self.col_means = _column_means(X, mask)
+        self.completed = self.transform(X, mask)
         return self
 
-    def transform(self, matrix: ImputationMatrix) -> np.ndarray:
-        out = np.array(matrix.X, dtype=float)
-        for i in np.flatnonzero(~matrix.mask.all(axis=1)):
-            out[i] = _knn_fill_row(out[i], matrix.mask[i], self.train_X, self.train_mask, self.k, self.col_means)
+    def transform(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        out = np.array(X, dtype=float)
+        for i in np.flatnonzero(~mask.all(axis=1)):
+            out[i] = _knn_fill_row(out[i], mask[i], self.train_X, self.train_mask, self.k, self.col_means)
         return out
 

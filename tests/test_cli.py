@@ -11,7 +11,7 @@ from cenrank.baselines import ols_fit
 from cenrank.cli import dispatch
 from cenrank.cohort import assemble_design, extract_windows, load_cohort
 from cenrank.evaluation import predict_windows
-from cenrank.imputation import build_imputation_matrix, fill_windows
+from cenrank.imputation import impute_windows
 from cenrank.modelio import load_imputer, load_model, save_model
 from cenrank.solver import ModelParams
 
@@ -46,8 +46,7 @@ def mean_imputer(cohort_dir, tmp_path):
 def filled_windows(cohort_dir, imputer_path, T=4):
     """The cohort's windows filled in process by a saved imputer, as `cenrank predict` fills them."""
     windows = extract_windows(load_cohort(*cohort_files(cohort_dir)), T)
-    matrix = build_imputation_matrix(windows)
-    return fill_windows(windows, load_imputer(imputer_path).transform(matrix), matrix.row_index)
+    return impute_windows(windows, load_imputer(imputer_path))
 
 
 def cv_report_text(fold_maes):
@@ -104,9 +103,7 @@ class TestTrainPredict:
         cohort = load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
                              cohort_dir / "variables.txt")
         windows = extract_windows(cohort, 4)
-        imputer = load_imputer(run / "imputer_model.json")
-        matrix = build_imputation_matrix(windows)
-        filled = fill_windows(windows, imputer.transform(matrix), matrix.row_index)
+        filled = impute_windows(windows, load_imputer(run / "imputer_model.json"))
         model = load_model(run / "model.json")
         expected = predict_windows(model, filled)
         with open(pred / "predictions.csv") as fh:
@@ -376,12 +373,10 @@ class TestImpute:
         windows = extract_windows(load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
                                               cohort_dir / "variables.txt"), 4)
         windows[0].x[0], windows[0].x_mask[0] = np.nan, False  # one fully missing day
-        matrix = build_imputation_matrix(windows)
         for imp in ("mean", "knn"):
             out = tmp_path / f"imp_{imp}"
             assert dispatch(["impute", *cohort_args(cohort_dir), "--out", str(out), "--imputer", imp]) == 0
-            loaded = load_imputer(out / "imputer_model.json")
-            filled = np.stack([w.x for w in fill_windows(windows, loaded.transform(matrix), matrix.row_index)])
+            filled = np.stack([w.x for w in impute_windows(windows, load_imputer(out / "imputer_model.json"))])
             assert np.isfinite(filled).all()
 
 
@@ -402,6 +397,32 @@ class TestErrors:
         cfg.write_text(json.dumps({"durations": "3", "bogus_key": 1}))
         code = dispatch(["cv", *cohort_args(cohort_dir), "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 1
+
+    @pytest.mark.parametrize("command, key, value, accepted", [
+        ("train", "T", "5", False),
+        ("train", "T", 5.0, False),
+        ("train", "T", True, False),
+        ("synth", "round_onsets", "no", False),
+        ("synth", "round_onsets", 1, False),
+        ("train", "lambda", False, False),
+        ("train", "imputer", "median", False),
+        ("cv", "split_unit", None, False),
+        ("predict", "imputer_model", 3, False),
+        ("train", "horizon", 21, True),
+    ])
+    def test_config_value_is_checked_like_its_flag(self, cohort_dir, tmp_path, capsys, command, key, value, accepted):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x"
+        inputs = [*cohort_args(cohort_dir), "--imputer", "mean"] if accepted else []
+        code = dispatch([command, "--config", str(cfg), "--out", str(out), *inputs])
+        if accepted:
+            assert code == 0
+            assert json.loads((out / "effective_config.json").read_text())[key] == value
+        else:
+            assert code == 1
+            assert f"{key} must be" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_non_numeric_value_is_data_error(self, cohort_dir, tmp_path, capsys):
         bad = tmp_path / "observations.csv"

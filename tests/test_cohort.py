@@ -103,6 +103,21 @@ class TestLoadCohort:
         with pytest.raises(DataError, match=rf"{bad_file} line {line}: "):
             load_cohort(obs, out, dic)
 
+    @pytest.mark.parametrize("observations, error, message", [
+        (["A,1,hr,60", "A,x,hr,60", "A,2,hr,fast"], DataError, "line 3: day must be an integer"),
+        (["A,1,hr,60", "A,1,hr,61", "A,2,hr,fast"], DuplicateRecordError, "line 3: duplicate record"),
+        (["A,1,glow,fast"], UnknownVariableError, "line 2: unknown variable 'glow'"),
+        (["A,x,hr,fast"], DataError, "line 2: day must be an integer"),
+        (["A,1,hr,60", "B,1,hr,1", "A,1,hr,61"], DuplicateRecordError,
+         r"line 4: duplicate record for \('A', day 1, 'hr'\)"),
+        (["A,0,hr,60"], DataError, "line 2: day must be >= 1, got 0"),
+    ], ids=["earlier_of_two_bad_lines", "duplicate_before_bad_value", "unknown_variable_before_value",
+            "day_before_value", "duplicate_names_second_line", "day_zero"])
+    def test_first_error_in_file_order_is_reported(self, tmp_path, observations, error, message):
+        obs, out, dic = write_cohort_files(tmp_path, observations, ["A,0,,21", "B,0,,21"], ["hr"])
+        with pytest.raises(error, match=rf"observations.csv {message}"):
+            load_cohort(obs, out, dic)
+
     def test_write_load_roundtrip_is_exact(self, tmp_path):
         cohort, _ = generate_cohort(
             SyntheticSpec(n_subjects=12, days_per_subject=7, P=4, T_star=3,

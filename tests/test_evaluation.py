@@ -18,7 +18,7 @@ from cenrank.evaluation import (
     predict_windows,
     write_report_csvs,
 )
-from cenrank.imputation import BmcImputer, MeanImputer, build_imputation_matrix, impute_new
+from cenrank.imputation import BmcImputer, MeanImputer, distinct_rows, impute_new
 from cenrank.modelio import load_cv_report, save_cv_report
 from cenrank.solver import ModelParams, SolverOptions
 from cenrank.synthetic import SyntheticSpec, generate_cohort
@@ -155,8 +155,10 @@ class TestCrossValidate:
         test_idx = split_folds(windows, 3, unit="sample", seed=0)[0]
         train_idx = np.setdiff1d(np.arange(len(windows)), test_idx)
         train_filled, test_filled, imputer = impute_split(windows, train_idx, test_idx, BmcImputer(rank=3))
-        train_matrix = build_imputation_matrix([windows[i] for i in train_idx])
-        train_rows = {key: i for i, key in enumerate(train_matrix.row_index)}
+        train = [windows[i] for i in train_idx]
+        _, _, where = distinct_rows(train)
+        train_rows = {(w.subject_id, w.window_end_day - 3 + t): where[i, t]
+                      for i, w in enumerate(train) for t in range(4)}
         checked = differs = 0
         for raw, filled in zip((windows[i] for i in test_idx), test_filled):
             for t in range(4):

@@ -3,23 +3,24 @@ import warnings
 import numpy as np
 import pytest
 
+from cenrank.cohort import WindowSample, extract_windows
 from cenrank.errors import EmptyColumnError, NumericalError
 from cenrank.imputation import (
     BmcImputer,
     BmcModel,
-    ImputationMatrix,
     KnnImputer,
     MeanImputer,
     bmc_fit,
-    build_imputation_matrix,
-    cohort_matrix,
     compute_bounds,
+    distinct_rows,
     fill_windows,
     impute_new,
     impute_rows,
+    impute_windows,
 )
 from cenrank.modelio import load_imputer, save_imputer
 from cenrank.synthetic import SyntheticSpec, generate_cohort, generate_lowrank_matrix
+from helpers import tiny_cohort
 
 
 def bmc_oracle(X, mask, r, n_iter=200):
@@ -213,23 +214,25 @@ class TestImputeRows:
     def fitted(self):
         spec = SyntheticSpec(n_subjects=100, days_per_subject=6, P=10, T_star=5, true_rank=2,
                              noise_sigma=1.0, missing_rate=0.2, latent_rank=8, seed=5)
-        matrix = cohort_matrix(generate_cohort(spec)[0])
-        assert matrix.X.shape[0] >= 500
-        assert matrix.mask.all(axis=1).any() and not matrix.mask.all()
-        return matrix, BmcImputer(rank=3).fit(matrix).model
+        subjects = generate_cohort(spec)[0].subjects
+        X = np.concatenate([s.values for s in subjects])
+        mask = np.concatenate([s.mask for s in subjects])
+        assert X.shape[0] >= 500
+        assert mask.all(axis=1).any() and not mask.all()
+        return X, mask, BmcImputer(rank=3).fit(X, mask).model
 
     def test_matches_one_row_at_a_time(self, fitted):
-        matrix, model = fitted
+        X, mask, model = fitted
         trace = []
-        out = impute_rows(matrix.X, matrix.mask, model, trace_out=trace)
-        for i in range(matrix.X.shape[0]):
-            observed = np.flatnonzero(matrix.mask[i])
-            assert np.max(np.abs(out[i] - impute_new(matrix.X[i], observed, model))) <= 1e-12
-            assert np.max(np.abs(out[i] - impute_oracle(matrix.X[i], matrix.mask[i], model))) <= 1e-12
+        out = impute_rows(X, mask, model, trace_out=trace)
+        for i in range(X.shape[0]):
+            observed = np.flatnonzero(mask[i])
+            assert np.max(np.abs(out[i] - impute_new(X[i], observed, model))) <= 1e-12
+            assert np.max(np.abs(out[i] - impute_oracle(X[i], mask[i], model))) <= 1e-12
         assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
-        full = matrix.mask.all(axis=1)
-        assert np.array_equal(out[full], matrix.X[full])
-        assert np.array_equal(out[matrix.mask], matrix.X[matrix.mask])
+        full = mask.all(axis=1)
+        assert np.array_equal(out[full], X[full])
+        assert np.array_equal(out[mask], X[mask])
 
     def test_one_row_trace_is_the_row_trace(self):
         rows_trace, row_trace = [], []
@@ -245,20 +248,18 @@ class TestImputeRows:
 class TestTransform:
     X = np.array([[1.0, 2.0, np.nan], [np.nan, np.nan, 6.0], [0.5, 1.0, 3.0], [4.0, np.nan, 1.0]])
 
-    def _matrix(self):
-        return ImputationMatrix(X=self.X.copy(), mask=~np.isnan(self.X), row_index=[("S", d) for d in range(4)])
+    def _rows(self):
+        return self.X.copy(), ~np.isnan(self.X)
 
     def test_mean_transform_fills_training_means(self):
-        train = ImputationMatrix(X=np.array([[2.0, 4.0, 0.0], [4.0, 8.0, 3.0]]), mask=np.ones((2, 3), bool),
-                                 row_index=[("T", 1), ("T", 2)])
-        out = MeanImputer().fit(train).transform(self._matrix())
+        train = np.array([[2.0, 4.0, 0.0], [4.0, 8.0, 3.0]]), np.ones((2, 3), bool)
+        out = MeanImputer().fit(*train).transform(*self._rows())
         expected = np.where(np.isnan(self.X), np.array([3.0, 6.0, 1.5]), self.X)
         assert np.array_equal(out, expected)
 
     def test_knn_transform_matches_per_row_neighbours(self):
         train_X = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, np.nan], [5.0, 5.0, 5.0], [1.0, np.nan, 7.0]])
-        train = ImputationMatrix(X=train_X, mask=~np.isnan(train_X), row_index=[("T", d) for d in range(4)])
-        out = KnnImputer(k=2).fit(train).transform(self._matrix())
+        out = KnnImputer(k=2).fit(train_X, ~np.isnan(train_X)).transform(*self._rows())
         expected = self.X.copy()
         train_mask = ~np.isnan(train_X)
         for i, j in zip(*np.nonzero(np.isnan(self.X))):
@@ -276,7 +277,7 @@ class TestTransform:
 
 def completed(imputer, X, mask):
     """The training completion of an imputer fitted on X."""
-    return imputer.fit(ImputationMatrix(X=X, mask=mask, row_index=[])).completed
+    return imputer.fit(X, mask).completed
 
 
 class TestMeanImpute:
@@ -344,22 +345,85 @@ class TestKnnImpute:
                 assert out[i, j] == pytest.approx(expect, abs=1e-12)
 
 
+def window(subject_id, end_day, T=2, P=2, missing=()):
+    """A T x P window whose cell (t, j) holds end_day - T + 1 + t + j / 10, with `missing` cells masked out."""
+    days = end_day - T + 1 + np.arange(T)
+    x = days[:, None] + np.arange(P) / 10.0
+    x_mask = np.ones((T, P), dtype=bool)
+    for cell in missing:
+        x[cell], x_mask[cell] = np.nan, False
+    return WindowSample(x=x, x_mask=x_mask, y=1.0, censored=False, subject_id=subject_id, window_end_day=end_day)
+
+
+def row_keys(windows, where):
+    """The (subject, day) key of each distinct row, read back through `where`; a row has one key."""
+    keys = {}
+    for w, rows in zip(windows, where):
+        first = w.window_end_day - where.shape[1] + 1
+        for t, row in enumerate(rows):
+            key = (w.subject_id, first + t)
+            assert keys.setdefault(int(row), key) == key
+    return [keys[i] for i in range(len(keys))]
+
+
 class TestWindowMatrixPlumbing:
     def test_unique_rows_and_refill(self):
-        from cenrank.cohort import extract_windows
-        from helpers import tiny_cohort
-
         windows = extract_windows(tiny_cohort(), T=3)
-        matrix = build_imputation_matrix(windows)
-        assert len(matrix.row_index) == len(set(matrix.row_index))
-        days = {(sid, day) for sid, day in matrix.row_index}
-        assert ("A", 1) in days and ("B", 6) in days
-        completed = np.nan_to_num(matrix.X, nan=-1.0)
-        filled = fill_windows(windows, completed, matrix.row_index)
+        X, mask, where = distinct_rows(windows)
+        keys = row_keys(windows, where)
+        assert len(keys) == len(set(keys)) == X.shape[0] == mask.shape[0]
+        assert ("A", 1) in keys and ("B", 6) in keys
+        completed = np.nan_to_num(X, nan=-1.0)
+        filled = fill_windows(windows, completed, where)
         assert all(w.x_mask.all() for w in filled)
         # row content propagated back into the right window slots
         first = filled[0]
-        assert np.array_equal(first.x[0], completed[matrix.row_index.index((first.subject_id, first.window_end_day - 2))])
+        assert np.array_equal(first.x[0], completed[keys.index((first.subject_id, first.window_end_day - 2))])
+
+    def test_shuffled_windows_give_rows_in_first_appearance_order(self):
+        windows = extract_windows(tiny_cohort(), T=2)
+        shuffled = [windows[i] for i in np.random.default_rng(0).permutation(len(windows))]
+        X, _, where = distinct_rows(shuffled)
+        expected = []
+        for w in shuffled:
+            for day in (w.window_end_day - 1, w.window_end_day):
+                if (w.subject_id, day) not in expected:
+                    expected.append((w.subject_id, day))
+        assert row_keys(shuffled, where) == expected
+        assert expected[0] != ("A", 1)  # the shuffle moved the first window
+        for w, rows in zip(shuffled, where):
+            assert np.array_equal(X[rows], w.x, equal_nan=True)
+
+    def test_subjects_with_the_same_days_never_share_a_row(self):
+        windows = [window("A", 3), window("B", 3), window("A", 4), window("B", 4)]
+        X, _, where = distinct_rows(windows)
+        assert row_keys(windows, where) == [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("A", 4), ("B", 4)]
+        assert X.shape[0] == 6
+        assert not set(where[0]) & set(where[1])
+
+    @pytest.mark.parametrize("T, stride", [(1, 1), (2, 3), (3, 5)])
+    def test_short_windows_and_strides_beyond_T(self, T, stride):
+        windows = extract_windows(tiny_cohort(), T=T, stride=stride)
+        X, mask, where = distinct_rows(windows)
+        assert where.shape == (len(windows), T)
+        assert X.shape[0] == len(windows) * T  # windows that do not overlap share no row
+        assert sorted(where.ravel().tolist()) == list(range(X.shape[0]))
+        for w, rows in zip(windows, where):
+            assert np.array_equal(X[rows], w.x, equal_nan=True) and np.array_equal(mask[rows], w.x_mask)
+
+    def test_refilled_windows_keep_their_observed_cells(self):
+        windows = [window("A", 3, missing=[(0, 1)]), window("A", 4, missing=[(1, 0)]), window("B", 3)]
+        train = np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 6.0]]), np.ones((3, 2), bool)
+        imputer = MeanImputer().fit(*train)
+        for raw, filled in zip(windows, impute_windows(windows, imputer)):
+            assert filled.x_mask.all()
+            assert np.array_equal(filled.x[raw.x_mask], raw.x[raw.x_mask])
+            assert np.array_equal(filled.x[~raw.x_mask], imputer.col_means[np.nonzero(~raw.x_mask)[1]])
+
+    def test_no_windows_no_rows(self):
+        assert impute_windows([], MeanImputer()) == []
+        with pytest.raises(EmptyColumnError):
+            distinct_rows([])
 
 
 class TestBmcPersistence:
@@ -368,7 +432,7 @@ class TestBmcPersistence:
         X = rng.standard_normal((30, 5))
         mask = rng.random((30, 5)) >= 0.2
         mask[0] = True
-        imputer = BmcImputer(rank=2).fit(ImputationMatrix(X=np.where(mask, X, np.nan), mask=mask, row_index=[]))
+        imputer = BmcImputer(rank=2).fit(np.where(mask, X, np.nan), mask)
         model = imputer.model
         path = tmp_path / "bmc.json"
         save_imputer(path, imputer, [f"v{i}" for i in range(5)])
