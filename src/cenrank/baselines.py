@@ -15,15 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import DesignSet
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .solver import ModelParams, check_lambda
 
 
 @dataclass
 class SvrOptions:
     tol: float = 1e-8
-    max_iter: int = 5000
-    patience: int = 50
+    max_iter: int = 100
 
 
 def _augmented(design: DesignSet, lambda_: float, censored_mode: str):
@@ -65,21 +64,26 @@ def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weigh
 def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
             lambda_: float = 0.0, censored_mode: str = "weighted",
             options: SvrOptions | None = None, trace_out: list | None = None) -> ModelParams:
-    """Linear epsilon-insensitive SVR by deterministic subgradient descent.
+    """Linear epsilon-insensitive SVR by a primal-dual interior-point method.
 
-    Minimizes 1/2 ||w||^2 + C * sum max(0, |z'theta - y| - eps) over the
-    complete samples, plus the lambda-weighted censored terms in weighted
-    mode. Both sample sets are stacked once, with per-sample weights C and
-    C * lambda, so each step makes one residual pass: it gives the objective
-    at the new iterate and the signed weights of the samples outside the
-    tube, from which the next subgradient follows. Steps are normalized
-    subgradients at a constant length that is halved (restarting from the
-    best iterate) whenever `patience` steps pass without a relative
-    improvement of tol, so the kept objective decays geometrically. Stops
-    once the step has shrunk below 1e-12 of its starting value or the
-    subgradient vanishes; stopping at max_iter instead emits a
-    RuntimeWarning. The best iterate is returned and `trace_out`, if given,
-    records its objective per step (non-increasing).
+    Minimizes 1/2 ||w||^2 + sum c_i max(0, |z_i'theta - y_i| - eps) over
+    theta = (w, b), with c_i = C for complete samples and C * lambda for the
+    censored ones, which are stacked only in weighted mode with lambda > 0.
+    This is the QP
+
+        min 1/2 ||w||^2 + c'(xi + xi*)
+        s.t. s = eps + xi - r >= 0,  s* = eps + xi* + r >= 0,  xi, xi* >= 0
+
+    in r = Z'theta - y, solved by Mehrotra predictor-corrector steps from a
+    strictly feasible start. Eliminating the diagonal blocks leaves one
+    Cholesky factorisation of diag(1, ..., 1, 0) + Z D Z' per iteration,
+    (d + 1) x (d + 1). The fit stops once the duality gap is at most tol
+    times 1 + |primal objective| and both residuals are at most tol times
+    their data scale; stopping at max_iter instead emits a RuntimeWarning.
+    `trace_out`, if given, records the best objective after each iteration
+    (non-increasing). After the last iteration, b is set exactly for the
+    final w; where a whole interval minimizes, b is its point nearest
+    mean(y_complete). A non-finite iterate raises NumericalError.
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -87,50 +91,95 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
         raise ValueError("epsilon_tube must be nonnegative")
     opts = options or SvrOptions()
     Z, y, Zc, yc = _augmented(design, lambda_, censored_mode)
-    theta = np.zeros(Z.shape[0])
-    theta[-1] = float(y.mean())
-    eta0 = max(1.0, float(np.std(y)))
-    eta = eta0
-
-    weight = np.full(y.size, C)
+    b_start = float(y.mean())
+    c = np.full(y.size, C)
     if lambda_ != 0.0 and yc.size:
         Z, y = np.hstack([Z, Zc]), np.concatenate([y, yc])
-        weight = np.concatenate([weight, np.full(yc.size, C * lambda_)])
+        c = np.concatenate([c, np.full(yc.size, C * lambda_)])
+    eps = epsilon_tube
+    reg = np.ones(Z.shape[0])
+    reg[-1] = 0.0  # the intercept is not regularized
+    signs = np.array([[1.0], [-1.0]])
 
-    def evaluate(theta):
-        # sign(excess) is 1 outside the tube and 0 inside it
-        res = Z.T @ theta - y
-        excess = np.maximum(np.abs(res) - epsilon_tube, 0.0)
-        signs = weight * np.sign(res) * np.sign(excess)
-        return 0.5 * float(theta[:-1] @ theta[:-1]) + float(weight @ excess), signs
+    def residuals(theta, dual, slack):
+        # rows of slack: s, s*, xi, xi*; rows of dual: their multipliers
+        r = Z.T @ theta - y
+        primal = slack[:2] - eps - slack[2:] + signs * r
+        return r, primal, reg * theta + Z @ (dual[0] - dual[1]), c - dual[:2] - dual[2:]
 
-    best = theta
-    best_obj, signs = evaluate(theta)
-    best_signs = signs
-    stall = 0
+    # strictly feasible start: w = 0, b = mean(y), xi and xi* one unit above
+    # the tube excess, every multiplier at c / 2
+    theta = np.zeros(Z.shape[0])
+    theta[-1] = b_start
+    r = Z.T @ theta - y
+    xi = np.maximum(signs * r - eps, 0.0) + max(1.0, float(np.std(y)))
+    slack = np.vstack([eps + xi - signs * r, xi])
+    dual = np.tile(c / 2, (4, 1))
+    r, primal, stationarity, dual_box = residuals(theta, dual, slack)
+    primal_scale = 1.0 + float(np.abs(y).max()) + eps
+    dual_scale = 1.0 + float(c.max())
+
+    def max_step(d_dual, d_slack):
+        v, dv = np.concatenate([dual, slack]), np.concatenate([d_dual, d_slack])
+        shrinking = dv < 0
+        return min(1.0, float(np.min(-v[shrinking] / dv[shrinking], initial=np.inf)))
+
+    best = 0.5 * float(theta[:-1] @ theta[:-1]) + float(c @ np.maximum(np.abs(r) - eps, 0.0))
+    converged = False
     for _ in range(opts.max_iter):
-        g = Z @ signs
-        g[:-1] += theta[:-1]
-        norm = np.linalg.norm(g)
-        if norm == 0.0:
-            break
-        theta = theta - eta * (g / norm)
-        obj, signs = evaluate(theta)
-        if obj < best_obj - opts.tol * max(abs(best_obj), 1.0):
-            best, best_obj, best_signs = theta, obj, signs
-            stall = 0
-        else:
-            stall += 1
-            if stall >= opts.patience:
-                eta *= 0.5
-                theta, signs = best, best_signs
-                stall = 0
-                if eta < 1e-12 * eta0:
-                    break
+        g = slack[:2] / dual[:2] + slack[2:] / dual[2:]
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(np.diag(reg) + (Z * (1.0 / g).sum(axis=0)) @ Z.T))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("svr_fit: the Newton system is non-finite or not positive definite") from exc
+
+        def newton(rc):
+            # Newton step for the complementarity targets dual * slack = dual * slack - rc
+            u = primal - rc[:2] / dual[:2] + (rc[2:] + slack[2:] * dual_box) / dual[2:]
+            d_theta = L_inv.T @ (L_inv @ (-stationarity - Z @ (signs * u / g).sum(axis=0)))
+            d_tube = (u + signs * (Z.T @ d_theta)) / g
+            d_dual = np.vstack([d_tube, dual_box - d_tube])
+            return d_theta, d_dual, -(rc + slack * d_dual) / dual
+
+        gap = float(np.sum(dual * slack))
+        _, aff_dual, aff_slack = newton(dual * slack)
+        t = max_step(aff_dual, aff_slack)
+        gap_aff = float(np.sum((dual + t * aff_dual) * (slack + t * aff_slack)))
+        target = (gap_aff / gap) ** 3 * gap / dual.size
+        d_theta, d_dual, d_slack = newton(dual * slack + aff_dual * aff_slack - target)
+        t = min(1.0, 0.99 * max_step(d_dual, d_slack))
+        theta, dual, slack = theta + t * d_theta, dual + t * d_dual, slack + t * d_slack
+        if not np.isfinite(theta).all():
+            raise NumericalError("svr_fit produced a non-finite iterate")
+        r, primal, stationarity, dual_box = residuals(theta, dual, slack)
+        half_ww = 0.5 * float(theta[:-1] @ theta[:-1])
+        best = min(best, half_ww + float(c @ np.maximum(np.abs(r) - eps, 0.0)))
         if trace_out is not None:
-            trace_out.append(best_obj)
-    else:
-        warnings.warn(f"svr_fit stopped at max_iter={opts.max_iter} before its step length converged",
+            trace_out.append(best)
+        if (float(np.sum(dual * slack)) <= opts.tol * (1.0 + abs(half_ww + float(c @ slack[2:].sum(axis=0))))
+                and np.abs(primal).max() <= opts.tol * primal_scale
+                and max(np.abs(stationarity).max(), np.abs(dual_box).max()) <= opts.tol * dual_scale):
+            converged = True
+            break
+    if not converged:
+        warnings.warn(f"svr_fit stopped at max_iter={opts.max_iter} before its duality gap closed",
                       RuntimeWarning, stacklevel=2)
-    return ModelParams.unconstrained(best, design, lambda_, "svr",
+    theta[-1] = _exact_intercept(Z[:-1].T @ theta[:-1] - y, c, eps, b_start)
+    return ModelParams.unconstrained(theta, design, lambda_, "svr",
                                      {"C": C, "epsilon_tube": epsilon_tube, "censored_mode": censored_mode})
+
+
+def _exact_intercept(a: np.ndarray, c: np.ndarray, eps: float, prefer: float) -> float:
+    """The b minimizing sum c_i max(0, |a_i + b| - eps); of a minimizing interval, the point nearest `prefer`.
+
+    The function is convex and piecewise linear, with kinks at -a_i - eps
+    and -a_i + eps; its slope climbs from -sum(c) by c_i at each kink.
+    """
+    kinks = np.concatenate([-a - eps, -a + eps])
+    order = np.argsort(kinks, kind="stable")
+    kinks = kinks[order]
+    slope = np.cumsum(np.concatenate([c, c])[order]) - c.sum()
+    tiny = 1e-12 * float(c.sum())
+    lo = kinks[np.searchsorted(slope, -tiny, side="left")]
+    hi = kinks[np.searchsorted(slope, tiny, side="right")]
+    return float(min(max(prefer, lo), hi))

@@ -164,7 +164,9 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     `dictionary` is either a list of variable names or a path to a
     one-name-per-line text file.
 
-    Rows are checked in file order, so the first bad line is reported.
+    Rows are checked in file order, so the first bad line is reported. An
+    event-free subject's observation after its last_obs_day is an error; an
+    event subject may have observations after onset.
     Unrecorded (subject, day, variable) cells are masked missing; days with
     no rows between a subject's first and last recorded day become fully
     missing rows so windows stay contiguous.
@@ -213,6 +215,10 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
             raise DataError(f"{observations_path} line {line}: day must be an integer") from exc
         if day < 1:
             raise DataError(f"{observations_path} line {line}: day must be >= 1, got {day}")
+        outcome = outcomes.get(sid)
+        if isinstance(outcome, Censored) and day > outcome.horizon_day:
+            raise DataError(f"{observations_path} line {line}: day {day} is after last_obs_day "
+                            f"{outcome.horizon_day:g} of event-free subject {sid!r}")
         try:
             value = float(value_text)
         except ValueError as exc:

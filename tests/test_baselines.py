@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from cenrank import baselines
 from cenrank.baselines import SvrOptions, ols_fit, svr_fit
+from cenrank.cli import dispatch
 from cenrank.cohort import DesignSet
-from cenrank.errors import DataError
+from cenrank.errors import DataError, NumericalError
 from cenrank.synthetic import oracle_ols
 from helpers import random_design
 
@@ -20,12 +22,13 @@ def svr_objective(design, w_vec, b, C, eps, lam, mode):
     return obj
 
 
-def reference_svr_fit(design, C, eps, lam, mode, opts, trace_out):
-    """The unfused subgradient loop, kept as the reference for svr_fit.
+def reference_svr_fit(design, C, eps, lam, mode, trace_out, tol=1e-8, max_iter=5000, patience=50):
+    """The normalized subgradient loop svr_fit ran before its interior-point method, kept as a reference.
 
-    Complete and censored samples are held apart; each step evaluates the
-    residuals twice (subgradient at theta, objective at the new theta) and
-    copies the columns outside the tube.
+    Steps of constant length along the normalized subgradient, halved
+    (restarting from the best iterate) whenever `patience` steps pass
+    without a relative improvement of tol; `trace_out` gets the best
+    objective per step. Complete and censored samples are held apart.
     """
     Z = np.vstack([design.X_complete, np.ones((1, design.n_complete))])
     y = design.y_complete
@@ -60,18 +63,18 @@ def reference_svr_fit(design, C, eps, lam, mode, opts, trace_out):
     eta0 = max(1.0, float(np.std(y)))
     eta = eta0
     best, best_obj, stall = theta.copy(), objective(theta), 0
-    for _ in range(opts.max_iter):
+    for _ in range(max_iter):
         g = subgradient(theta)
         norm = np.linalg.norm(g)
         if norm == 0.0:
             break
         theta = theta - eta * (g / norm)
         obj = objective(theta)
-        if obj < best_obj - opts.tol * max(abs(best_obj), 1.0):
+        if obj < best_obj - tol * max(abs(best_obj), 1.0):
             best_obj, best, stall = obj, theta.copy(), 0
         else:
             stall += 1
-            if stall >= opts.patience:
+            if stall >= patience:
                 eta *= 0.5
                 theta, stall = best.copy(), 0
                 if eta < 1e-12 * eta0:
@@ -204,16 +207,67 @@ class TestSvr:
 
 @pytest.mark.parametrize("seed", range(20, 30))
 def test_svr_matches_unfused_reference(seed):
-    # one stacked residual pass per step reorders the sums but not the path
+    # the interior-point fit ends at or below the subgradient loop's best iterate
     rng = np.random.default_rng(seed)
     T, P = rng.integers(1, 4, size=2)
     design = random_design(rng, T, P, int(rng.integers(15, 60)), int(rng.integers(4, 25)))
-    opts = SvrOptions()
     for lam, mode in ((0.05, "weighted"), (0.3, "weighted"), (0.3, "ignore")):
-        got_trace, want_trace = [], []
-        got = svr_fit(design, C=2.0, epsilon_tube=0.1, lambda_=lam, censored_mode=mode, options=opts,
-                      trace_out=got_trace)
-        want_w, want_b = reference_svr_fit(design, 2.0, 0.1, lam, mode, opts, want_trace)
-        assert len(got_trace) == len(want_trace)
-        assert abs(got_trace[-1] - want_trace[-1]) <= 1e-12 * abs(want_trace[-1])
-        assert np.max(np.abs(got.w_vec - want_w)) <= 1e-9 and abs(got.b - want_b) <= 1e-9
+        got = svr_fit(design, C=2.0, epsilon_tube=0.1, lambda_=lam, censored_mode=mode)
+        want_trace = []
+        reference_svr_fit(design, 2.0, 0.1, lam, mode, want_trace)
+        got_obj = svr_objective(design, got.w_vec, got.b, 2.0, 0.1, lam, mode)
+        assert got_obj <= want_trace[-1] * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(30, 35))
+def test_svr_no_small_step_lowers_the_objective(seed):
+    rng = np.random.default_rng(seed)
+    design = random_design(rng, 2, 3, 30, 12)
+    C, eps, lam = 2.0, 0.1, 0.3
+    params = svr_fit(design, C=C, epsilon_tube=eps, lambda_=lam, censored_mode="weighted")
+    base = svr_objective(design, params.w_vec, params.b, C, eps, lam, "weighted")
+    for _ in range(200):
+        dw = rng.standard_normal(params.w_vec.size) * 1e-4
+        db = rng.standard_normal() * 1e-4
+        assert svr_objective(design, params.w_vec + dw, params.b + db, C, eps, lam, "weighted") >= base * (1 - 1e-9)
+
+
+def test_svr_cv_fold_designs_converge_at_or_below_the_reference(tmp_path, monkeypatch):
+    # the 10 SVR fits of one `cenrank cv` run shaped like the cv_grid benchmark
+    # (40 subjects x 10 days, latent rank 8, BMC, T in {4, 5}, 5 folds,
+    # defaults C = 1, eps = 0.1, lambda = 0.05 weighted)
+    fits = []
+
+    def recorded(design, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = svr_fit(design, **kwargs)
+        fits.append((design, kwargs, params))
+        return params
+
+    monkeypatch.setattr(baselines, "svr_fit", recorded)
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--out", str(data), "--seed", "0", "--n-subjects", "40", "--days-per-subject", "10",
+                     "--latent-rank", "8"]) == 0
+    assert dispatch(["cv", "--observations", str(data / "observations.csv"), "--outcomes",
+                     str(data / "outcomes.csv"), "--dictionary", str(data / "variables.txt"), "--out",
+                     str(tmp_path / "cv"), "--methods", "svr", "--imputer", "bmc", "--durations", "4,5",
+                     "--ranks", "2", "--lambdas", "0.05", "--k", "5", "--seed", "0"]) == 0
+    assert len(fits) == 10
+    for design, kwargs, params in fits:
+        assert kwargs == {"lambda_": 0.05, "censored_mode": "weighted"}
+        got = svr_objective(design, params.w_vec, params.b, 1.0, 0.1, 0.05, "weighted")
+        want_trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reference_svr_fit(design, 1.0, 0.1, 0.05, "weighted", want_trace)
+        assert got <= want_trace[-1] * (1 + 1e-6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_svr_non_finite_iterate_is_numerical_error():
+    rng = np.random.default_rng(11)
+    design = random_design(rng, 2, 3, 20, 6)
+    design.y_complete[0] = 1e200
+    with pytest.raises(NumericalError, match="non-finite"):
+        svr_fit(design, lambda_=0.3)

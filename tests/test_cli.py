@@ -436,6 +436,22 @@ class TestErrors:
         assert code == 2
         assert "observations.csv line 2" in capsys.readouterr().err
 
+    def test_day_after_last_obs_day_is_data_error(self, cohort_dir, tmp_path, capsys):
+        # one mistyped day would otherwise add about 20,000 empty days to the subject
+        outcomes = (cohort_dir / "outcomes.csv").read_text().splitlines()
+        sid = next(line.split(",")[0] for line in outcomes[1:] if line.split(",")[1] == "0")
+        lines = (cohort_dir / "observations.csv").read_text().splitlines()
+        bad = tmp_path / "observations.csv"
+        bad.write_text("\n".join([*lines, f"{sid},20000,{lines[1].split(',')[2]},1.0"]) + "\n")
+        run = tmp_path / "x"
+        code = dispatch([
+            "train", "--observations", str(bad), "--outcomes", str(cohort_dir / "outcomes.csv"),
+            "--dictionary", str(cohort_dir / "variables.txt"), "--out", str(run), "--T", "4", "--imputer", "mean",
+        ])
+        assert code == 2
+        assert f"observations.csv line {len(lines) + 1}: day 20000 is after last_obs_day" in capsys.readouterr().err
+        assert not (run / "model.json").exists()
+
     def test_row_with_too_few_fields_is_data_error(self, cohort_dir, tmp_path, capsys):
         bad = tmp_path / "observations.csv"
         lines = (cohort_dir / "observations.csv").read_text().splitlines()

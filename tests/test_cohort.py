@@ -111,12 +111,19 @@ class TestLoadCohort:
         (["A,1,hr,60", "B,1,hr,1", "A,1,hr,61"], DuplicateRecordError,
          r"line 4: duplicate record for \('A', day 1, 'hr'\)"),
         (["A,0,hr,60"], DataError, "line 2: day must be >= 1, got 0"),
+        (["A,1,hr,60", "A,22,hr,61", "A,2,hr,fast"], DataError,
+         "line 3: day 22 is after last_obs_day 21 of event-free subject 'A'"),
     ], ids=["earlier_of_two_bad_lines", "duplicate_before_bad_value", "unknown_variable_before_value",
-            "day_before_value", "duplicate_names_second_line", "day_zero"])
+            "day_before_value", "duplicate_names_second_line", "day_zero", "day_after_last_obs_day"])
     def test_first_error_in_file_order_is_reported(self, tmp_path, observations, error, message):
         obs, out, dic = write_cohort_files(tmp_path, observations, ["A,0,,21", "B,0,,21"], ["hr"])
         with pytest.raises(error, match=rf"observations.csv {message}"):
             load_cohort(obs, out, dic)
+
+    def test_event_subject_may_be_observed_after_onset(self, tmp_path):
+        obs, out, dic = write_cohort_files(tmp_path, ["A,1,hr,60", "A,9,hr,61"], ["A,1,5,2"], ["hr"])
+        (a,) = load_cohort(obs, out, dic).subjects
+        assert a.last_day == 9 and a.outcome == Event(onset_day=5)
 
     def test_write_load_roundtrip_is_exact(self, tmp_path):
         cohort, _ = generate_cohort(
