@@ -33,7 +33,6 @@ from .imputation import (
     MeanImputer,
     bmc_fit,
     compute_bounds,
-    impute_new,
 )
 from .modelio import load_imputer, load_model, save_imputer, save_model
 from .solver import (

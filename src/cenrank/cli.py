@@ -220,13 +220,13 @@ def _cmd_impute(cfg, out_dir: Path):
     cohort = _load_inputs(cfg)
     if not cohort.subjects:
         raise EmptyColumnError("cohort has no observation rows")
-    mask = np.concatenate([s.mask for s in cohort.subjects])
-    imputer = _new_imputer(cfg).fit(np.concatenate([s.values for s in cohort.subjects]), mask)
+    X = np.concatenate([s.values for s in cohort.subjects])
+    imputer = _new_imputer(cfg).fit(X)
     labels = ([s.subject_id, s.first_day + t] for s in cohort.subjects for t in range(s.values.shape[0]))
     rows = [label + ["%.17g" % v for v in values] for label, values in zip(labels, imputer.completed)]
     write_csv(out_dir / "completed_matrix.csv", ["subject_id", "day"] + cohort.variables, rows)
     modelio.save_imputer(out_dir / "imputer_model.json", imputer, cohort.variables)
-    print(f"imputed {int((~mask).sum())} missing cells over {mask.shape[0]} rows")
+    print(f"imputed {int(np.isnan(X).sum())} missing cells over {X.shape[0]} rows")
 
 
 def _cmd_train(cfg, out_dir: Path):
@@ -260,7 +260,7 @@ def _cmd_predict(cfg, out_dir: Path):
         raise DataError(f"no windows of length {T} could be extracted")
     if cfg["imputer_model"]:
         windows = impute_windows(windows, modelio.load_imputer(cfg["imputer_model"], cohort.variables))
-    elif any(not w.x_mask.all() for w in windows):
+    elif any(np.isnan(w.x).any() for w in windows):
         raise UnimputedSampleError("cohort has missing cells; pass --imputer-model to fill them")
     preds = evaluation.predict_windows(model, windows)
     rows = [

@@ -1,14 +1,16 @@
 """Cohort ingestion and sliding-window sample construction.
 
 A cohort is a set of subjects, each carrying a daily observation matrix
-(days x variables) with a missing-value mask and an outcome: either the
-day the event was observed or the horizon up to which the subject stayed
-event-free. Windows of T consecutive days become the regression samples;
-a window from an event subject is labeled with the remaining days to
-onset, a window from an event-free subject with the remaining days to the
-censoring horizon. `load_cohort` scatters every observed cell into one
+(days x variables), NaN where a cell was not recorded, and an outcome:
+either the day the event was observed or the horizon up to which the
+subject stayed event-free. Windows of T consecutive days become the
+regression samples; a window from an event subject is labeled with the
+remaining days to onset, a window from an event-free subject with the
+remaining days to the censoring horizon. `load_cohort` scatters every observed cell into one
 N x P day-row array, ordered subject by subject (in order of first
-appearance) and day by day; each subject's values and mask are slices of it.
+appearance) and day by day; each subject's values are a slice of it. NaN is
+the only marker of a missing cell: the `mask` and `x_mask` properties are
+derived from it.
 """
 
 from __future__ import annotations
@@ -51,15 +53,19 @@ Outcome = Event | Censored
 class SubjectSeries:
     """One subject's daily observations.
 
-    values is D x P with NaN at unobserved cells; mask is True where a
-    measurement was recorded. Row t corresponds to day first_day + t.
+    values is D x P with NaN at unobserved cells, and row t corresponds to
+    day first_day + t. The read-only `mask`, True where a measurement was
+    recorded, is computed from the NaNs on every access.
     """
 
     subject_id: str
     first_day: int
     values: np.ndarray
-    mask: np.ndarray
     outcome: Outcome
+
+    @property
+    def mask(self) -> np.ndarray:
+        return ~np.isnan(self.values)
 
     @property
     def last_day(self) -> int:
@@ -78,14 +84,19 @@ class WindowSample:
 
     y = onset_day - window_end_day for complete samples (always > 0);
     y = horizon - window_end_day, clamped at 0, for censored samples.
+    x holds NaN at unobserved cells until the window is imputed; the
+    read-only `x_mask` is computed from the NaNs on every access.
     """
 
     x: np.ndarray
-    x_mask: np.ndarray
     y: float
     censored: bool
     subject_id: str
     window_end_day: int
+
+    @property
+    def x_mask(self) -> np.ndarray:
+        return ~np.isnan(self.x)
 
 
 @dataclass
@@ -167,7 +178,7 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     Rows are checked in file order, so the first bad line is reported. An
     event-free subject's observation after its last_obs_day is an error; an
     event subject may have observations after onset.
-    Unrecorded (subject, day, variable) cells are masked missing; days with
+    Unrecorded (subject, day, variable) cells are NaN; days with
     no rows between a subject's first and last recorded day become fully
     missing rows so windows stay contiguous.
     """
@@ -240,7 +251,6 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     start = np.concatenate([[0], np.cumsum(last - first + 1)])
     values = np.full((start[-1], len(variables)), np.nan)
     values[start[code] + days - first[code], col] = list(cells.values())
-    mask = ~np.isnan(values)
 
     subjects = []
     for sid, c in codes.items():
@@ -253,7 +263,7 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
                 f"subject {sid!r}: onset_day {outcome.onset_day} is not after first observed day {first_day}"
             )
         rows = slice(start[c], start[c + 1])
-        subjects.append(SubjectSeries(sid, first_day, values[rows], mask[rows], outcome))
+        subjects.append(SubjectSeries(sid, first_day, values[rows], outcome))
 
     return Cohort(subjects=subjects, variables=variables)
 
@@ -285,7 +295,6 @@ def extract_windows(cohort: Cohort, T: int, stride: int = 1, horizon: float = 21
             samples.append(
                 WindowSample(
                     x=series.values[start : start + T].copy(),
-                    x_mask=series.mask[start : start + T].copy(),
                     y=float(y),
                     censored=censored,
                     subject_id=series.subject_id,
@@ -316,7 +325,7 @@ def stack_windows(samples: list[WindowSample], shape: tuple[int, int]) -> np.nda
         where = f"window of subject {s.subject_id!r} ending day {s.window_end_day}"
         if s.x.shape != shape:
             raise DataError(f"{where} has shape {s.x.shape}, expected {shape}")
-        if not s.x_mask.all():
+        if np.isnan(s.x).any():
             raise UnimputedSampleError(f"{where} has unimputed cells")
     if not samples:
         return np.zeros((shape[0] * shape[1], 0)).T
@@ -398,9 +407,10 @@ def write_cohort(cohort: Cohort, observations_path, outcomes_path, dictionary_pa
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subject_id", "day", "variable", "value"])
         for s in cohort.subjects:
+            observed = s.mask
             for t in range(s.values.shape[0]):
                 for j, name in enumerate(cohort.variables):
-                    if s.mask[t, j]:
+                    if observed[t, j]:
                         writer.writerow([s.subject_id, s.first_day + t, name, "%.17g" % s.values[t, j]])
     with open(outcomes_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

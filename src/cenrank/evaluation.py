@@ -10,6 +10,7 @@ from the training completion.
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 from dataclasses import dataclass, field
@@ -124,8 +125,8 @@ def impute_split(windows, train_idx, test_idx, imputer):
     """
     train = [windows[i] for i in train_idx]
     test = [windows[i] for i in test_idx]
-    X, mask, where = distinct_rows(train)
-    imp = imputer.clone().fit(X, mask)
+    X, where = distinct_rows(train)
+    imp = copy.copy(imputer).fit(X)
     return fill_windows(train, imp.completed, where), impute_windows(test, imp), imp
 
 

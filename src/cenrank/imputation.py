@@ -5,10 +5,11 @@ SVD truncation of the current matrix with a box-constrained refill of the
 missing cells, where each variable's box is the observed min/max of its
 column. Test-time rows are filled, all in one batch, by projecting onto
 the fitted daily basis under the same bounds. Column-mean and KNN imputers
-are provided as benchmarks. Imputers take N x P day rows and their mask:
-`fit(X, mask)` keeps the training completion in `completed`, `transform(X,
-mask)` fills new rows. `distinct_rows` indexes a window set's distinct
-(subject, day) rows once; `fill_windows` gathers completed rows back.
+are provided as benchmarks. Imputers take N x P day rows in which NaN,
+and only NaN, marks a missing cell: `fit(X)` keeps the training completion
+in `completed`, `transform(X)` fills new rows. An infinite entry is a
+NumericalError. `distinct_rows` indexes a window set's distinct (subject,
+day) rows once; `fill_windows` gathers completed rows back.
 """
 
 from __future__ import annotations
@@ -39,28 +40,22 @@ class BmcModel:
     col_means: np.ndarray
 
 
-def compute_bounds(X: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Observed per-column min and max; raises EmptyColumn for all-missing columns."""
+def compute_bounds(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column min and max of the non-NaN entries; raises EmptyColumn for all-NaN columns."""
     X = np.asarray(X, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    _check_columns(mask)
-    Xm = np.where(mask, X, np.nan)
-    with np.errstate(invalid="ignore"):
-        lower = np.nanmin(Xm, axis=0)
-        upper = np.nanmax(Xm, axis=0)
-    return lower, upper
+    _check_columns(X)
+    return np.nanmin(X, axis=0), np.nanmax(X, axis=0)
 
 
-def _check_columns(mask):
-    empty = np.flatnonzero(~mask.any(axis=0))
+def _check_columns(X):
+    empty = np.flatnonzero(np.isnan(X).all(axis=0))
     if empty.size:
         raise EmptyColumnError(f"columns with no observed entries: {empty.tolist()}")
 
 
-def _column_means(X, mask):
-    _check_columns(mask)
-    with np.errstate(invalid="ignore"):
-        return np.nansum(np.where(mask, X, 0.0), axis=0) / mask.sum(axis=0)
+def _column_means(X):
+    _check_columns(X)
+    return np.nanmean(X, axis=0)
 
 
 def _truncated_svd(X, r):
@@ -76,40 +71,37 @@ def _truncated_svd(X, r):
 
 def bmc_fit(
     X: np.ndarray,
-    mask: np.ndarray,
     r: int,
     tol: float = BMC_TOL,
     max_iter: int = BMC_MAX_ITER,
     bounds: tuple[np.ndarray, np.ndarray] | None = None,
     trace_out: list | None = None,
 ) -> tuple[np.ndarray, BmcModel]:
-    """Bounded rank-r completion of the missing entries of X.
+    """Bounded rank-r completion of the NaN entries of X.
 
-    Observed entries are never modified. Missing entries start at the
-    column means and are refreshed each iteration with the rank-r SVD
-    truncation of the current matrix, clamped to [lower, upper]. The fit
-    objective ||X - M||_F^2 is non-increasing; iteration stops when its
-    relative decrease drops below tol; stopping at max_iter instead emits
-    a RuntimeWarning. `bounds` overrides the observed
-    min/max boxes (used to study the unconstrained behaviour); `trace_out`,
-    if given, collects the per-iteration objective values.
+    Observed entries are never modified, and an infinite one is a
+    NumericalError. Missing entries start at the column means and are
+    refreshed each iteration with the rank-r SVD truncation of the current
+    matrix, clamped to [lower, upper]. The fit objective ||X - M||_F^2 is
+    non-increasing; iteration stops when its relative decrease drops below
+    tol; stopping at max_iter instead emits a RuntimeWarning. `bounds`
+    overrides the observed min/max boxes (used to study the unconstrained
+    behaviour); `trace_out`, if given, collects the per-iteration objective
+    values.
     """
     X = np.array(X, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
     if r < 1 or r > min(X.shape):
         raise ValueError(f"rank {r} must lie in [1, min{X.shape}]")
-    if X.shape != mask.shape:
-        raise ValueError("X and mask shapes differ")
-    if not np.all(np.isfinite(X[mask])):
+    if np.isinf(X).any():
         raise NumericalError("observed entries contain non-finite values")
     if bounds is None:
-        lower, upper = compute_bounds(X, mask)
+        lower, upper = compute_bounds(X)
     else:
         lower = np.asarray(bounds[0], dtype=float)
         upper = np.asarray(bounds[1], dtype=float)
-    col_means = _column_means(X, mask)
+    col_means = _column_means(X)
 
-    missing = ~mask
+    missing = np.isnan(X)
     init = np.clip(col_means, lower, upper)
     X[missing] = np.broadcast_to(init, X.shape)[missing]
 
@@ -135,34 +127,29 @@ def bmc_fit(
     return X, model
 
 
-def impute_rows(
-    Z: np.ndarray,
-    mask: np.ndarray,
-    model: BmcModel,
-    tol: float = IMPUTE_TOL,
-    max_iter: int = IMPUTE_MAX_ITER,
-    trace_out: list | None = None,
-) -> np.ndarray:
-    """Fill the missing entries of every row of Z by basis projection.
+def impute_rows(Z: np.ndarray, model: BmcModel, trace_out: list | None = None) -> np.ndarray:
+    """Fill the NaN entries of every row of Z by basis projection.
 
     Missing entries are seeded with the clamped training column means, then
     alpha = basis' z and z_j = clamp((basis alpha)_j) alternate on all rows
     at once. A row stops, and stays frozen, once the relative decrease of
-    its ||z - basis alpha||^2 falls below tol or its previous value is not
-    positive. Observed entries are never modified and every imputed entry
-    lies in its bounds. `trace_out`, if given, collects the summed objective.
+    its ||z - basis alpha||^2 falls below IMPUTE_TOL or its previous value
+    is not positive, and after IMPUTE_MAX_ITER iterations at the latest.
+    Observed entries are never modified, an infinite one is a
+    NumericalError, and every imputed entry lies in its bounds.
+    `trace_out`, if given, collects the summed objective.
     """
     Z = np.array(Z, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if not np.all(np.isfinite(Z[mask])):
+    if np.isinf(Z).any():
         raise NumericalError("observed entries contain non-finite values")
     U, lower, upper = model.basis, model.lower, model.upper
-    Z[~mask] = np.broadcast_to(np.clip(model.col_means, lower, upper), Z.shape)[~mask]
-    live = np.flatnonzero(~mask.all(axis=1))  # rows still iterating
+    missing = np.isnan(Z)
+    Z[missing] = np.broadcast_to(np.clip(model.col_means, lower, upper), Z.shape)[missing]
+    live = np.flatnonzero(missing.any(axis=1))  # rows still iterating
     obj = np.zeros(Z.shape[0])
-    z, missing, prev = Z[live], ~mask[live], np.full(live.size, np.inf)
+    z, missing, prev = Z[live], missing[live], np.full(live.size, np.inf)
     fitted = (z @ U) @ U.T
-    for _ in range(max_iter):
+    for _ in range(IMPUTE_MAX_ITER):
         if not live.size:
             break
         z = np.where(missing, np.clip(fitted, lower, upper), z)
@@ -171,7 +158,7 @@ def impute_rows(
         if trace_out is not None:
             trace_out.append(float(obj.sum()))
         with np.errstate(divide="ignore", invalid="ignore"):  # prev is inf on the first iteration
-            go = (prev > 0.0) & ~((prev - cur) / prev < tol)
+            go = (prev > 0.0) & ~((prev - cur) / prev < IMPUTE_TOL)
         prev = cur
         if not go.all():
             Z[live[~go]] = z[~go]
@@ -180,55 +167,12 @@ def impute_rows(
     return Z
 
 
-def impute_new(
-    z: np.ndarray,
-    observed_set,
-    model: BmcModel,
-    tol: float = IMPUTE_TOL,
-    max_iter: int = IMPUTE_MAX_ITER,
-    trace_out: list | None = None,
-) -> np.ndarray:
-    """Fill the missing entries of one daily vector: `impute_rows` on one row."""
-    z = np.array(z, dtype=float)
-    observed = np.zeros(z.size, dtype=bool)
-    observed[np.asarray(list(observed_set), dtype=int)] = True
-    return impute_rows(z[None], observed[None], model, tol, max_iter, trace_out)[0]
-
-
-def _row_distances(z, z_mask, X, mask):
-    """RMS difference to each row of X over mutually observed columns.
-
-    Rows sharing no observed column get distance +inf (ineligible).
-    """
-    shared = mask & z_mask
-    counts = shared.sum(axis=1)
-    diff = np.where(shared, X - z, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = np.sqrt((diff**2).sum(axis=1) / counts)
-    d[counts == 0] = np.inf
-    return d
-
-
-def _knn_fill_row(z, z_mask, X, mask, k, col_means):
-    dist = _row_distances(z, z_mask, X, mask)
-    out = z.copy()
-    for j in np.flatnonzero(~z_mask):
-        candidates = np.flatnonzero(mask[:, j] & np.isfinite(dist))
-        if candidates.size == 0:
-            out[j] = col_means[j]
-            continue
-        order = candidates[np.argsort(dist[candidates], kind="stable")]
-        nearest = order[:k]
-        out[j] = X[nearest, j].mean()
-    return out
-
-
-def distinct_rows(windows: list[WindowSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def distinct_rows(windows: list[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (subject, day) rows of equal-length windows and where each window finds them.
 
-    Returns (X, mask, where): X and mask hold one row per distinct
-    (subject, day), in order of first appearance across the windows, and
-    where[i, t] is the row of day t of window i.
+    Returns (X, where): X holds one row per distinct (subject, day), in
+    order of first appearance across the windows, and where[i, t] is the
+    row of day t of window i.
     """
     if not windows:
         raise EmptyColumnError("no rows to impute")
@@ -241,22 +185,21 @@ def distinct_rows(windows: list[WindowSample]) -> tuple[np.ndarray, np.ndarray, 
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))  # of each distinct key in first-appearance order
     X = np.stack([w.x for w in windows]).reshape(keys.size, -1)[np.sort(first)]
-    mask = np.stack([w.x_mask for w in windows]).reshape(keys.size, -1)[np.sort(first)]
-    return X, mask, rank[inverse].reshape(len(windows), T)
+    return X, rank[inverse].reshape(len(windows), T)
 
 
 def fill_windows(windows: list[WindowSample], completed: np.ndarray, where: np.ndarray) -> list[WindowSample]:
     """Rebuild windows with their rows gathered from a completed row matrix by `where`."""
     filled = completed[where]
-    return [replace(w, x=x, x_mask=np.ones_like(w.x_mask, dtype=bool)) for w, x in zip(windows, filled)]
+    return [replace(w, x=x) for w, x in zip(windows, filled)]
 
 
 def impute_windows(windows: list[WindowSample], imputer) -> list[WindowSample]:
     """Fill windows with a fitted imputer from their own distinct (subject, day) rows, in one batch."""
     if not windows:
         return []
-    X, mask, where = distinct_rows(windows)
-    return fill_windows(windows, imputer.transform(X, mask), where)
+    X, where = distinct_rows(windows)
+    return fill_windows(windows, imputer.transform(X), where)
 
 
 class BmcImputer:
@@ -267,15 +210,12 @@ class BmcImputer:
         self.model: BmcModel | None = None
         self.completed: np.ndarray | None = None
 
-    def clone(self) -> "BmcImputer":
-        return BmcImputer(self.rank)
-
-    def fit(self, X: np.ndarray, mask: np.ndarray) -> "BmcImputer":
-        self.completed, self.model = bmc_fit(X, mask, self.rank)
+    def fit(self, X: np.ndarray) -> "BmcImputer":
+        self.completed, self.model = bmc_fit(X, self.rank)
         return self
 
-    def transform(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return impute_rows(X, mask, self.model)
+    def transform(self, X: np.ndarray) -> np.ndarray:
+        return impute_rows(X, self.model)
 
 
 class MeanImputer:
@@ -285,16 +225,13 @@ class MeanImputer:
         self.col_means: np.ndarray | None = None
         self.completed: np.ndarray | None = None
 
-    def clone(self) -> "MeanImputer":
-        return MeanImputer()
-
-    def fit(self, X: np.ndarray, mask: np.ndarray) -> "MeanImputer":
-        self.col_means = _column_means(X, mask)
-        self.completed = self.transform(X, mask)
+    def fit(self, X: np.ndarray) -> "MeanImputer":
+        self.col_means = _column_means(X)
+        self.completed = self.transform(X)
         return self
 
-    def transform(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return np.where(mask, X, self.col_means)
+    def transform(self, X: np.ndarray) -> np.ndarray:
+        return np.where(np.isnan(X), self.col_means, X)
 
 
 class KnnImputer:
@@ -312,23 +249,32 @@ class KnnImputer:
             raise ValueError("k must be >= 1")
         self.k = k
         self.train_X: np.ndarray | None = None
-        self.train_mask: np.ndarray | None = None
         self.col_means: np.ndarray | None = None
         self.completed: np.ndarray | None = None
 
-    def clone(self) -> "KnnImputer":
-        return KnnImputer(self.k)
-
-    def fit(self, X: np.ndarray, mask: np.ndarray) -> "KnnImputer":
+    def fit(self, X: np.ndarray) -> "KnnImputer":
         self.train_X = np.array(X, dtype=float)
-        self.train_mask = np.array(mask, dtype=bool)
-        self.col_means = _column_means(X, mask)
-        self.completed = self.transform(X, mask)
+        self.col_means = _column_means(self.train_X)
+        self.completed = self.transform(X)
         return self
 
-    def transform(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def transform(self, X: np.ndarray) -> np.ndarray:
         out = np.array(X, dtype=float)
-        for i in np.flatnonzero(~mask.all(axis=1)):
-            out[i] = _knn_fill_row(out[i], mask[i], self.train_X, self.train_mask, self.k, self.col_means)
+        train = self.train_X
+        seen = ~np.isnan(train)
+        for i in np.flatnonzero(np.isnan(out).any(axis=1)):
+            z = out[i]
+            gaps = np.isnan(z)
+            shared = seen & ~gaps
+            counts = shared.sum(axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                dist = np.sqrt((np.where(shared, train - z, 0.0) ** 2).sum(axis=1) / counts)
+            dist[counts == 0] = np.inf  # rows sharing no observed column are ineligible
+            for j in np.flatnonzero(gaps):
+                candidates = np.flatnonzero(seen[:, j] & np.isfinite(dist))
+                if candidates.size == 0:
+                    z[j] = self.col_means[j]
+                    continue
+                nearest = candidates[np.argsort(dist[candidates], kind="stable")][: self.k]
+                z[j] = train[nearest, j].mean()
         return out
-

@@ -110,13 +110,14 @@ def save_imputer(path, imputer, variables=None):
     elif isinstance(imputer, MeanImputer):
         doc = {"kind": "mean", "col_means": _floats(imputer.col_means)}
     elif isinstance(imputer, KnnImputer):
+        observed = ~np.isnan(imputer.train_X)
         doc = {
             "kind": "knn",
             "k": imputer.k,
             "n_rows": int(imputer.train_X.shape[0]),
             "P": int(imputer.train_X.shape[1]),
-            "train_values": _floats(np.where(imputer.train_mask, imputer.train_X, 0.0)),
-            "train_mask": [int(v) for v in imputer.train_mask.ravel()],
+            "train_values": _floats(np.where(observed, imputer.train_X, 0.0)),
+            "train_mask": [int(v) for v in observed.ravel()],
             "col_means": _floats(imputer.col_means),
         }
     else:
@@ -147,9 +148,9 @@ def load_imputer(path, variables=None):
         if kind == "knn":
             imp = KnnImputer(k=int(doc["k"]))
             n, P = int(doc["n_rows"]), int(doc["P"])
-            imp.train_mask = np.asarray(doc["train_mask"], dtype=bool).reshape(n, P)
-            imp.train_X = np.asarray(doc["train_values"], dtype=float).reshape(n, P)
-            imp.train_X[~imp.train_mask] = np.nan
+            observed = np.asarray(doc["train_mask"], dtype=bool).reshape(n, P)
+            values = np.asarray(doc["train_values"], dtype=float).reshape(n, P)
+            imp.train_X = np.where(observed, values, np.nan)
             imp.col_means = np.asarray(doc["col_means"], dtype=float)
             return imp
         raise DataError(f"{path}: unknown imputer kind {kind!r}")

@@ -68,7 +68,6 @@ class SolveReport:
     iterations: int
     converged: bool
     rank_w: int = 0
-    max_excess_sv_ratio: float = 0.0
 
     @property
     def final_objective(self) -> float:
@@ -234,8 +233,8 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     recorded, so objective_trace is strictly decreasing after its first
     entry, the objective at the start. `iterations` counts the recorded
     passes, at most options.max_iter; a fit that stops before the bound is
-    met emits a RuntimeWarning. rank(w) <= r by construction, so
-    `max_excess_sv_ratio` is 0 and `rank_w` is numerical_rank(w).
+    met emits a RuntimeWarning. rank(w) <= r by construction, and
+    `rank_w` is numerical_rank(w).
 
     Floating point sets a floor near tol = 1e-9: on 30 random designs
     (tests/helpers.random_design) every rank-constrained fit stalled at

@@ -73,7 +73,7 @@ def generate_cohort(spec: SyntheticSpec) -> tuple[Cohort, PlantedTruth]:
     T_star + <first window, w_star> + b_star + noise, clipped so it falls
     at least one day after the window; subjects whose onset exceeds the
     censor horizon become censored, observed through min(days_per_subject,
-    horizon) days. Missing cells are masked uniformly at random after the
+    horizon) days. Missing cells are set to NaN uniformly at random after the
     onsets are drawn. Identical specs give identical cohorts.
     """
     _validate(spec)
@@ -100,9 +100,8 @@ def generate_cohort(spec: SyntheticSpec) -> tuple[Cohort, PlantedTruth]:
             last_day = min(spec.days_per_subject, int(math.ceil(onset)) - 1)
             outcome = Event(onset_day=onset)
         values = daily[:last_day].copy()
-        mask = rng.random((last_day, spec.P)) >= spec.missing_rate
-        values[~mask] = np.nan
-        subjects.append(SubjectSeries(f"S{n:0{width}d}", 1, values, mask, outcome))
+        values[rng.random((last_day, spec.P)) < spec.missing_rate] = np.nan
+        subjects.append(SubjectSeries(f"S{n:0{width}d}", 1, values, outcome))
 
     variables = [f"v{j + 1:02d}" for j in range(spec.P)]
     return Cohort(subjects=subjects, variables=variables), PlantedTruth(w_star=w_star, b_star=b_star)

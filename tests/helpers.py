@@ -17,16 +17,19 @@ def random_design(rng, T, P, n_complete, n_censored, noise=1.0):
     return DesignSet(Xc, yc, Xz, yz, T, P)
 
 
+def excess_sv_ratio(w, r):
+    """sigma_{r+1} / sigma_1 of w, by np.linalg.svd; 0 when w has no (r+1)-th singular value or is 0."""
+    sv = np.linalg.svd(w, compute_uv=False)
+    return float(sv[r:].max(initial=0.0) / sv[0]) if sv[0] > 0 else 0.0
+
+
 def tiny_cohort():
     """Two hand-built subjects: one event (onset day 7), one censored."""
     values_a = np.arange(10.0).reshape(5, 2) + 1.0
-    mask_a = np.ones((5, 2), dtype=bool)
-    a = SubjectSeries("A", 1, values_a, mask_a, Event(onset_day=7))
+    a = SubjectSeries("A", 1, values_a, Event(onset_day=7))
     values_b = np.arange(12.0).reshape(6, 2) * 0.5
-    mask_b = np.ones((6, 2), dtype=bool)
-    mask_b[2, 1] = False
     values_b[2, 1] = np.nan
-    b = SubjectSeries("B", 1, values_b, mask_b, Censored(horizon_day=6))
+    b = SubjectSeries("B", 1, values_b, Censored(horizon_day=6))
     return Cohort(subjects=[a, b], variables=["v01", "v02"])
 
 

@@ -372,7 +372,7 @@ class TestImpute:
     def test_knn_and_mean_imputers_run(self, cohort_dir, tmp_path):
         windows = extract_windows(load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
                                               cohort_dir / "variables.txt"), 4)
-        windows[0].x[0], windows[0].x_mask[0] = np.nan, False  # one fully missing day
+        windows[0].x[0] = np.nan  # one fully missing day
         for imp in ("mean", "knn"):
             out = tmp_path / f"imp_{imp}"
             assert dispatch(["impute", *cohort_args(cohort_dir), "--out", str(out), "--imputer", imp]) == 0

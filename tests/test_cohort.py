@@ -141,6 +141,28 @@ class TestLoadCohort:
             assert np.array_equal(got.values[got.mask], want.values[want.mask])
             assert got.outcome == want.outcome
 
+    def test_masks_are_read_only_and_follow_the_nans(self, tmp_path):
+        cohort, _ = generate_cohort(
+            SyntheticSpec(n_subjects=12, days_per_subject=7, P=4, T_star=3,
+                          true_rank=2, noise_sigma=1.0, missing_rate=0.2, seed=5)
+        )
+        write_cohort(cohort, tmp_path / "o.csv", tmp_path / "y.csv", tmp_path / "v.txt")
+        loaded = load_cohort(tmp_path / "o.csv", tmp_path / "y.csv", tmp_path / "v.txt")
+        for c in (cohort, loaded):
+            missing = np.isnan(np.concatenate([s.values for s in c.subjects]))
+            assert missing.any() and not missing.all()
+            for s in c.subjects:
+                assert np.array_equal(s.mask, ~np.isnan(s.values))
+            windows = extract_windows(c, 3)
+            for w in windows:
+                assert np.array_equal(w.x_mask, ~np.isnan(w.x))
+            windows[0].x[0, 0] = np.nan
+            assert not windows[0].x_mask[0, 0]
+            with pytest.raises(AttributeError):
+                c.subjects[0].mask = np.ones_like(c.subjects[0].values, dtype=bool)
+            with pytest.raises(AttributeError):
+                windows[0].x_mask = np.ones_like(windows[0].x, dtype=bool)
+
 
 class TestExtractWindows:
     def test_event_label(self):
@@ -160,7 +182,6 @@ class TestExtractWindows:
         cohort = tiny_cohort()
         cohort.subjects = [cohort.subjects[0]]
         cohort.subjects[0].values = cohort.subjects[0].values[:3]
-        cohort.subjects[0].mask = cohort.subjects[0].mask[:3]
         assert extract_windows(cohort, T=5) == []
 
     def test_complete_windows_end_before_onset(self):
@@ -221,7 +242,6 @@ class TestAssembleDesign:
             out.append(
                 WindowSample(
                     x=rng.standard_normal((T, P)),
-                    x_mask=np.ones((T, P), dtype=bool),
                     y=float(i + 1),
                     censored=i >= n_complete,
                     subject_id=f"S{i}",
@@ -242,7 +262,7 @@ class TestAssembleDesign:
 
     def test_unimputed_rejected(self):
         samples = self._samples(2, 0)
-        samples[1].x_mask[0, 0] = False
+        samples[1].x[0, 0] = np.nan
         with pytest.raises(UnimputedSampleError):
             assemble_design(samples)
 
@@ -259,7 +279,7 @@ class TestSplitFolds:
         out = []
         for i in range(n):
             sid = subjects[i] if subjects else f"S{i}"
-            out.append(WindowSample(np.zeros((1, 1)), np.ones((1, 1), bool), 1.0, False, sid, 1))
+            out.append(WindowSample(np.zeros((1, 1)), 1.0, False, sid, 1))
         return out
 
     def test_equal_folds(self):

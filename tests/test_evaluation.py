@@ -18,7 +18,7 @@ from cenrank.evaluation import (
     predict_windows,
     write_report_csvs,
 )
-from cenrank.imputation import BmcImputer, MeanImputer, distinct_rows, impute_new
+from cenrank.imputation import BmcImputer, MeanImputer, distinct_rows, impute_rows
 from cenrank.modelio import load_cv_report, save_cv_report
 from cenrank.solver import ModelParams, SolverOptions
 from cenrank.synthetic import SyntheticSpec, generate_cohort
@@ -27,7 +27,7 @@ from helpers import random_design
 
 def sample(y, censored, x=None):
     x = np.zeros((1, 1)) if x is None else np.asarray(x, dtype=float)
-    return WindowSample(x, np.ones_like(x, dtype=bool), y, censored, "S", 1)
+    return WindowSample(x, y, censored, "S", 1)
 
 
 class TestMae:
@@ -144,7 +144,9 @@ class TestCrossValidate:
         windows = extract_windows(cohort, 4)
         folds = split_folds(windows, 3, unit="subject", seed=0)
         train_idx = np.setdiff1d(np.arange(len(windows)), folds[0])
-        _, _, imputer = impute_split(windows, train_idx, folds[0], BmcImputer(rank=3))
+        unfitted = BmcImputer(rank=3)
+        _, _, imputer = impute_split(windows, train_idx, folds[0], unfitted)
+        assert imputer is not unfitted and unfitted.model is None and imputer.rank == 3
         train_subjects = {windows[i].subject_id for i in train_idx}
         test_subjects = {windows[i].subject_id for i in folds[0]}
         assert not (train_subjects & test_subjects)
@@ -156,7 +158,7 @@ class TestCrossValidate:
         train_idx = np.setdiff1d(np.arange(len(windows)), test_idx)
         train_filled, test_filled, imputer = impute_split(windows, train_idx, test_idx, BmcImputer(rank=3))
         train = [windows[i] for i in train_idx]
-        _, _, where = distinct_rows(train)
+        _, where = distinct_rows(train)
         train_rows = {(w.subject_id, w.window_end_day - 3 + t): where[i, t]
                       for i, w in enumerate(train) for t in range(4)}
         checked = differs = 0
@@ -165,7 +167,7 @@ class TestCrossValidate:
                 key = (raw.subject_id, raw.window_end_day - 3 + t)
                 if key not in train_rows or raw.x_mask[t].all():
                     continue
-                fresh = impute_new(raw.x[t], np.flatnonzero(raw.x_mask[t]), imputer.model)
+                fresh = impute_rows(raw.x[t][None], imputer.model)[0]
                 assert np.max(np.abs(filled.x[t] - fresh)) <= 1e-12
                 differs += np.max(np.abs(filled.x[t] - imputer.completed[train_rows[key]])) > 1e-9
                 checked += 1

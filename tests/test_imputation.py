@@ -14,7 +14,6 @@ from cenrank.imputation import (
     compute_bounds,
     distinct_rows,
     fill_windows,
-    impute_new,
     impute_rows,
     impute_windows,
 )
@@ -60,27 +59,26 @@ def impute_oracle(z, observed, model, tol=1e-8, max_iter=200):
 class TestBounds:
     def test_min_max(self):
         X = np.array([[2.0, 1.0], [4.0, np.nan]])
-        mask = ~np.isnan(X)
-        lower, upper = compute_bounds(X, mask)
+        lower, upper = compute_bounds(X)
         assert lower.tolist() == [2.0, 1.0]
         assert upper.tolist() == [4.0, 1.0]
 
     def test_single_observation_column(self):
         X = np.array([[3.0], [np.nan]])
-        lower, upper = compute_bounds(X, ~np.isnan(X))
+        lower, upper = compute_bounds(X)
         assert lower[0] == upper[0] == 3.0
 
     def test_empty_column(self):
         X = np.array([[np.nan, 1.0], [np.nan, 2.0]])
         with pytest.raises(EmptyColumnError):
-            compute_bounds(X, ~np.isnan(X))
+            compute_bounds(X)
 
 
 class TestBmcFit:
     def test_no_missing_returns_input(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((8, 4))
-        done, model = bmc_fit(X, np.ones_like(X, dtype=bool), r=2)
+        done, model = bmc_fit(X, r=2)
         assert np.array_equal(done, X)
         assert model.basis.shape == (4, 2)
 
@@ -89,7 +87,7 @@ class TestBmcFit:
         # pattern) but the observed column-2 max is 4, so the bound binds
         X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, np.nan]])
         mask = ~np.isnan(X)
-        done, model = bmc_fit(X, mask, r=1)
+        done, model = bmc_fit(X, r=1)
         assert done[2, 1] == 4.0
         oracle_X, _ = bmc_oracle(X, mask, r=1)
         assert oracle_X[2, 1] == 4.0
@@ -103,7 +101,7 @@ class TestBmcFit:
         X = generate_lowrank_matrix(12, 6, 2, seed=4) + 0.05 * rng.standard_normal((12, 6))
         mask = rng.random((12, 6)) >= 0.25
         X_in = np.where(mask, X, np.nan)
-        done, _ = bmc_fit(X_in, mask, r=2, tol=1e-14, max_iter=400)
+        done, _ = bmc_fit(X_in, r=2, tol=1e-14, max_iter=400)
         oracle_X, _ = bmc_oracle(X_in, mask, r=2, n_iter=400)
         assert np.allclose(done, oracle_X, atol=1e-8)
 
@@ -112,7 +110,7 @@ class TestBmcFit:
         rng = np.random.default_rng(11)
         mask = rng.random((60, 12)) >= 0.2
         wide = (np.full(12, -1e9), np.full(12, 1e9))
-        done, _ = bmc_fit(np.where(mask, M, np.nan), mask, r=2, tol=1e-12, max_iter=3000, bounds=wide)
+        done, _ = bmc_fit(np.where(mask, M, np.nan), r=2, tol=1e-12, max_iter=3000, bounds=wide)
         hidden = ~mask
         rel = np.linalg.norm((done - M)[hidden]) / np.linalg.norm(M[hidden])
         assert rel <= 1e-3
@@ -126,7 +124,7 @@ class TestBmcFit:
             mask[0] = True  # keep every column observed at least once
             X_in = np.where(mask, X, np.nan)
             trace = []
-            done, model = bmc_fit(X_in, mask, r=2, trace_out=trace)
+            done, model = bmc_fit(X_in, r=2, trace_out=trace)
             assert np.array_equal(done[mask], X[mask])
             missing = ~mask
             assert np.all(done[missing] >= np.broadcast_to(model.lower, X.shape)[missing])
@@ -138,7 +136,7 @@ class TestBmcFit:
         X = rng.standard_normal((20, 6))
         mask = rng.random((20, 6)) >= 0.2
         mask[0] = True
-        _, model = bmc_fit(np.where(mask, X, np.nan), mask, r=3)
+        _, model = bmc_fit(np.where(mask, X, np.nan), r=3)
         assert np.allclose(model.basis.T @ model.basis, np.eye(3), atol=1e-8)
 
     def test_capped_fit_warns(self):
@@ -147,18 +145,26 @@ class TestBmcFit:
         mask = rng.random((20, 6)) >= 0.3
         mask[0] = True
         with pytest.warns(RuntimeWarning, match="max_iter=2"):
-            bmc_fit(np.where(mask, X, np.nan), mask, r=2, max_iter=2)
+            bmc_fit(np.where(mask, X, np.nan), r=2, max_iter=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bmc_fit(np.where(mask, X, np.nan), mask, r=2, max_iter=5000)
+            bmc_fit(np.where(mask, X, np.nan), r=2, max_iter=5000)
 
     def test_empty_column_raises(self):
         X = np.array([[1.0, np.nan], [2.0, np.nan]])
         with pytest.raises(EmptyColumnError):
-            bmc_fit(X, ~np.isnan(X), r=1)
+            bmc_fit(X, r=1)
+
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_infinite_entry_rejected(self, inf):
+        X = np.array([[1.0, 2.0], [3.0, np.nan], [inf, 4.0]])
+        with pytest.raises(NumericalError):
+            bmc_fit(X, r=1)
 
 
 class TestImputeNew:
+    """`impute_rows` on a single new row."""
+
     def _model(self, upper2=10.0):
         return BmcModel(
             basis=np.array([[0.6], [0.8]]),
@@ -170,17 +176,17 @@ class TestImputeNew:
 
     def test_fully_observed_unchanged(self):
         z = np.array([3.0, 5.0])
-        out = impute_new(z, [0, 1], self._model())
+        out = impute_rows(z[None], self._model())[0]
         assert np.array_equal(out, z)
 
     def test_scalar_fixed_point(self):
         # z2 = 0.8 * (0.6*3 + 0.8*z2) has the unique fixed point 4.0
-        out = impute_new(np.array([3.0, np.nan]), [0], self._model())
+        out = impute_rows(np.array([[3.0, np.nan]]), self._model())[0]
         assert abs(out[1] - 4.0) < 1e-6
         assert out[0] == 3.0
 
     def test_clamped_at_upper_bound(self):
-        out = impute_new(np.array([3.0, np.nan]), [0], self._model(upper2=2.0))
+        out = impute_rows(np.array([[3.0, np.nan]]), self._model(upper2=2.0))[0]
         assert out[1] == 2.0
 
     def test_objective_non_increasing(self):
@@ -193,7 +199,7 @@ class TestImputeNew:
             z = rng.standard_normal(8) * 2
             observed = rng.random(8) >= 0.5
             trace = []
-            out = impute_new(np.where(observed, z, np.nan), np.flatnonzero(observed), model, trace_out=trace)
+            out = impute_rows(np.where(observed, z, np.nan)[None], model, trace_out=trace)[0]
             assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
             assert np.all(out >= model.lower - 1e-12) and np.all(out <= model.upper + 1e-12)
             assert np.array_equal(out[observed], z[observed])
@@ -202,7 +208,7 @@ class TestImputeNew:
         model = self._model()
         model = BmcModel(basis=model.basis, lower=model.lower, upper=model.upper,
                          rank=1, col_means=np.array([1.0, 2.0]))
-        out = impute_new(np.array([np.nan, np.nan]), [], model)
+        out = impute_rows(np.array([[np.nan, np.nan]]), model)[0]
         assert np.all(np.isfinite(out))
 
 
@@ -216,18 +222,17 @@ class TestImputeRows:
                              noise_sigma=1.0, missing_rate=0.2, latent_rank=8, seed=5)
         subjects = generate_cohort(spec)[0].subjects
         X = np.concatenate([s.values for s in subjects])
-        mask = np.concatenate([s.mask for s in subjects])
+        mask = ~np.isnan(X)
         assert X.shape[0] >= 500
         assert mask.all(axis=1).any() and not mask.all()
-        return X, mask, BmcImputer(rank=3).fit(X, mask).model
+        return X, mask, BmcImputer(rank=3).fit(X).model
 
     def test_matches_one_row_at_a_time(self, fitted):
         X, mask, model = fitted
         trace = []
-        out = impute_rows(X, mask, model, trace_out=trace)
+        out = impute_rows(X, model, trace_out=trace)
         for i in range(X.shape[0]):
-            observed = np.flatnonzero(mask[i])
-            assert np.max(np.abs(out[i] - impute_new(X[i], observed, model))) <= 1e-12
+            assert np.max(np.abs(out[i] - impute_rows(X[i][None], model)[0])) <= 1e-12
             assert np.max(np.abs(out[i] - impute_oracle(X[i], mask[i], model))) <= 1e-12
         assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
         full = mask.all(axis=1)
@@ -236,30 +241,28 @@ class TestImputeRows:
 
     def test_one_row_trace_is_the_row_trace(self):
         rows_trace, row_trace = [], []
-        impute_rows(np.array([[3.0, np.nan]]), np.array([[True, False]]), self.unit, trace_out=rows_trace)
-        impute_new(np.array([3.0, np.nan]), [0], self.unit, trace_out=row_trace)
-        assert rows_trace == row_trace and len(row_trace) > 1
+        impute_rows(np.array([[1.0, 2.0], [3.0, np.nan]]), self.unit, trace_out=rows_trace)
+        impute_rows(np.array([[3.0, np.nan]]), self.unit, trace_out=row_trace)
+        assert rows_trace == row_trace and len(row_trace) > 1  # a fully observed row adds nothing
 
     def test_non_finite_observed_rejected(self):
-        with pytest.raises(NumericalError):
-            impute_rows(np.array([[np.inf, np.nan]]), np.array([[True, False]]), self.unit)
+        for inf in (np.inf, -np.inf):
+            with pytest.raises(NumericalError):
+                impute_rows(np.array([[inf, np.nan]]), self.unit)
 
 
 class TestTransform:
     X = np.array([[1.0, 2.0, np.nan], [np.nan, np.nan, 6.0], [0.5, 1.0, 3.0], [4.0, np.nan, 1.0]])
 
-    def _rows(self):
-        return self.X.copy(), ~np.isnan(self.X)
-
     def test_mean_transform_fills_training_means(self):
-        train = np.array([[2.0, 4.0, 0.0], [4.0, 8.0, 3.0]]), np.ones((2, 3), bool)
-        out = MeanImputer().fit(*train).transform(*self._rows())
+        train = np.array([[2.0, 4.0, 0.0], [4.0, 8.0, 3.0]])
+        out = MeanImputer().fit(train).transform(self.X.copy())
         expected = np.where(np.isnan(self.X), np.array([3.0, 6.0, 1.5]), self.X)
         assert np.array_equal(out, expected)
 
     def test_knn_transform_matches_per_row_neighbours(self):
         train_X = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, np.nan], [5.0, 5.0, 5.0], [1.0, np.nan, 7.0]])
-        out = KnnImputer(k=2).fit(train_X, ~np.isnan(train_X)).transform(*self._rows())
+        out = KnnImputer(k=2).fit(train_X).transform(self.X.copy())
         expected = self.X.copy()
         train_mask = ~np.isnan(train_X)
         for i, j in zip(*np.nonzero(np.isnan(self.X))):
@@ -275,41 +278,41 @@ class TestTransform:
         assert np.array_equal(out[2], self.X[2])
 
 
-def completed(imputer, X, mask):
+def completed(imputer, X):
     """The training completion of an imputer fitted on X."""
-    return imputer.fit(X, mask).completed
+    return imputer.fit(X).completed
 
 
 class TestMeanImpute:
     def test_column_mean(self):
         X = np.array([[2.0, 1.0], [4.0, 2.0], [np.nan, 3.0]])
-        out = completed(MeanImputer(), X, ~np.isnan(X))
+        out = completed(MeanImputer(), X)
         assert out[2, 0] == 3.0
 
     def test_no_missing_unchanged(self):
         X = np.array([[1.0, 2.0]])
-        assert np.array_equal(completed(MeanImputer(), X, np.ones_like(X, bool)), X)
+        assert np.array_equal(completed(MeanImputer(), X), X)
 
     def test_single_observation_columns(self):
         X = np.array([[5.0, np.nan], [np.nan, 7.0]])
-        out = completed(MeanImputer(), X, ~np.isnan(X))
+        out = completed(MeanImputer(), X)
         assert out[1, 0] == 5.0 and out[0, 1] == 7.0
 
 
 class TestKnnImpute:
     def test_nearest_row_wins(self):
         X = np.array([[1.0, 2.0], [1.0, np.nan], [5.0, 6.0]])
-        out = completed(KnnImputer(k=1), X, ~np.isnan(X))
+        out = completed(KnnImputer(k=1), X)
         assert out[1, 1] == 2.0
 
     def test_large_k_averages_eligible_rows(self):
         X = np.array([[1.0, 2.0], [1.0, np.nan], [5.0, 6.0], [2.0, 4.0]])
-        out = completed(KnnImputer(k=10), X, ~np.isnan(X))
+        out = completed(KnnImputer(k=10), X)
         assert out[1, 1] == pytest.approx((2.0 + 6.0 + 4.0) / 3)
 
     def test_isolated_row_falls_back_to_column_mean(self):
         X = np.array([[1.0, np.nan], [np.nan, 6.0], [np.nan, 2.0]])
-        out = completed(KnnImputer(k=2), X, ~np.isnan(X))
+        out = completed(KnnImputer(k=2), X)
         assert out[0, 1] == 4.0  # no row shares an observed column with row 0
 
     def test_k_below_one_rejected(self):
@@ -322,7 +325,7 @@ class TestKnnImpute:
         mask = rng.random((9, 4)) >= 0.3
         mask[0] = True
         X_in = np.where(mask, X, np.nan)
-        out = completed(KnnImputer(k=3), X_in, mask)
+        out = completed(KnnImputer(k=3), X_in)
         col_means = np.nanmean(np.where(mask, X, np.nan), axis=0)
         for i in range(9):
             for j in range(4):
@@ -346,13 +349,12 @@ class TestKnnImpute:
 
 
 def window(subject_id, end_day, T=2, P=2, missing=()):
-    """A T x P window whose cell (t, j) holds end_day - T + 1 + t + j / 10, with `missing` cells masked out."""
+    """A T x P window whose cell (t, j) holds end_day - T + 1 + t + j / 10, with `missing` cells NaN."""
     days = end_day - T + 1 + np.arange(T)
     x = days[:, None] + np.arange(P) / 10.0
-    x_mask = np.ones((T, P), dtype=bool)
     for cell in missing:
-        x[cell], x_mask[cell] = np.nan, False
-    return WindowSample(x=x, x_mask=x_mask, y=1.0, censored=False, subject_id=subject_id, window_end_day=end_day)
+        x[cell] = np.nan
+    return WindowSample(x=x, y=1.0, censored=False, subject_id=subject_id, window_end_day=end_day)
 
 
 def row_keys(windows, where):
@@ -369,9 +371,9 @@ def row_keys(windows, where):
 class TestWindowMatrixPlumbing:
     def test_unique_rows_and_refill(self):
         windows = extract_windows(tiny_cohort(), T=3)
-        X, mask, where = distinct_rows(windows)
+        X, where = distinct_rows(windows)
         keys = row_keys(windows, where)
-        assert len(keys) == len(set(keys)) == X.shape[0] == mask.shape[0]
+        assert len(keys) == len(set(keys)) == X.shape[0]
         assert ("A", 1) in keys and ("B", 6) in keys
         completed = np.nan_to_num(X, nan=-1.0)
         filled = fill_windows(windows, completed, where)
@@ -383,7 +385,7 @@ class TestWindowMatrixPlumbing:
     def test_shuffled_windows_give_rows_in_first_appearance_order(self):
         windows = extract_windows(tiny_cohort(), T=2)
         shuffled = [windows[i] for i in np.random.default_rng(0).permutation(len(windows))]
-        X, _, where = distinct_rows(shuffled)
+        X, where = distinct_rows(shuffled)
         expected = []
         for w in shuffled:
             for day in (w.window_end_day - 1, w.window_end_day):
@@ -396,7 +398,7 @@ class TestWindowMatrixPlumbing:
 
     def test_subjects_with_the_same_days_never_share_a_row(self):
         windows = [window("A", 3), window("B", 3), window("A", 4), window("B", 4)]
-        X, _, where = distinct_rows(windows)
+        X, where = distinct_rows(windows)
         assert row_keys(windows, where) == [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("A", 4), ("B", 4)]
         assert X.shape[0] == 6
         assert not set(where[0]) & set(where[1])
@@ -404,17 +406,16 @@ class TestWindowMatrixPlumbing:
     @pytest.mark.parametrize("T, stride", [(1, 1), (2, 3), (3, 5)])
     def test_short_windows_and_strides_beyond_T(self, T, stride):
         windows = extract_windows(tiny_cohort(), T=T, stride=stride)
-        X, mask, where = distinct_rows(windows)
+        X, where = distinct_rows(windows)
         assert where.shape == (len(windows), T)
         assert X.shape[0] == len(windows) * T  # windows that do not overlap share no row
         assert sorted(where.ravel().tolist()) == list(range(X.shape[0]))
         for w, rows in zip(windows, where):
-            assert np.array_equal(X[rows], w.x, equal_nan=True) and np.array_equal(mask[rows], w.x_mask)
+            assert np.array_equal(X[rows], w.x, equal_nan=True)
 
     def test_refilled_windows_keep_their_observed_cells(self):
         windows = [window("A", 3, missing=[(0, 1)]), window("A", 4, missing=[(1, 0)]), window("B", 3)]
-        train = np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 6.0]]), np.ones((3, 2), bool)
-        imputer = MeanImputer().fit(*train)
+        imputer = MeanImputer().fit(np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 6.0]]))
         for raw, filled in zip(windows, impute_windows(windows, imputer)):
             assert filled.x_mask.all()
             assert np.array_equal(filled.x[raw.x_mask], raw.x[raw.x_mask])
@@ -432,7 +433,7 @@ class TestBmcPersistence:
         X = rng.standard_normal((30, 5))
         mask = rng.random((30, 5)) >= 0.2
         mask[0] = True
-        imputer = BmcImputer(rank=2).fit(np.where(mask, X, np.nan), mask)
+        imputer = BmcImputer(rank=2).fit(np.where(mask, X, np.nan))
         model = imputer.model
         path = tmp_path / "bmc.json"
         save_imputer(path, imputer, [f"v{i}" for i in range(5)])
