@@ -1,15 +1,17 @@
 """Missing-value imputation for stacked daily observation vectors.
 
 The main method is bounded low-rank matrix completion: alternate a rank-r
-SVD truncation of the current matrix with a box-constrained refill of the
-missing cells, where each variable's box is the observed min/max of its
-column. Test-time rows are filled, all in one batch, by projecting onto
-the fitted daily basis under the same bounds. Column-mean and KNN imputers
-are provided as benchmarks. Imputers take N x P day rows in which NaN,
-and only NaN, marks a missing cell: `fit(X)` keeps the training completion
-in `completed`, `transform(X)` fills new rows. An infinite entry is a
-NumericalError. `distinct_rows` indexes a window set's distinct (subject,
-day) rows once; `fill_windows` gathers completed rows back.
+truncation of the current matrix (one P x P Gram matrix, one `eigh` and one
+projection into reused buffers per iteration) with a box-constrained refill
+of the missing cells through their flat index, where each variable's box is
+the observed min/max of its column. Test-time rows are filled, all in one
+batch, by projecting onto the fitted daily basis under the same bounds.
+Column-mean and KNN imputers are provided as benchmarks. Imputers take
+N x P day rows in which NaN, and only NaN, marks a missing cell: `fit(X)`
+keeps the training completion in `completed`, `transform(X)` fills new
+rows. An infinite entry is a NumericalError. `distinct_rows` indexes a
+window set's distinct (subject, day) rows once; `fill_windows` gathers
+completed rows back.
 """
 
 from __future__ import annotations
@@ -58,15 +60,12 @@ def _column_means(X):
     return np.nanmean(X, axis=0)
 
 
-def _truncated_svd(X, r):
-    """Rank-r truncation (X V_r) V_r' of X and V_r, its top r right singular vectors.
+def _top_basis(A, r):
+    """Top r right singular vectors of A, from the eigenvectors of its P x P Gram matrix A'A.
 
-    V_r comes from the eigenvectors of the P x P Gram matrix X'X, which is
-    far cheaper than an SVD of X when X has many more rows than columns.
+    This is far cheaper than an SVD of A when A has many more rows than columns.
     """
-    _, V = np.linalg.eigh(X.T @ X)
-    V_r = V[:, ::-1][:, :r]
-    return (X @ V_r) @ V_r.T, V_r
+    return np.linalg.eigh(A.T @ A)[1][:, ::-1][:, :r]
 
 
 def bmc_fit(
@@ -80,14 +79,17 @@ def bmc_fit(
     """Bounded rank-r completion of the NaN entries of X.
 
     Observed entries are never modified, and an infinite one is a
-    NumericalError. Missing entries start at the column means and are
-    refreshed each iteration with the rank-r SVD truncation of the current
-    matrix, clamped to [lower, upper]. The fit objective ||X - M||_F^2 is
-    non-increasing; iteration stops when its relative decrease drops below
-    tol; stopping at max_iter instead emits a RuntimeWarning. `bounds`
-    overrides the observed min/max boxes (used to study the unconstrained
-    behaviour); `trace_out`, if given, collects the per-iteration objective
-    values.
+    NumericalError. The missing cells are found once, as a flat index with
+    a [lower, upper] box per cell, and start at the clamped column means.
+    Each iteration takes the top r eigenvectors V_r of the Gram matrix X'X,
+    projects M = (X V_r) V_r' into a reused buffer, and refills the missing
+    cells of X with their entries of M, clamped to their boxes. The fit
+    objective ||X - M||_F^2 is non-increasing; iteration stops when its
+    relative decrease drops below tol; stopping at max_iter instead emits a
+    RuntimeWarning. The returned basis is the top r right singular vectors
+    of the last M. `bounds` overrides the observed min/max boxes (used to
+    study the unconstrained behaviour); `trace_out`, if given, collects the
+    per-iteration objective values.
     """
     X = np.array(X, dtype=float)
     if r < 1 or r > min(X.shape):
@@ -101,17 +103,19 @@ def bmc_fit(
         upper = np.asarray(bounds[1], dtype=float)
     col_means = _column_means(X)
 
-    missing = np.isnan(X)
-    init = np.clip(col_means, lower, upper)
-    X[missing] = np.broadcast_to(init, X.shape)[missing]
+    N, P = X.shape
+    missing = np.flatnonzero(np.isnan(X))  # flat index of the missing cells
+    col = missing % P
+    lo, hi = lower[col], upper[col]
+    np.put(X, missing, np.clip(col_means[col], lo, hi))
 
     prev_obj = None
-    M = X
+    M, XV, D = X.copy(), np.empty((N, r)), np.empty_like(X)  # M stays X if max_iter is 0
     for _ in range(max_iter):
-        M, _ = _truncated_svd(X, r)
-        update = np.clip(M, lower, upper)
-        X[missing] = update[missing]
-        obj = float(np.sum((X - M) ** 2))
+        V_r = _top_basis(X, r)
+        np.matmul(np.matmul(X, V_r, out=XV), V_r.T, out=M)
+        np.put(X, missing, np.clip(np.take(M, missing), lo, hi))
+        obj = float(np.square(np.subtract(X, M, out=D), out=D).sum())
         if trace_out is not None:
             trace_out.append(obj)
         if prev_obj is not None:
@@ -122,7 +126,7 @@ def bmc_fit(
         warnings.warn(f"bmc_fit stopped at max_iter={max_iter} before reaching tol={tol:g}",
                       RuntimeWarning, stacklevel=2)
 
-    _, basis = _truncated_svd(M, r)
+    basis = _top_basis(M, r)
     model = BmcModel(basis=basis, lower=lower, upper=upper, rank=r, col_means=col_means)
     return X, model
 

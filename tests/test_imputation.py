@@ -37,6 +37,32 @@ def bmc_oracle(X, mask, r, n_iter=200):
     return Xw, M
 
 
+def bmc_reference(X, r, tol=1e-6, max_iter=500, bounds=None):
+    """The completion loop written with a boolean mask and fresh arrays.
+
+    It does the arithmetic of `bmc_fit` in the same order (Gram matrix,
+    `eigh`, (X V_r) V_r', clamp, refill, sum of squares), so the two must
+    agree bit for bit. Returns the completion, the basis and the trace.
+    """
+    X = np.array(X, dtype=float)
+    missing = np.isnan(X)
+    lower, upper = (np.nanmin(X, axis=0), np.nanmax(X, axis=0)) if bounds is None else bounds
+    X[missing] = np.broadcast_to(np.clip(np.nanmean(X, axis=0), lower, upper), X.shape)[missing]
+
+    def truncate(A):
+        V_r = np.linalg.eigh(A.T @ A)[1][:, ::-1][:, :r]
+        return (A @ V_r) @ V_r.T, V_r
+
+    trace, M = [], X
+    for _ in range(max_iter):
+        M, _ = truncate(X)
+        X[missing] = np.clip(M, lower, upper)[missing]
+        trace.append(float(np.sum((X - M) ** 2)))
+        if len(trace) > 1 and (trace[-2] <= 0.0 or (trace[-2] - trace[-1]) / trace[-2] < tol):
+            break
+    return X, truncate(M)[1], trace
+
+
 def impute_oracle(z, observed, model, tol=1e-8, max_iter=200):
     """Straight transcription of the one-row projection loop, kept
     independent of the library implementation."""
@@ -149,6 +175,37 @@ class TestBmcFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bmc_fit(np.where(mask, X, np.nan), r=2, max_iter=5000)
+
+    @pytest.mark.parametrize("case", ["planted_capped", "rank3_tol_stop", "explicit_bounds"])
+    def test_iterates_match_reference_bit_for_bit(self, case):
+        if case == "planted_capped":  # the planted experiment's training rows, cut to 60 iterations
+            spec = SyntheticSpec(n_subjects=600, days_per_subject=5, P=10, T_star=5, true_rank=2,
+                                 noise_sigma=1.0, missing_rate=0.10, latent_rank=8, seed=5)
+            X = np.concatenate([s.values for s in generate_cohort(spec)[0].subjects])
+            kwargs = dict(r=8, max_iter=60)
+        else:
+            rng = np.random.default_rng(9)
+            X = generate_lowrank_matrix(200, 10, 3, seed=9) + 0.05 * rng.standard_normal((200, 10))
+            X[rng.random(X.shape) < 0.2] = np.nan
+            X[0] = np.nan_to_num(X[0])  # every column observed
+            kwargs = dict(r=3)
+            if case == "explicit_bounds":
+                kwargs["bounds"] = (np.full(10, -0.2), np.full(10, 0.3))
+        X_in = X.copy()
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            done, model = bmc_fit(X_in, trace_out=trace, **kwargs)
+            ref_done, ref_basis, ref_trace = bmc_reference(X, **kwargs)
+        assert np.array_equal(done, ref_done)
+        assert np.array_equal(model.basis, ref_basis)
+        assert np.array_equal(trace, ref_trace)
+        assert np.isnan(X_in).sum() == np.isnan(X).sum() > 0  # the caller's array keeps its NaNs
+        assert np.array_equal(X_in, X, equal_nan=True)
+        if case == "planted_capped":
+            assert len(trace) == 60
+        else:
+            assert len(trace) < 500
 
     def test_empty_column_raises(self):
         X = np.array([[1.0, np.nan], [2.0, np.nan]])
