@@ -6,7 +6,14 @@ either the day the event was observed or the horizon up to which the
 subject stayed event-free. Windows of T consecutive days become the
 regression samples; a window from an event subject is labeled with the
 remaining days to onset, a window from an event-free subject with the
-remaining days to the censoring horizon. `load_cohort` scatters every observed cell into one
+remaining days to the censoring horizon.
+
+`load_cohort` reads each CSV file once with `csv.reader` and works on its
+columns: subject ids and variables are coded once per distinct string, days
+go through `int` and values through `float` in bulk, and every check is a
+fault mask over the records. When a mask is set, the earliest faulty record
+is reported with the first check it fails, and only then is the file scanned
+again for that record's line. Every observed cell is scattered into one
 N x P day-row array, ordered subject by subject (in order of first
 appearance) and day by day; each subject's values are a slice of it. NaN is
 the only marker of a missing cell: the `mask` and `x_mask` properties are
@@ -16,9 +23,8 @@ derived from it.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice
 
 import numpy as np
 
@@ -126,7 +132,7 @@ class DesignSet:
 def load_variable_dictionary(path) -> list[str]:
     """Read the variable dictionary: one name per line, order = column order."""
     names = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             name = line.strip()
             if name:
@@ -139,32 +145,89 @@ def load_variable_dictionary(path) -> list[str]:
     return names
 
 
-def _read_csv_rows(path, required_cols):
-    """(line number, required fields) for each nonblank data row of a CSV file with a header line.
+def _read_columns(path, names):
+    """The `names` columns of a CSV file with a header line, each a tuple over the nonblank records.
 
-    The fields come in `required_cols` order. A row whose field count
-    differs from the header's is a DataError naming the file and line.
+    A UTF-8 byte-order mark is skipped. A record whose field count differs
+    from the header's is a DataError naming the file and line.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        missing = [c for c in required_cols if c not in header]
+        missing = [c for c in names if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
-        position = {name: i for i, name in enumerate(header)}
-        pick = itemgetter(*(position[c] for c in required_cols))
-        rows = []
-        for fields in reader:
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise DataError(f"{path} line {reader.line_num}: {len(fields)} fields, the header has {len(header)}")
-            rows.append((reader.line_num, pick(fields)))
-    return rows
+        records = list(reader)
+    width = len(header)
+    if set(map(len, records)) - {width}:
+        records = [fields for fields in records if fields]
+        for k, fields in enumerate(records):
+            if len(fields) != width:
+                raise DataError(f"{path} line {_line_of(path, k)}: {len(fields)} fields, the header has {width}")
+    position = {name: i for i, name in enumerate(header)}
+    columns = list(zip(*records)) or [()] * width
+    return [columns[position[c]] for c in names]
+
+
+def _line_of(path, k):
+    """The line on which the k-th (from 0) nonblank record after the header of a CSV file ends."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        ends = (reader.line_num for fields in reader if fields)
+        return next(islice(ends, k, None))
+
+
+def _parse_one(text, kind):
+    """kind(text), or None where kind (int or float) rejects the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
+def _parse(column, kind):
+    """kind(text) of each string of `column` as an int64 or float64 array, and the mask of the strings kind rejects.
+
+    kind is int or float, so exactly what int() or float() accepts is
+    accepted (whitespace, `1_0`, `nan`, `inf`); a rejected string reads 0.
+    """
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.fromiter(map(kind, column), dtype, len(column)), np.zeros(len(column), dtype=bool)
+    except ValueError:
+        parsed = [_parse_one(text, kind) for text in column]
+    return (np.array([0 if p is None else p for p in parsed], dtype=dtype),
+            np.array([p is None for p in parsed], dtype=bool))
+
+
+def _distinct(column):
+    """The distinct strings of `column` in order of first appearance, and each record's index among them."""
+    index = {text: i for i, text in enumerate(dict.fromkeys(column))}
+    return list(index), np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+
+
+def _first_fault(checks):
+    """(record, check) of the earliest record that fails a check and the first check it fails, or None.
+
+    `checks` holds (fault mask over the records, error class, message of
+    record k), in the order the checks apply to one record.
+    """
+    faults = [(int(np.argmax(mask)), j) for j, (mask, _, _) in enumerate(checks) if np.any(mask)]
+    return min(faults, default=None)
+
+
+def _raise_first_fault(path, checks):
+    """Raise the error of `_first_fault(checks)`, if any, naming the file and line of its record."""
+    fault = _first_fault(checks)
+    if fault:
+        k, j = fault
+        _, error, message = checks[j]
+        raise error(f"{path} line {_line_of(path, k)}: {message(k)}")
 
 
 def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
@@ -173,11 +236,20 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     observations.csv columns: subject_id, day, variable, value.
     outcomes.csv columns: subject_id, ssi, onset_day, last_obs_day.
     `dictionary` is either a list of variable names or a path to a
-    one-name-per-line text file.
+    one-name-per-line text file. The files may start with a UTF-8
+    byte-order mark.
 
-    Rows are checked in file order, so the first bad line is reported. An
-    event-free subject's observation after its last_obs_day is an error; an
-    event subject may have observations after onset.
+    Each file is read once and checked column by column; the first fault
+    in file order is reported, naming the file and line (blank lines
+    counted). The order is: the dictionary; outcomes.csv's columns and
+    field counts, then per record: ssi an integer, ssi 0 or 1, subject not
+    repeated, the required onset_day or last_obs_day present, a number,
+    finite; then observations.csv's columns and field counts, then per
+    record: variable known, day an integer, day >= 1, day not after an
+    event-free subject's last_obs_day, value a number, finite, cell not
+    repeated; last, per subject in order of first appearance: an outcome
+    row present, and an onset after the first observed day. An event
+    subject may have observations after onset.
     Unrecorded (subject, day, variable) cells are NaN; days with
     no rows between a subject's first and last recorded day become fully
     missing rows so windows stay contiguous.
@@ -187,70 +259,75 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     else:
         variables = list(dictionary)
     var_index = {name: j for j, name in enumerate(variables)}
+    P = len(variables)
 
-    outcomes = {}
-    for line, (sid, ssi_text, onset_text, last_text) in _read_csv_rows(
-            outcomes_path, ["subject_id", "ssi", "onset_day", "last_obs_day"]):
-        sid = sid.strip()
-        try:
-            ssi = int(ssi_text)
-        except ValueError as exc:
-            raise DataError(f"{outcomes_path} line {line}: ssi must be 0 or 1") from exc
-        if ssi not in (0, 1):
-            raise DataError(f"{outcomes_path} line {line}: ssi must be 0 or 1, got {ssi}")
-        if sid in outcomes:
-            raise DuplicateRecordError(f"{outcomes_path} line {line}: duplicate subject {sid!r}")
-        field, raw = ("onset_day", onset_text) if ssi == 1 else ("last_obs_day", last_text)
-        raw = raw.strip()
-        if not raw:
-            raise DataError(f"{outcomes_path} line {line}: {field} required when ssi={ssi}")
-        try:
-            when = float(raw)
-        except ValueError as exc:
-            raise DataError(f"{outcomes_path} line {line}: {field} must be a number, got {raw!r}") from exc
-        if not math.isfinite(when):
-            raise DataError(f"{outcomes_path} line {line}: non-finite {field}")
-        outcomes[sid] = Event(onset_day=when) if ssi == 1 else Censored(horizon_day=when)
+    sid_text, ssi_text, onset_text, last_text = _read_columns(
+        outcomes_path, ["subject_id", "ssi", "onset_day", "last_obs_day"])
+    sids = [text.strip() for text in sid_text]
+    ssi = [_parse_one(text, int) for text in ssi_text]
+    event = [s == 1 for s in ssi]
+    field = ["onset_day" if e else "last_obs_day" for e in event]
+    raw = [(onset if e else last).strip() for e, onset, last in zip(event, onset_text, last_text)]
+    when, not_number = _parse(raw, float)
+    first_row: dict[str, int] = {}
+    _raise_first_fault(outcomes_path, [
+        ([s is None for s in ssi], DataError, lambda k: "ssi must be 0 or 1"),
+        ([s not in (0, 1) for s in ssi], DataError, lambda k: f"ssi must be 0 or 1, got {ssi[k]}"),
+        ([first_row.setdefault(sid, k) != k for k, sid in enumerate(sids)], DuplicateRecordError,
+         lambda k: f"duplicate subject {sids[k]!r}"),
+        ([not text for text in raw], DataError, lambda k: f"{field[k]} required when ssi={ssi[k]}"),
+        (not_number, DataError, lambda k: f"{field[k]} must be a number, got {raw[k]!r}"),
+        (~np.isfinite(when), DataError, lambda k: f"non-finite {field[k]}"),
+    ])
+    outcomes = {sid: Event(onset_day=w) if e else Censored(horizon_day=w)
+                for sid, e, w in zip(sids, event, when.tolist())}
 
+    sid_text, day_text, var_text, value_text = _read_columns(
+        observations_path, ["subject_id", "day", "variable", "value"])
+    n = len(sid_text)
     codes: dict[str, int] = {}  # subject id -> code, in order of first appearance
-    cells: dict[tuple[int, int, int], float] = {}  # (subject code, day, column) -> value
-    for line, (sid, day_text, var, value_text) in _read_csv_rows(
-            observations_path, ["subject_id", "day", "variable", "value"]):
-        sid = sid.strip()
-        var = var.strip()
-        if var not in var_index:
-            raise UnknownVariableError(f"{observations_path} line {line}: unknown variable {var!r}")
-        try:
-            day = int(day_text)
-        except ValueError as exc:
-            raise DataError(f"{observations_path} line {line}: day must be an integer") from exc
-        if day < 1:
-            raise DataError(f"{observations_path} line {line}: day must be >= 1, got {day}")
-        outcome = outcomes.get(sid)
-        if isinstance(outcome, Censored) and day > outcome.horizon_day:
-            raise DataError(f"{observations_path} line {line}: day {day} is after last_obs_day "
-                            f"{outcome.horizon_day:g} of event-free subject {sid!r}")
-        try:
-            value = float(value_text)
-        except ValueError as exc:
-            raise DataError(f"{observations_path} line {line}: value must be a number, got {value_text!r}") from exc
-        if not math.isfinite(value):
-            raise DataError(f"{observations_path} line {line}: non-finite value")
-        cell = (codes.setdefault(sid, len(codes)), day, var_index[var])
-        if cell in cells:
-            raise DuplicateRecordError(
-                f"{observations_path} line {line}: duplicate record for ({sid!r}, day {day}, {var!r})"
-            )
-        cells[cell] = value
+    texts, which = _distinct(sid_text)
+    code = np.array([codes.setdefault(t.strip(), len(codes)) for t in texts], dtype=np.intp)[which]
+    texts, which = _distinct(var_text)
+    col = np.array([var_index.get(t.strip(), -1) for t in texts], dtype=np.intp)[which]
+    texts, which = _distinct(day_text)
+    days, not_integer = (a[which] for a in _parse(texts, int))
+    observed, not_number = _parse(value_text, float)
+    horizon = np.array([o.horizon_day if isinstance(o := outcomes.get(sid), Censored) else np.inf
+                        for sid in codes], dtype=float)
+    checks = [
+        (col < 0, UnknownVariableError, lambda k: f"unknown variable {var_text[k].strip()!r}"),
+        (not_integer, DataError, lambda k: "day must be an integer"),
+        (days < 1, DataError, lambda k: f"day must be >= 1, got {days[k]}"),
+        (days > horizon[code], DataError,
+         lambda k: f"day {days[k]} is after last_obs_day {horizon[code[k]]:g} of event-free subject "
+                   f"{sid_text[k].strip()!r}"),
+        (not_number, DataError, lambda k: f"value must be a number, got {value_text[k]!r}"),
+        (~np.isfinite(observed), DataError, lambda k: "non-finite value"),
+    ]
 
-    code, days, col = np.array(list(cells), dtype=np.int64).reshape(-1, 3).T
-    first = np.full(len(codes), np.iinfo(np.int64).max)
-    last = np.zeros(len(codes), dtype=np.int64)
-    np.minimum.at(first, code, days)
-    np.maximum.at(last, code, days)
+    # Lay out the records before the first fault (all of them in a valid
+    # file): their subjects are codes 0..m-1, and each record gets its flat
+    # cell in the N x P day-row array. A repeated cell is a fault too.
+    fault = _first_fault(checks)
+    stop = fault[0] if fault else n
+    kept_code, kept_day = code[:stop], days[:stop]
+    m = int(kept_code.max(initial=-1)) + 1
+    first = np.full(m, np.iinfo(np.int64).max)
+    last = np.zeros(m, dtype=np.int64)
+    np.minimum.at(first, kept_code, kept_day)
+    np.maximum.at(last, kept_code, kept_day)
     start = np.concatenate([[0], np.cumsum(last - first + 1)])
-    values = np.full((start[-1], len(variables)), np.nan)
-    values[start[code] + days - first[code], col] = list(cells.values())
+    cell = (start[kept_code] + kept_day - first[kept_code]) * P + col[:stop]
+    duplicate = np.zeros(n, dtype=bool)
+    duplicate[:stop] = True
+    duplicate[np.unique(cell, return_index=True)[1]] = False
+    checks.append((duplicate, DuplicateRecordError,
+                   lambda k: f"duplicate record for ({sid_text[k].strip()!r}, day {days[k]}, {var_text[k].strip()!r})"))
+    _raise_first_fault(observations_path, checks)
+
+    values = np.full((start[-1], P), np.nan)
+    values.reshape(-1)[cell] = observed
 
     subjects = []
     for sid, c in codes.items():

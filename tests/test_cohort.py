@@ -1,12 +1,20 @@
+import csv
+import itertools
+import math
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
 from cenrank.cohort import (
     Censored,
+    Cohort,
     Event,
+    SubjectSeries,
     assemble_design,
     extract_windows,
     load_cohort,
+    load_variable_dictionary,
     split_folds,
     unvectorize,
     vectorize,
@@ -162,6 +170,299 @@ class TestLoadCohort:
                 c.subjects[0].mask = np.ones_like(c.subjects[0].values, dtype=bool)
             with pytest.raises(AttributeError):
                 windows[0].x_mask = np.ones_like(windows[0].x, dtype=bool)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        obs, out, dic = write_cohort_files(tmp_path, ["A,1,hr,60", "A,2,temp,37.5"], ["A,0,,21"], ["hr", "temp"])
+        want = load_cohort(obs, out, dic)
+        for path in (obs, out, dic):
+            path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+            got = load_cohort(obs, out, dic)
+            assert got.variables == ["hr", "temp"]
+            assert_same_cohort(got, want)
+
+
+def load_reference(observations_path, outcomes_path, dictionary):
+    """load_cohort as a row-at-a-time loop: every record is checked, in file order, before the next is read."""
+    def rows(path, required_cols):
+        try:
+            fh = open(path, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        with fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in required_cols if c not in header]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}")
+            position = {name: i for i, name in enumerate(header)}
+            pick = itemgetter(*(position[c] for c in required_cols))
+            out = []
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise DataError(f"{path} line {reader.line_num}: {len(fields)} fields, the header has {len(header)}")
+                out.append((reader.line_num, pick(fields)))
+        return out
+
+    variables = load_variable_dictionary(dictionary)
+    var_index = {name: j for j, name in enumerate(variables)}
+    outcomes = {}
+    for line, (sid, ssi_text, onset_text, last_text) in rows(
+            outcomes_path, ["subject_id", "ssi", "onset_day", "last_obs_day"]):
+        sid = sid.strip()
+        try:
+            ssi = int(ssi_text)
+        except ValueError:
+            raise DataError(f"{outcomes_path} line {line}: ssi must be 0 or 1") from None
+        if ssi not in (0, 1):
+            raise DataError(f"{outcomes_path} line {line}: ssi must be 0 or 1, got {ssi}")
+        if sid in outcomes:
+            raise DuplicateRecordError(f"{outcomes_path} line {line}: duplicate subject {sid!r}")
+        field, raw = ("onset_day", onset_text) if ssi == 1 else ("last_obs_day", last_text)
+        raw = raw.strip()
+        if not raw:
+            raise DataError(f"{outcomes_path} line {line}: {field} required when ssi={ssi}")
+        try:
+            when = float(raw)
+        except ValueError:
+            raise DataError(f"{outcomes_path} line {line}: {field} must be a number, got {raw!r}") from None
+        if not math.isfinite(when):
+            raise DataError(f"{outcomes_path} line {line}: non-finite {field}")
+        outcomes[sid] = Event(onset_day=when) if ssi == 1 else Censored(horizon_day=when)
+
+    codes = {}
+    cells = {}
+    for line, (sid, day_text, var, value_text) in rows(observations_path, ["subject_id", "day", "variable", "value"]):
+        sid = sid.strip()
+        var = var.strip()
+        if var not in var_index:
+            raise UnknownVariableError(f"{observations_path} line {line}: unknown variable {var!r}")
+        try:
+            day = int(day_text)
+        except ValueError:
+            raise DataError(f"{observations_path} line {line}: day must be an integer") from None
+        if day < 1:
+            raise DataError(f"{observations_path} line {line}: day must be >= 1, got {day}")
+        outcome = outcomes.get(sid)
+        if isinstance(outcome, Censored) and day > outcome.horizon_day:
+            raise DataError(f"{observations_path} line {line}: day {day} is after last_obs_day "
+                            f"{outcome.horizon_day:g} of event-free subject {sid!r}")
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise DataError(f"{observations_path} line {line}: value must be a number, got {value_text!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{observations_path} line {line}: non-finite value")
+        cell = (codes.setdefault(sid, len(codes)), day, var_index[var])
+        if cell in cells:
+            raise DuplicateRecordError(
+                f"{observations_path} line {line}: duplicate record for ({sid!r}, day {day}, {var!r})")
+        cells[cell] = value
+
+    subjects = []
+    for sid, c in codes.items():
+        if sid not in outcomes:
+            raise MissingOutcomeError(f"subject {sid!r} has observations but no outcome row")
+        days = {d: v for (code, d, _), v in cells.items() if code == c}
+        first_day = min(days)
+        outcome = outcomes[sid]
+        if isinstance(outcome, Event) and outcome.onset_day <= first_day:
+            raise InvalidOnsetError(
+                f"subject {sid!r}: onset_day {outcome.onset_day} is not after first observed day {first_day}")
+        values = np.full((max(days) - first_day + 1, len(variables)), np.nan)
+        for (code, d, j), v in cells.items():
+            if code == c:
+                values[d - first_day, j] = v
+        subjects.append(SubjectSeries(sid, first_day, values, outcome))
+    return Cohort(subjects=subjects, variables=variables)
+
+
+def assert_same_cohort(got, want):
+    assert got.variables == want.variables
+    assert [s.subject_id for s in got.subjects] == [s.subject_id for s in want.subjects]
+    for g, w in zip(got.subjects, want.subjects):
+        assert g.first_day == w.first_day
+        assert g.outcome == w.outcome
+        assert np.array_equal(g.values, w.values, equal_nan=True)
+
+
+def outcome_of(load, *paths):
+    """The Cohort a loader returns, or the type and message of what it raises."""
+    try:
+        return load(*paths)
+    except Exception as exc:  # the loaders must agree on every exception, not only on DataError
+        return type(exc), str(exc)
+
+
+def assert_loaders_agree(tmp_path, observations, outcomes, variables=("v01", "v02", "v03", "v04"),
+                         obs_header="subject_id,day,variable,value", out_header="subject_id,ssi,onset_day,last_obs_day",
+                         newline="\n"):
+    """Write raw lines, load them with load_cohort and load_reference, and compare the results."""
+    obs, out, dic = tmp_path / "observations.csv", tmp_path / "outcomes.csv", tmp_path / "variables.txt"
+    obs.write_bytes(newline.join([obs_header, *observations, ""]).encode("utf-8"))
+    out.write_bytes(newline.join([out_header, *outcomes, ""]).encode("utf-8"))
+    dic.write_text("".join(f"{v}\n" for v in variables), encoding="utf-8")
+    got, want = outcome_of(load_cohort, obs, out, dic), outcome_of(load_reference, obs, out, dic)
+    if isinstance(want, Cohort):
+        assert isinstance(got, Cohort), got
+        assert_same_cohort(got, want)
+    else:
+        assert got == want
+    return want
+
+
+def synthetic_lines(tmp_path, seed, shuffle=False):
+    """Observation and outcome data lines of a small synthetic cohort, the observations shuffled if asked."""
+    cohort, _ = generate_cohort(
+        SyntheticSpec(n_subjects=12, days_per_subject=7, P=4, T_star=3, true_rank=2,
+                      noise_sigma=1.0, missing_rate=0.2, seed=seed)
+    )
+    write_cohort(cohort, tmp_path / "o.csv", tmp_path / "y.csv", tmp_path / "v.txt")
+    observations = (tmp_path / "o.csv").read_text().splitlines()[1:]
+    outcomes = (tmp_path / "y.csv").read_text().splitlines()[1:]
+    if shuffle:
+        observations = [observations[i] for i in np.random.default_rng(seed).permutation(len(observations))]
+    return observations, outcomes
+
+
+def set_field(line, i, text):
+    fields = line.split(",")
+    fields += [""] * (i + 1 - len(fields))  # a short row gets its field back, empty
+    fields[i] = text
+    return ",".join(fields)
+
+
+def censored_id(outcomes):
+    return next(line.split(",")[0] for line in outcomes if line.split(",")[1] == "0")
+
+
+# Each fault gives the new text of data line i (i >= 1) of its file, from the lines of both files.
+OBSERVATION_FAULTS = {
+    "unknown_variable": lambda obs, out, i: set_field(obs[i], 2, "glow"),
+    "day_not_integer": lambda obs, out, i: set_field(obs[i], 1, "2.0"),
+    "day_below_one": lambda obs, out, i: set_field(obs[i], 1, "0"),
+    "day_after_last_obs_day": lambda obs, out, i: set_field(set_field(obs[i], 0, censored_id(out)), 1, "99"),
+    "value_not_number": lambda obs, out, i: set_field(obs[i], 3, "fast"),
+    "value_not_finite": lambda obs, out, i: set_field(obs[i], 3, "-inf"),
+    "duplicate_cell": lambda obs, out, i: set_field(obs[i - 1], 3, "1.5"),
+    "short_row": lambda obs, out, i: obs[i].rsplit(",", 1)[0],
+    "long_row": lambda obs, out, i: obs[i] + ",7",
+}
+OUTCOME_FAULTS = {
+    "ssi_not_integer": lambda obs, out, i: set_field(out[i], 1, "yes"),
+    "ssi_not_0_or_1": lambda obs, out, i: set_field(out[i], 1, "2"),
+    "duplicate_subject": lambda obs, out, i: out[i - 1],
+    "when_missing": lambda obs, out, i: set_field(set_field(out[i], 2, ""), 3, " "),
+    "when_not_number": lambda obs, out, i: set_field(set_field(out[i], 2, "soon"), 3, "later"),
+    "when_not_finite": lambda obs, out, i: set_field(set_field(out[i], 2, "nan"), 3, "inf"),
+    "onset_not_after_first_day": lambda obs, out, i: set_field(set_field(out[i], 1, "1"), 2, "1"),
+    "outcome_long_row": lambda obs, out, i: out[i] + ",",
+}
+
+
+def with_blank_lines(lines, rng):
+    """`lines` with a blank line inserted at three random places."""
+    lines = list(lines)
+    for at in rng.integers(0, len(lines) + 1, size=3):
+        lines.insert(int(at), "")
+    return lines
+
+
+def with_faults(observations, outcomes, faults):
+    """Apply (name, line index) faults in turn; the faults of both files are looked up by name."""
+    obs, out = list(observations), list(outcomes)
+    for name, i in faults:
+        if name in OBSERVATION_FAULTS:
+            obs[i] = OBSERVATION_FAULTS[name](obs, out, i)
+        else:
+            out[i] = OUTCOME_FAULTS[name](obs, out, i)
+    return obs, out
+
+
+class TestLoaderMatchesRowLoop:
+    """load_cohort gives the same Cohort, or raises the same error, as a row-at-a-time loop."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 4, 6])
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+    def test_synthetic_cohorts(self, tmp_path, seed, shuffle):
+        observations, outcomes = synthetic_lines(tmp_path, seed, shuffle)
+        assert isinstance(assert_loaders_agree(tmp_path, observations, outcomes), Cohort)
+
+    @pytest.mark.parametrize("observations, outcomes, options", [
+        (["A,1,v01,60", "A,2,v02,61", "B,3,v01,1"], ["A,1,5,2", "B,0,,21"], {"newline": "\r\n"}),
+        (['"A,1",1,v01,60', '"A,1",2,v02,61', 'A,1,v01,2'], ['"A,1",0,,21', "A,0,,9"], {}),
+        (["60,v01,x,A,1", "61,v02,y,A,2"], ["A,0,,21"],
+         {"obs_header": "value,variable,note,subject_id,day"}),
+        (["", "A,1,v01,60", "", "", "A,2,v02,61", ""], ["", "A,1,5,2", ""], {}),
+        ([" A ,1, v01 ,60", "A,2,v02\t,61", "\tB,1,v03,2"], [" A,0,,21", "B ,1, 4 ,"], {}),
+        ([" 2,1_0 ,v01, 7.5 ", "A,١,v02,1E3", "A,+3,v03,-0", "A,0_4,v04,1_000.25"], ["A,0,,21", "2,0,,11"], {}),
+        ([], [], {}),
+        ([], ["A,0,,21"], {}),
+    ], ids=["crlf", "quoted_id_with_comma", "reordered_header_extra_column", "blank_lines",
+            "whitespace_padded", "number_spellings", "header_only", "no_observations"])
+    def test_format_cases(self, tmp_path, observations, outcomes, options):
+        assert isinstance(assert_loaders_agree(tmp_path, observations, outcomes, **options), Cohort)
+
+    @pytest.mark.parametrize("blank_lines", [False, True], ids=["dense", "blank_lines"])
+    @pytest.mark.parametrize("name", [*OBSERVATION_FAULTS, *OUTCOME_FAULTS])
+    def test_each_fault_at_random_lines(self, tmp_path, name, blank_lines):
+        observations, outcomes = synthetic_lines(tmp_path, 11)
+        rng = np.random.default_rng([*OBSERVATION_FAULTS, *OUTCOME_FAULTS].index(name))
+        n = len(observations) if name in OBSERVATION_FAULTS else len(outcomes)
+        for i in sorted(rng.choice(np.arange(1, n), size=3, replace=False)):
+            faulty = with_faults(observations, outcomes, [(name, i)])
+            if blank_lines:
+                faulty = [with_blank_lines(lines, rng) for lines in faulty]
+            assert not isinstance(assert_loaders_agree(tmp_path, *faulty), Cohort)
+
+    @pytest.mark.parametrize("file_faults", [OBSERVATION_FAULTS, OUTCOME_FAULTS], ids=["observations", "outcomes"])
+    def test_pairs_of_faults_in_both_orders(self, tmp_path, file_faults):
+        """Two faults on two lines, and both rewrites applied to one line, for every ordered pair of faults."""
+        observations, outcomes = synthetic_lines(tmp_path, 13)
+        n = len(observations) if file_faults is OBSERVATION_FAULTS else len(outcomes)
+        rng = np.random.default_rng(13)
+        for a, b in itertools.permutations(file_faults, 2):
+            i = int(rng.integers(1, n - 2))
+            j = int(rng.integers(i + 2, n))  # a fault that copies line j - 1 must not copy line i's fault
+            faulty = with_faults(observations, outcomes, [(a, i), (b, j)])
+            assert not isinstance(assert_loaders_agree(tmp_path, *faulty), Cohort)
+            # the second rewrite may undo the first (a short row made long again), so only agreement is asserted
+            assert_loaders_agree(tmp_path, *with_faults(observations, outcomes, [(a, i), (b, i)]))
+
+    def test_fault_after_multiline_record(self, tmp_path):
+        observations = ['"A\nB",1,v01,60', 'A,1,v01,60', '"C\n\nD",1,v01,6']
+        outcomes = ['"A\nB",0,,21', "A,0,,21", '"C\n\nD",0,,21']
+        assert isinstance(assert_loaders_agree(tmp_path, observations, outcomes), Cohort)
+        for bad in ("A,1,v01,fast", "A,1,v01", "A,1,glow,60"):
+            want = assert_loaders_agree(tmp_path, [*observations, "", bad], outcomes)
+            assert "observations.csv line 9: " in want[1]
+
+    @pytest.mark.parametrize("headers, faults", [
+        ({"obs_header": "subject_id,day,value"}, [("short_row", 2), ("unknown_variable", 1)]),
+        ({"out_header": "subject,ssi,onset_day"}, [("outcome_long_row", 2), ("ssi_not_integer", 1)]),
+        ({"obs_header": "subject_id,variable,value", "out_header": "subject_id,ssi,last_obs_day"},
+         [("short_row", 2), ("outcome_long_row", 1)]),
+    ], ids=["observations", "outcomes", "both"])
+    def test_missing_columns_come_before_row_faults(self, tmp_path, headers, faults):
+        observations, outcomes = with_faults(*synthetic_lines(tmp_path, 11), faults)
+        want = assert_loaders_agree(tmp_path, observations, outcomes, **headers)
+        assert "missing columns" in want[1]
+
+    def test_one_fault_in_each_file(self, tmp_path):
+        observations, outcomes = synthetic_lines(tmp_path, 15)
+        rng = np.random.default_rng(15)
+        for a, b in itertools.product(OBSERVATION_FAULTS, OUTCOME_FAULTS):
+            faults = [(a, int(rng.integers(1, len(observations)))), (b, int(rng.integers(1, len(outcomes))))]
+            assert not isinstance(assert_loaders_agree(tmp_path, *with_faults(observations, outcomes, faults)), Cohort)
+
+    def test_subject_faults(self, tmp_path):
+        observations, outcomes = synthetic_lines(tmp_path, 17)
+        missing = [line for line in outcomes if not line.startswith("S03,")]
+        assert assert_loaders_agree(tmp_path, observations, missing)[0] is MissingOutcomeError
+        early = [set_field(set_field(line, 1, "1"), 2, "1") if line.startswith(("S05,", "S07,")) else line
+                 for line in outcomes]
+        assert assert_loaders_agree(tmp_path, observations, early)[0] is InvalidOnsetError
 
 
 class TestExtractWindows:
