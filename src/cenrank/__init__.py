@@ -22,7 +22,6 @@ from .evaluation import (
     Grid,
     coefficient_report,
     cross_validate,
-    grid_report,
     mae,
     onset_distribution,
 )

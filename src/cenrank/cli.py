@@ -25,8 +25,8 @@ import numpy as np
 from . import evaluation, modelio, solver
 from .cohort import assemble_design, extract_windows, load_cohort, write_cohort
 from .errors import DataError, EmptyColumnError, NumericalError, UnimputedSampleError
-from .evaluation import Grid, cross_validate, fit_method, grid_report, impute_split, write_csv, write_report_csvs
-from .imputation import BmcImputer, KnnImputer, MeanImputer, impute_windows
+from .evaluation import Grid, cross_validate, fit_method, impute_split, write_csv, write_report_csvs
+from .imputation import BmcImputer, KnnImputer, MeanImputer, fill_windows
 from .synthetic import SyntheticSpec, generate_cohort
 
 
@@ -259,7 +259,7 @@ def _cmd_predict(cfg, out_dir: Path):
     if not windows:
         raise DataError(f"no windows of length {T} could be extracted")
     if cfg["imputer_model"]:
-        windows = impute_windows(windows, modelio.load_imputer(cfg["imputer_model"], cohort.variables))
+        windows = fill_windows(windows, modelio.load_imputer(cfg["imputer_model"], cohort.variables).transform)
     elif any(np.isnan(w.x).any() for w in windows):
         raise UnimputedSampleError("cohort has missing cells; pass --imputer-model to fill them")
     preds = evaluation.predict_windows(model, windows)
@@ -292,17 +292,14 @@ def _cmd_cv(cfg, out_dir: Path):
     capped = sum(not conv and it == cfg["max_iter"] for it, conv in fits)
     if capped:
         print(f"{capped} of {len(fits)} censored_lowrank fits stopped at max_iter")
-    gr = grid_report(report)
-    write_report_csvs(gr, report.k, out_dir)
-    best = gr.best
+    best = write_report_csvs(report, out_dir)
     print(f"best: duration={best.duration} rank={best.rank} lambda={best.lambda_:g} "
           f"method={best.method} mean_mae={best.mean_mae:.6g}")
 
 
 def _cmd_report(cfg, out_dir: Path):
     report = modelio.load_cv_report(cfg["cv_report"])
-    gr = grid_report(report)
-    write_report_csvs(gr, report.k, out_dir)
+    write_report_csvs(report, out_dir)
     print(f"regenerated report CSVs for {len(report.entries)} grid entries")
 
 

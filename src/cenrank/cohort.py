@@ -18,12 +18,18 @@ N x P day-row array, ordered subject by subject (in order of first
 appearance) and day by day; each subject's values are a slice of it. NaN is
 the only marker of a missing cell: the `mask` and `x_mask` properties are
 derived from it.
+
+A window is T consecutive rows of a day-row array. `extract_windows` stacks
+the subjects' values into one such array per call and copies no window: a
+`WindowSample` holds the array, the row of its first day and T, and its `x`
+is a view. `window_rows` is the one place that turns windows into row
+indices; the imputers' window fill goes through it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -86,19 +92,26 @@ class Cohort:
 
 @dataclass
 class WindowSample:
-    """A T x P window with its time-to-event label.
+    """T consecutive rows of a day-row array, from row `start`, with their time-to-event label.
 
     y = onset_day - window_end_day for complete samples (always > 0);
     y = horizon - window_end_day, clamped at 0, for censored samples.
-    x holds NaN at unobserved cells until the window is imputed; the
-    read-only `x_mask` is computed from the NaNs on every access.
+    `x` is the writable T x P view days[start:start + T], NaN at unobserved
+    cells until the window is imputed; the read-only `x_mask` is computed
+    from the NaNs on every access.
     """
 
-    x: np.ndarray
+    days: np.ndarray = field(repr=False)
+    start: int
+    T: int
     y: float
     censored: bool
     subject_id: str
     window_end_day: int
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.days[self.start:self.start + self.T]
 
     @property
     def x_mask(self) -> np.ndarray:
@@ -130,13 +143,19 @@ class DesignSet:
 
 
 def load_variable_dictionary(path) -> list[str]:
-    """Read the variable dictionary: one name per line, order = column order."""
+    """Read the variable dictionary: one name per line, order = column order.
+
+    A file that cannot be opened or decoded as UTF-8 is a DataError naming it.
+    """
     names = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line in fh:
-            name = line.strip()
-            if name:
-                names.append(name)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for line in fh:
+                name = line.strip()
+                if name:
+                    names.append(name)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if len(set(names)) != len(names):
         dup = sorted({n for n in names if names.count(n) > 1})
         raise UnknownVariableError(f"duplicate variable names in dictionary: {dup}")
@@ -148,20 +167,21 @@ def load_variable_dictionary(path) -> list[str]:
 def _read_columns(path, names):
     """The `names` columns of a CSV file with a header line, each a tuple over the nonblank records.
 
-    A UTF-8 byte-order mark is skipped. A record whose field count differs
-    from the header's is a DataError naming the file and line.
+    A UTF-8 byte-order mark is skipped. A file that cannot be opened,
+    decoded as UTF-8 or parsed as CSV (a field over the csv module's size
+    limit) is a DataError naming it, and so is a record whose field count
+    differs from the header's, naming its line too.
     """
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in names if c not in header]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}")
+            records = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in names if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        records = list(reader)
     width = len(header)
     if set(map(len, records)) - {width}:
         records = [fields for fields in records if fields]
@@ -352,11 +372,15 @@ def extract_windows(cohort: Cohort, T: int, stride: int = 1, horizon: float = 21
     or before the subject's last observed day. Event subjects emit only
     windows ending strictly before onset (y = onset - end, censored False);
     censored subjects emit every window with y = horizon - end clamped at
-    zero, censored True.
+    zero, censored True. All windows read one day-row array, a copy of the
+    subjects' values stacked in cohort order, so writing to a window
+    changes neither the cohort nor another call's windows.
     """
     if T < 1 or stride < 1 or horizon < 1:
         raise ValueError("T, stride and horizon must all be >= 1")
+    days = np.concatenate([np.empty((0, len(cohort.variables)))] + [s.values for s in cohort.subjects])
     samples = []
+    first_row = 0
     for series in cohort.subjects:
         D = series.values.shape[0]
         for start in range(0, D - T + 1, stride):
@@ -369,15 +393,8 @@ def extract_windows(cohort: Cohort, T: int, stride: int = 1, horizon: float = 21
             else:
                 y = max(horizon - end_day, 0.0)
                 censored = True
-            samples.append(
-                WindowSample(
-                    x=series.values[start : start + T].copy(),
-                    y=float(y),
-                    censored=censored,
-                    subject_id=series.subject_id,
-                    window_end_day=end_day,
-                )
-            )
+            samples.append(WindowSample(days, first_row + start, T, float(y), censored, series.subject_id, end_day))
+        first_row += D
     return samples
 
 
@@ -391,6 +408,23 @@ def unvectorize(v: np.ndarray, T: int, P: int) -> np.ndarray:
     return np.asarray(v).reshape(T, P, order="C")
 
 
+def _window_name(w: WindowSample) -> str:
+    return f"window of subject {w.subject_id!r} ending day {w.window_end_day}"
+
+
+def window_rows(windows: list[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The day-row array that nonempty `windows` read, and rows[i, t], the row in it of day t of window i.
+
+    The windows must all read one array and have one length, as the
+    windows of one `extract_windows` call do; otherwise the call is a
+    DataError.
+    """
+    days, T = windows[0].days, windows[0].T
+    if any(w.days is not days or w.T != T for w in windows):
+        raise DataError("windows must all read one day-row array and have one length")
+    return days, np.array([w.start for w in windows])[:, None] + np.arange(T)
+
+
 def stack_windows(samples: list[WindowSample], shape: tuple[int, int]) -> np.ndarray:
     """Vectorized windows as the rows of an n x T*P array.
 
@@ -398,15 +432,17 @@ def stack_windows(samples: list[WindowSample], shape: tuple[int, int]) -> np.nda
     the transpose of a C-contiguous T*P x n array, the layout the design
     matrices and the prediction product use.
     """
-    for s in samples:
-        where = f"window of subject {s.subject_id!r} ending day {s.window_end_day}"
-        if s.x.shape != shape:
-            raise DataError(f"{where} has shape {s.x.shape}, expected {shape}")
-        if np.isnan(s.x).any():
-            raise UnimputedSampleError(f"{where} has unimputed cells")
     if not samples:
         return np.zeros((shape[0] * shape[1], 0)).T
-    return np.column_stack([vectorize(s.x) for s in samples]).T
+    xs = [w.x for w in samples]
+    wrong = [k for k, x in enumerate(xs) if x.shape != shape]
+    if wrong:
+        raise DataError(f"{_window_name(samples[wrong[0]])} has shape {xs[wrong[0]].shape}, expected {shape}")
+    X = np.stack(xs, axis=-1).reshape(-1, len(samples))  # window i is column i
+    unimputed = np.isnan(X).any(axis=0)
+    if unimputed.any():
+        raise UnimputedSampleError(f"{_window_name(samples[int(np.argmax(unimputed))])} has unimputed cells")
+    return X.T
 
 
 def assemble_design(samples: list[WindowSample]) -> DesignSet:

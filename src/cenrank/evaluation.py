@@ -4,8 +4,8 @@ The grid search iterates duration x rank x lambda x method. For each
 duration the windows and folds are drawn once so every grid point sees the
 identical partition (paired comparison), and within a fold the imputer is
 fitted on training windows only; test windows are filled by the fitted
-imputer from their own rows, each distinct (subject, day) row once, never
-from the training completion.
+imputer from their own day rows, each row once, never from the training
+completion.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines, solver
 from .cohort import Cohort, DesignSet, WindowSample, assemble_design, extract_windows, split_folds, stack_windows
 from .errors import DataError, UndefinedMetricError
-from .imputation import distinct_rows, fill_windows, impute_windows
+from .imputation import fill_windows
 
 METHODS = ("censored_lowrank", "ols", "svr")
 
@@ -120,14 +120,13 @@ def mae(predictions: np.ndarray, samples: list[WindowSample]) -> float:
 def impute_split(windows, train_idx, test_idx, imputer):
     """Fit a fresh imputer on the training windows and fill both sides.
 
-    Returns (train_windows, test_windows, fitted_imputer); the test
-    windows are filled by `impute_windows` from their own rows in one batch.
+    Returns (train_windows, test_windows, fitted_imputer): the training
+    windows read the imputer's completion of their rows, and the test
+    windows its fill of their own rows, in one batch.
     """
-    train = [windows[i] for i in train_idx]
-    test = [windows[i] for i in test_idx]
-    X, where = distinct_rows(train)
-    imp = copy.copy(imputer).fit(X)
-    return fill_windows(train, imp.completed, where), impute_windows(test, imp), imp
+    imp = copy.copy(imputer)
+    train = fill_windows([windows[i] for i in train_idx], lambda X: imp.fit(X).completed)
+    return train, fill_windows([windows[i] for i in test_idx], imp.transform), imp
 
 
 def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
@@ -200,49 +199,6 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
     return CvReport(entries=entries, seed=seed, k=k, split_unit=split_unit)
 
 
-@dataclass
-class GridReport:
-    grid_rows: list[dict]
-    lambda_series: list[dict]
-    duration_series: list[dict]
-    best: CvEntry
-
-
-def grid_report(report: CvReport) -> GridReport:
-    """Tabulate the CV grid, flag the best cell and build plottable series.
-
-    The minimum mean MAE wins; ties break toward the lexicographically
-    smallest (duration, rank, lambda, method). The lambda and duration
-    series average mean MAE over the remaining grid axes per method.
-    """
-    if not report.entries:
-        raise DataError("empty CV report")
-    best = min(report.entries, key=lambda e: (e.mean_mae, e.duration, e.rank, e.lambda_, e.method))
-    rows = []
-    for e in report.entries:
-        row = {"duration": e.duration, "rank": e.rank, "lambda": e.lambda_, "method": e.method}
-        for i, v in enumerate(e.fold_maes):
-            row[f"fold_{i + 1}"] = float(v)
-        row["mean_mae"] = e.mean_mae
-        row["is_best"] = int(e is best)
-        rows.append(row)
-
-    def series(axis):
-        keys = sorted({(e.method, getattr(e, axis)) for e in report.entries})
-        out = []
-        for method, value in keys:
-            vals = [e.mean_mae for e in report.entries if e.method == method and getattr(e, axis) == value]
-            out.append({"method": method, axis: value, "mean_mae": float(np.mean(vals))})
-        return out
-
-    return GridReport(
-        grid_rows=rows,
-        lambda_series=series("lambda_"),
-        duration_series=series("duration"),
-        best=best,
-    )
-
-
 def coefficient_report(params, variable_names, top_n: int = 20):
     """Entries of w ranked by decreasing coefficient value.
 
@@ -281,28 +237,35 @@ def write_csv(path, header, rows):
             writer.writerow(row)
 
 
-def write_report_csvs(gr: GridReport, k: int, out_dir):
-    """Write grid.csv, lambda_curve.csv and duration_curve.csv under out_dir."""
-    fold_cols = [f"fold_{i + 1}" for i in range(k)]
-    header = ["duration", "rank", "lambda", "method"] + fold_cols + ["mean_mae", "is_best"]
-    rows = []
-    for r in gr.grid_rows:
-        rows.append(
-            [r["duration"], r["rank"], _fmt(r["lambda"]), r["method"]]
-            + [_fmt(r[c]) for c in fold_cols]
-            + [_fmt(r["mean_mae"]), r["is_best"]]
-        )
-    write_csv(f"{out_dir}/grid.csv", header, rows)
-    write_csv(
-        f"{out_dir}/lambda_curve.csv",
-        ["method", "lambda", "mean_mae"],
-        [[s["method"], _fmt(s["lambda_"]), _fmt(s["mean_mae"])] for s in gr.lambda_series],
-    )
-    write_csv(
-        f"{out_dir}/duration_curve.csv",
-        ["method", "duration", "mean_mae"],
-        [[s["method"], s["duration"], _fmt(s["mean_mae"])] for s in gr.duration_series],
-    )
+def write_report_csvs(report: CvReport, out_dir) -> CvEntry:
+    """Write grid.csv, lambda_curve.csv and duration_curve.csv under out_dir, and return the best entry.
+
+    The minimum mean MAE wins; ties break toward the lexicographically
+    smallest (duration, rank, lambda, method), and grid.csv flags it in
+    `is_best`. The lambda and duration curves average mean MAE over the
+    remaining grid axes per method.
+    """
+    if not report.entries:
+        raise DataError("empty CV report")
+    best = min(report.entries, key=lambda e: (e.mean_mae, e.duration, e.rank, e.lambda_, e.method))
+    header = ["duration", "rank", "lambda", "method"] + [f"fold_{i + 1}" for i in range(report.k)]
+    write_csv(f"{out_dir}/grid.csv", header + ["mean_mae", "is_best"], [
+        [e.duration, e.rank, _fmt(e.lambda_), e.method] + [_fmt(v) for v in e.fold_maes]
+        + [_fmt(e.mean_mae), int(e is best)]
+        for e in report.entries
+    ])
+
+    def curve(axis):
+        keys = sorted({(e.method, getattr(e, axis)) for e in report.entries})
+        return [(method, value, np.mean([e.mean_mae for e in report.entries
+                                         if e.method == method and getattr(e, axis) == value]))
+                for method, value in keys]
+
+    write_csv(f"{out_dir}/lambda_curve.csv", ["method", "lambda", "mean_mae"],
+              [[method, _fmt(lam), _fmt(m)] for method, lam, m in curve("lambda_")])
+    write_csv(f"{out_dir}/duration_curve.csv", ["method", "duration", "mean_mae"],
+              [[method, duration, _fmt(m)] for method, duration, m in curve("duration")])
+    return best
 
 
 def write_coefficients_csv(path, ranked):

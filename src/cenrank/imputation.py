@@ -9,9 +9,9 @@ batch, by projecting onto the fitted daily basis under the same bounds.
 Column-mean and KNN imputers are provided as benchmarks. Imputers take
 N x P day rows in which NaN, and only NaN, marks a missing cell: `fit(X)`
 keeps the training completion in `completed`, `transform(X)` fills new
-rows. An infinite entry is a NumericalError. `distinct_rows` indexes a
-window set's distinct (subject, day) rows once; `fill_windows` gathers
-completed rows back.
+rows. An infinite entry is a NumericalError. `fill_windows` passes the
+day rows a set of windows reads through one fill, each row once, and
+points the windows at the filled rows.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cohort import WindowSample
+from .cohort import WindowSample, window_rows
 from .errors import EmptyColumnError, NumericalError
 
 BMC_TOL = 1e-6
@@ -171,39 +171,21 @@ def impute_rows(Z: np.ndarray, model: BmcModel, trace_out: list | None = None) -
     return Z
 
 
-def distinct_rows(windows: list[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (subject, day) rows of equal-length windows and where each window finds them.
+def fill_windows(windows: list[WindowSample], fill) -> list[WindowSample]:
+    """The windows, reading `fill(X)`, where X holds the day rows they read, each once and in row order.
 
-    Returns (X, where): X holds one row per distinct (subject, day), in
-    order of first appearance across the windows, and where[i, t] is the
-    row of day t of window i.
+    `fill` returns the rows of X with their NaN cells filled: an imputer's
+    `transform`, or its `fit` followed by its `completed`. The returned
+    windows read a compact array of the filled rows only. The windows must
+    all read one day-row array and have one length (see `window_rows`).
     """
     if not windows:
-        raise EmptyColumnError("no rows to impute")
-    T = windows[0].x.shape[0]
-    codes: dict[str, int] = {}
-    subject = np.array([codes.setdefault(w.subject_id, len(codes)) for w in windows])
-    days = np.array([w.window_end_day for w in windows])[:, None] + np.arange(1 - T, 1)
-    days -= days.min()
-    keys = (subject[:, None] * (days.max() + 1) + days).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))  # of each distinct key in first-appearance order
-    X = np.stack([w.x for w in windows]).reshape(keys.size, -1)[np.sort(first)]
-    return X, rank[inverse].reshape(len(windows), T)
-
-
-def fill_windows(windows: list[WindowSample], completed: np.ndarray, where: np.ndarray) -> list[WindowSample]:
-    """Rebuild windows with their rows gathered from a completed row matrix by `where`."""
-    filled = completed[where]
-    return [replace(w, x=x) for w, x in zip(windows, filled)]
-
-
-def impute_windows(windows: list[WindowSample], imputer) -> list[WindowSample]:
-    """Fill windows with a fitted imputer from their own distinct (subject, day) rows, in one batch."""
-    if not windows:
         return []
-    X, where = distinct_rows(windows)
-    return fill_windows(windows, imputer.transform(X), where)
+    days, rows = window_rows(windows)
+    distinct = np.unique(rows)
+    filled = fill(days[distinct])
+    first = np.searchsorted(distinct, rows[:, 0]).tolist()
+    return [replace(w, days=filled, start=start) for w, start in zip(windows, first)]
 
 
 class BmcImputer:

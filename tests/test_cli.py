@@ -11,7 +11,7 @@ from cenrank.baselines import ols_fit
 from cenrank.cli import dispatch
 from cenrank.cohort import assemble_design, extract_windows, load_cohort
 from cenrank.evaluation import predict_windows
-from cenrank.imputation import impute_windows
+from cenrank.imputation import fill_windows
 from cenrank.modelio import load_imputer, load_model, save_model
 from cenrank.solver import ModelParams
 
@@ -46,7 +46,7 @@ def mean_imputer(cohort_dir, tmp_path):
 def filled_windows(cohort_dir, imputer_path, T=4):
     """The cohort's windows filled in process by a saved imputer, as `cenrank predict` fills them."""
     windows = extract_windows(load_cohort(*cohort_files(cohort_dir)), T)
-    return impute_windows(windows, load_imputer(imputer_path))
+    return fill_windows(windows, load_imputer(imputer_path).transform)
 
 
 def cv_report_text(fold_maes):
@@ -103,7 +103,7 @@ class TestTrainPredict:
         cohort = load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
                              cohort_dir / "variables.txt")
         windows = extract_windows(cohort, 4)
-        filled = impute_windows(windows, load_imputer(run / "imputer_model.json"))
+        filled = fill_windows(windows, load_imputer(run / "imputer_model.json").transform)
         model = load_model(run / "model.json")
         expected = predict_windows(model, filled)
         with open(pred / "predictions.csv") as fh:
@@ -376,7 +376,7 @@ class TestImpute:
         for imp in ("mean", "knn"):
             out = tmp_path / f"imp_{imp}"
             assert dispatch(["impute", *cohort_args(cohort_dir), "--out", str(out), "--imputer", imp]) == 0
-            filled = np.stack([w.x for w in impute_windows(windows, load_imputer(out / "imputer_model.json"))])
+            filled = np.stack([w.x for w in fill_windows(windows, load_imputer(out / "imputer_model.json").transform)])
             assert np.isfinite(filled).all()
 
 
@@ -391,6 +391,29 @@ class TestErrors:
         ])
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, fault", [
+        ("observations.csv", "undecodable byte"),
+        ("outcomes.csv", "undecodable byte"),
+        ("variables.txt", "undecodable byte"),
+        ("variables.txt", "missing file"),
+        ("observations.csv", "field over the csv size limit"),
+    ])
+    def test_unreadable_input_file_is_data_error_naming_it(self, cohort_dir, tmp_path, capsys, name, fault):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for path in cohort_files(cohort_dir):
+            (inputs / path.name).write_bytes(path.read_bytes())
+        bad = inputs / name
+        if fault == "missing file":
+            bad.unlink()
+        elif fault == "undecodable byte":
+            bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        else:
+            bad.write_text(bad.read_text() + "x" * 131_073 + ",1,v01,1.0\n")
+        code = dispatch(["impute", *cohort_args(inputs), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"data error: cannot read {bad}" in capsys.readouterr().err
 
     def test_unknown_config_key_is_usage_error(self, cohort_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -542,7 +542,9 @@ class TestAssembleDesign:
         for i in range(n_complete + n_censored):
             out.append(
                 WindowSample(
-                    x=rng.standard_normal((T, P)),
+                    days=rng.standard_normal((T, P)),
+                    start=0,
+                    T=T,
                     y=float(i + 1),
                     censored=i >= n_complete,
                     subject_id=f"S{i}",
@@ -580,7 +582,7 @@ class TestSplitFolds:
         out = []
         for i in range(n):
             sid = subjects[i] if subjects else f"S{i}"
-            out.append(WindowSample(np.zeros((1, 1)), 1.0, False, sid, 1))
+            out.append(WindowSample(np.zeros((1, 1)), 0, 1, 1.0, False, sid, 1))
         return out
 
     def test_equal_folds(self):

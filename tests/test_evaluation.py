@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -11,14 +12,13 @@ from cenrank.evaluation import (
     coefficient_report,
     cross_validate,
     fit_method,
-    grid_report,
     impute_split,
     mae,
     onset_distribution,
     predict_windows,
     write_report_csvs,
 )
-from cenrank.imputation import BmcImputer, MeanImputer, distinct_rows, impute_rows
+from cenrank.imputation import BmcImputer, MeanImputer, impute_rows
 from cenrank.modelio import load_cv_report, save_cv_report
 from cenrank.solver import ModelParams, SolverOptions
 from cenrank.synthetic import SyntheticSpec, generate_cohort
@@ -27,7 +27,7 @@ from helpers import random_design
 
 def sample(y, censored, x=None):
     x = np.zeros((1, 1)) if x is None else np.asarray(x, dtype=float)
-    return WindowSample(x, y, censored, "S", 1)
+    return WindowSample(x, 0, x.shape[0], y, censored, "S", 1)
 
 
 class TestMae:
@@ -120,9 +120,9 @@ class TestCrossValidate:
             del e["iterations"], e["converged"]
         older = CvReport.from_dict(doc)
         assert all(e.iterations == [] and e.converged == [] for e in older.entries)
-        write_report_csvs(grid_report(report), 3, tmp_path)
+        write_report_csvs(report, tmp_path)
         (tmp_path / "older").mkdir()
-        write_report_csvs(grid_report(older), 3, tmp_path / "older")
+        write_report_csvs(older, tmp_path / "older")
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "older" / "grid.csv").read_bytes()
 
     def test_true_rank_beats_full_rank_on_majority_of_seeds(self):
@@ -157,10 +157,8 @@ class TestCrossValidate:
         test_idx = split_folds(windows, 3, unit="sample", seed=0)[0]
         train_idx = np.setdiff1d(np.arange(len(windows)), test_idx)
         train_filled, test_filled, imputer = impute_split(windows, train_idx, test_idx, BmcImputer(rank=3))
-        train = [windows[i] for i in train_idx]
-        _, where = distinct_rows(train)
-        train_rows = {(w.subject_id, w.window_end_day - 3 + t): where[i, t]
-                      for i, w in enumerate(train) for t in range(4)}
+        assert all(w.days is imputer.completed for w in train_filled)
+        train_rows = {(w.subject_id, w.window_end_day - 3 + t): w.start + t for w in train_filled for t in range(4)}
         checked = differs = 0
         for raw, filled in zip((windows[i] for i in test_idx), test_filled):
             for t in range(4):
@@ -183,30 +181,37 @@ class TestGridReport:
         ]
         return CvReport(entries=entries, seed=0, k=2, split_unit="sample")
 
-    def test_single_entry_flagged(self):
-        gr = grid_report(self._report([(3, 2, 0.05, "ols", 1.0)]))
-        assert gr.grid_rows[0]["is_best"] == 1
+    @staticmethod
+    def _csv(path):
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
 
-    def test_tie_breaks_lexicographically(self):
-        gr = grid_report(self._report([
+    def test_single_entry_flagged(self, tmp_path):
+        report = self._report([(3, 2, 0.05, "ols", 1.0)])
+        assert write_report_csvs(report, tmp_path) is report.entries[0]
+        assert self._csv(tmp_path / "grid.csv")[0]["is_best"] == "1"
+
+    def test_tie_breaks_lexicographically(self, tmp_path):
+        report = self._report([
             (5, 2, 0.05, "ols", 1.0),
             (3, 3, 0.1, "ols", 1.0),
             (3, 2, 0.1, "ols", 1.0),
-        ]))
-        assert (gr.best.duration, gr.best.rank, gr.best.lambda_) == (3, 2, 0.1)
+        ])
+        best = write_report_csvs(report, tmp_path)
+        assert (best.duration, best.rank, best.lambda_) == (3, 2, 0.1)
+        assert [r["is_best"] for r in self._csv(tmp_path / "grid.csv")] == ["0", "0", "1"]
 
     def test_series_and_csv_output(self, tmp_path):
-        gr = grid_report(self._report([
+        write_report_csvs(self._report([
             (3, 2, 0.05, "ols", 2.0),
             (3, 2, 0.1, "ols", 1.0),
             (4, 2, 0.05, "ols", 4.0),
             (4, 2, 0.1, "ols", 3.0),
-        ]))
-        lam = {(s["method"], s["lambda_"]): s["mean_mae"] for s in gr.lambda_series}
-        assert lam[("ols", 0.05)] == 3.0 and lam[("ols", 0.1)] == 2.0
-        dur = {(s["method"], s["duration"]): s["mean_mae"] for s in gr.duration_series}
-        assert dur[("ols", 3)] == 1.5 and dur[("ols", 4)] == 3.5
-        write_report_csvs(gr, 2, tmp_path)
+        ]), tmp_path)
+        lam = {(r["method"], float(r["lambda"])): float(r["mean_mae"]) for r in self._csv(tmp_path / "lambda_curve.csv")}
+        assert lam == {("ols", 0.05): 3.0, ("ols", 0.1): 2.0}
+        dur = {(r["method"], r["duration"]): float(r["mean_mae"]) for r in self._csv(tmp_path / "duration_curve.csv")}
+        assert dur == {("ols", "3"): 1.5, ("ols", "4"): 3.5}
         grid_lines = (tmp_path / "grid.csv").read_text().splitlines()
         assert len(grid_lines) == 5
         assert grid_lines[0].startswith("duration,rank,lambda,method,fold_1,fold_2,mean_mae,is_best")

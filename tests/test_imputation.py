@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cenrank.cohort import WindowSample, extract_windows
-from cenrank.errors import EmptyColumnError, NumericalError
+from cenrank.errors import DataError, EmptyColumnError, NumericalError
 from cenrank.imputation import (
     BmcImputer,
     BmcModel,
@@ -12,10 +12,8 @@ from cenrank.imputation import (
     MeanImputer,
     bmc_fit,
     compute_bounds,
-    distinct_rows,
     fill_windows,
     impute_rows,
-    impute_windows,
 )
 from cenrank.modelio import load_imputer, save_imputer
 from cenrank.synthetic import SyntheticSpec, generate_cohort, generate_lowrank_matrix
@@ -411,77 +409,95 @@ def window(subject_id, end_day, T=2, P=2, missing=()):
     x = days[:, None] + np.arange(P) / 10.0
     for cell in missing:
         x[cell] = np.nan
-    return WindowSample(x=x, y=1.0, censored=False, subject_id=subject_id, window_end_day=end_day)
+    return WindowSample(days=x, start=0, T=T, y=1.0, censored=False, subject_id=subject_id, window_end_day=end_day)
 
 
-def row_keys(windows, where):
-    """The (subject, day) key of each distinct row, read back through `where`; a row has one key."""
-    keys = {}
-    for w, rows in zip(windows, where):
-        first = w.window_end_day - where.shape[1] + 1
-        for t, row in enumerate(rows):
-            key = (w.subject_id, first + t)
-            assert keys.setdefault(int(row), key) == key
-    return [keys[i] for i in range(len(keys))]
+def cohort_rows(cohort, windows):
+    """The distinct (subject, day) rows that windows read, taken from the cohort, in cohort order and then day order."""
+    order = {s.subject_id: i for i, s in enumerate(cohort.subjects)}
+    keys = sorted({(order[w.subject_id], w.window_end_day - w.T + 1 + t) for w in windows for t in range(w.T)})
+    return np.array([cohort.subjects[i].values[day - cohort.subjects[i].first_day] for i, day in keys])
+
+
+class Recorder:
+    """A fill that records the rows it was given and marks each missing cell with -1."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, X):
+        self.calls.append(X.copy())
+        return np.nan_to_num(X, nan=-1.0)
 
 
 class TestWindowMatrixPlumbing:
     def test_unique_rows_and_refill(self):
-        windows = extract_windows(tiny_cohort(), T=3)
-        X, where = distinct_rows(windows)
-        keys = row_keys(windows, where)
-        assert len(keys) == len(set(keys)) == X.shape[0]
-        assert ("A", 1) in keys and ("B", 6) in keys
-        completed = np.nan_to_num(X, nan=-1.0)
-        filled = fill_windows(windows, completed, where)
-        assert all(w.x_mask.all() for w in filled)
-        # row content propagated back into the right window slots
-        first = filled[0]
-        assert np.array_equal(first.x[0], completed[keys.index((first.subject_id, first.window_end_day - 2))])
+        cohort = tiny_cohort()
+        windows = extract_windows(cohort, T=3)
+        fill = Recorder()
+        filled = fill_windows(windows, fill)
+        [X] = fill.calls
+        assert np.array_equal(X, cohort_rows(cohort, windows), equal_nan=True)
+        assert len({id(w.days) for w in filled}) == 1 and filled[0].days.shape[0] == X.shape[0]
+        for raw, w in zip(windows, filled):
+            assert w.x_mask.all()
+            assert np.array_equal(w.x, np.nan_to_num(raw.x, nan=-1.0))
+            assert (w.y, w.censored, w.subject_id, w.window_end_day) == (raw.y, raw.censored, raw.subject_id,
+                                                                         raw.window_end_day)
 
-    def test_shuffled_windows_give_rows_in_first_appearance_order(self):
-        windows = extract_windows(tiny_cohort(), T=2)
-        shuffled = [windows[i] for i in np.random.default_rng(0).permutation(len(windows))]
-        X, where = distinct_rows(shuffled)
-        expected = []
-        for w in shuffled:
-            for day in (w.window_end_day - 1, w.window_end_day):
-                if (w.subject_id, day) not in expected:
-                    expected.append((w.subject_id, day))
-        assert row_keys(shuffled, where) == expected
-        assert expected[0] != ("A", 1)  # the shuffle moved the first window
-        for w, rows in zip(shuffled, where):
-            assert np.array_equal(X[rows], w.x, equal_nan=True)
+    def test_shuffled_training_windows_fill_to_the_values_of_sorted_ones(self):
+        spec = SyntheticSpec(n_subjects=20, days_per_subject=6, P=5, T_star=3, true_rank=2, noise_sigma=1.0,
+                             missing_rate=0.2, latent_rank=3, seed=4)
+        windows = extract_windows(generate_cohort(spec)[0], 3)
+        perm = np.random.default_rng(0).permutation(len(windows))
+        assert perm[0] != 0  # the shuffle moved the first window
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ordered = fill_windows(windows, lambda X: BmcImputer(rank=3).fit(X).completed)
+            shuffled = fill_windows([windows[i] for i in perm], lambda X: BmcImputer(rank=3).fit(X).completed)
+        for i, w in zip(perm, shuffled):
+            assert np.array_equal(w.x, ordered[i].x)
 
     def test_subjects_with_the_same_days_never_share_a_row(self):
-        windows = [window("A", 3), window("B", 3), window("A", 4), window("B", 4)]
-        X, where = distinct_rows(windows)
-        assert row_keys(windows, where) == [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("A", 4), ("B", 4)]
-        assert X.shape[0] == 6
-        assert not set(where[0]) & set(where[1])
+        cohort = tiny_cohort()
+        windows = extract_windows(cohort, T=2)
+        fill = Recorder()
+        filled = {(w.subject_id, w.window_end_day): w for w in fill_windows(windows, fill)}
+        assert fill.calls[0].shape[0] == len(cohort_rows(cohort, windows)) == 11  # A days 1-5, B days 1-6
+        for day in (2, 3, 4):
+            a, b = filled["A", day], filled["B", day]
+            assert not {a.start, a.start + 1} & {b.start, b.start + 1}
+            assert not np.array_equal(a.x, b.x)
 
     @pytest.mark.parametrize("T, stride", [(1, 1), (2, 3), (3, 5)])
     def test_short_windows_and_strides_beyond_T(self, T, stride):
         windows = extract_windows(tiny_cohort(), T=T, stride=stride)
-        X, where = distinct_rows(windows)
-        assert where.shape == (len(windows), T)
-        assert X.shape[0] == len(windows) * T  # windows that do not overlap share no row
-        assert sorted(where.ravel().tolist()) == list(range(X.shape[0]))
-        for w, rows in zip(windows, where):
-            assert np.array_equal(X[rows], w.x, equal_nan=True)
+        fill = Recorder()
+        filled = fill_windows(windows, fill)
+        assert fill.calls[0].shape[0] == len(windows) * T  # windows that do not overlap share no row
+        assert sorted(t for w in filled for t in range(w.start, w.start + T)) == list(range(len(windows) * T))
+        for raw, w in zip(windows, filled):
+            assert np.array_equal(w.x, np.nan_to_num(raw.x, nan=-1.0))
 
     def test_refilled_windows_keep_their_observed_cells(self):
-        windows = [window("A", 3, missing=[(0, 1)]), window("A", 4, missing=[(1, 0)]), window("B", 3)]
+        windows = extract_windows(tiny_cohort(), T=3)
+        assert not all(w.x_mask.all() for w in windows)
         imputer = MeanImputer().fit(np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 6.0]]))
-        for raw, filled in zip(windows, impute_windows(windows, imputer)):
+        for raw, filled in zip(windows, fill_windows(windows, imputer.transform)):
             assert filled.x_mask.all()
             assert np.array_equal(filled.x[raw.x_mask], raw.x[raw.x_mask])
             assert np.array_equal(filled.x[~raw.x_mask], imputer.col_means[np.nonzero(~raw.x_mask)[1]])
 
+    def test_windows_reading_two_day_row_arrays_are_a_data_error(self):
+        cohort = tiny_cohort()
+        for windows in ([window("A", 3), window("A", 4)], extract_windows(cohort, 2)[:1] + extract_windows(cohort, 2)):
+            with pytest.raises(DataError, match="one day-row array"):
+                fill_windows(windows, Recorder())
+
     def test_no_windows_no_rows(self):
-        assert impute_windows([], MeanImputer()) == []
-        with pytest.raises(EmptyColumnError):
-            distinct_rows([])
+        fill = Recorder()
+        assert fill_windows([], fill) == []
+        assert fill.calls == []
 
 
 class TestBmcPersistence:

@@ -310,7 +310,7 @@ class TestAlternatingSolver:
 class TestPredict:
     def _sample(self, x):
         x = np.asarray(x, dtype=float)
-        return WindowSample(x, 1.0, False, "S", x.shape[0])
+        return WindowSample(x, 0, x.shape[0], 1.0, False, "S", x.shape[0])
 
     def test_constant_model(self):
         params = ModelParams(np.zeros((2, 2)), 3.5, 1, 0.0)
