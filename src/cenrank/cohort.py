@@ -29,6 +29,7 @@ indices; the imputers' window fill goes through it.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -507,24 +508,33 @@ def split_folds(samples: list[WindowSample], k: int, unit: str = "sample", seed:
     return [np.sort(np.asarray(members, dtype=int)) for members in fold_members]
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it as one field of a longer row: quoted only where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # drop the empty second field's "," and the line end
+
+
 def write_cohort(cohort: Cohort, observations_path, outcomes_path, dictionary_path):
     """Write a cohort back to the CSV formats load_cohort reads.
 
     Only observed cells produce observation rows; floats use 17 significant
-    digits so a write/load cycle reproduces every value exactly.
+    digits so a write/load cycle reproduces every value exactly. Each
+    variable name is quoted once per file and each subject id once per
+    subject (by csv.writer, so the quoting is csv.writer's), and a subject's
+    rows go to the file in one write.
     """
     with open(dictionary_path, "w", encoding="utf-8") as fh:
         for name in cohort.variables:
             fh.write(name + "\n")
+    names = [_csv_field(name) for name in cohort.variables]
     with open(observations_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "day", "variable", "value"])
+        fh.write("subject_id,day,variable,value\n")
         for s in cohort.subjects:
-            observed = s.mask
-            for t in range(s.values.shape[0]):
-                for j, name in enumerate(cohort.variables):
-                    if observed[t, j]:
-                        writer.writerow([s.subject_id, s.first_day + t, name, "%.17g" % s.values[t, j]])
+            sid = _csv_field(s.subject_id)
+            t, j = np.nonzero(s.mask)  # row-major: day by day, variables in dictionary order
+            days, values = (t + s.first_day).tolist(), s.values[t, j].tolist()
+            fh.write("".join([f"{sid},{day},{names[c]},{v:.17g}\n" for day, c, v in zip(days, j.tolist(), values)]))
     with open(outcomes_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subject_id", "ssi", "onset_day", "last_obs_day"])

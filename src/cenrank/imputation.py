@@ -17,7 +17,7 @@ points the windows at the filled rows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,11 +85,13 @@ def bmc_fit(
     projects M = (X V_r) V_r' into a reused buffer, and refills the missing
     cells of X with their entries of M, clamped to their boxes. The fit
     objective ||X - M||_F^2 is non-increasing; iteration stops when its
-    relative decrease drops below tol; stopping at max_iter instead emits a
-    RuntimeWarning. The returned basis is the top r right singular vectors
-    of the last M. `bounds` overrides the observed min/max boxes (used to
-    study the unconstrained behaviour); `trace_out`, if given, collects the
-    per-iteration objective values.
+    relative decrease drops below tol, or when it falls to tol^2 times the
+    sum of squares of the observed entries (a residual norm of tol times
+    theirs: the completion fits to the data's scale); stopping at max_iter
+    instead emits a RuntimeWarning. The returned basis is the top r right
+    singular vectors of the last M. `bounds` overrides the observed min/max
+    boxes (used to study the unconstrained behaviour); `trace_out`, if
+    given, collects the per-iteration objective values.
     """
     X = np.array(X, dtype=float)
     if r < 1 or r > min(X.shape):
@@ -104,6 +106,7 @@ def bmc_fit(
     col_means = _column_means(X)
 
     N, P = X.shape
+    floor = tol * tol * float(np.nansum(np.square(X)))
     missing = np.flatnonzero(np.isnan(X))  # flat index of the missing cells
     col = missing % P
     lo, hi = lower[col], upper[col]
@@ -118,6 +121,8 @@ def bmc_fit(
         obj = float(np.square(np.subtract(X, M, out=D), out=D).sum())
         if trace_out is not None:
             trace_out.append(obj)
+        if obj <= floor:
+            break
         if prev_obj is not None:
             if prev_obj <= 0.0 or (prev_obj - obj) / prev_obj < tol:
                 break
@@ -185,7 +190,8 @@ def fill_windows(windows: list[WindowSample], fill) -> list[WindowSample]:
     distinct = np.unique(rows)
     filled = fill(days[distinct])
     first = np.searchsorted(distinct, rows[:, 0]).tolist()
-    return [replace(w, days=filled, start=start) for w, start in zip(windows, first)]
+    return [WindowSample(filled, start, w.T, w.y, w.censored, w.subject_id, w.window_end_day)
+            for w, start in zip(windows, first)]
 
 
 class BmcImputer:

@@ -465,6 +465,93 @@ class TestLoaderMatchesRowLoop:
         assert assert_loaders_agree(tmp_path, observations, early)[0] is InvalidOnsetError
 
 
+def write_reference(cohort, observations_path, outcomes_path, dictionary_path):
+    """write_cohort as a cell-at-a-time loop: one csv.writer row per observed cell."""
+    with open(dictionary_path, "w", encoding="utf-8") as fh:
+        for name in cohort.variables:
+            fh.write(name + "\n")
+    with open(observations_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["subject_id", "day", "variable", "value"])
+        for s in cohort.subjects:
+            observed = s.mask
+            for t in range(s.values.shape[0]):
+                for j, name in enumerate(cohort.variables):
+                    if observed[t, j]:
+                        writer.writerow([s.subject_id, s.first_day + t, name, "%.17g" % s.values[t, j]])
+    with open(outcomes_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["subject_id", "ssi", "onset_day", "last_obs_day"])
+        for s in cohort.subjects:
+            if isinstance(s.outcome, Event):
+                writer.writerow([s.subject_id, 1, "%.17g" % s.outcome.onset_day, s.last_day])
+            else:
+                writer.writerow([s.subject_id, 0, "", "%.17g" % s.outcome.horizon_day])
+
+
+def assert_writers_agree(tmp_path, cohort):
+    """write_cohort and write_reference produce the same bytes in all three files."""
+    files = {}
+    for name, write in (("new", write_cohort), ("ref", write_reference)):
+        paths = [tmp_path / f"{name}_{f}" for f in ("observations.csv", "outcomes.csv", "variables.txt")]
+        write(cohort, *paths)
+        files[name] = [p.read_bytes() for p in paths]
+    assert files["new"] == files["ref"]
+    return files["new"]
+
+
+AWKWARD_TEXT = ["plain", "with,comma", 'with"quote', "with\rcr", "with\nlf", "a\r\nb", " lead", "trail ",
+                " both ", "Zürich-Ω-日本", "", '"', ",", "x\ty"]
+
+
+class TestWriterMatchesRowLoop:
+    """write_cohort writes the same bytes as a cell-at-a-time csv.writer loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_synthetic_cohorts(self, tmp_path, seed):
+        cohort, _ = generate_cohort(
+            SyntheticSpec(n_subjects=15, days_per_subject=8, P=5, T_star=3, true_rank=2,
+                          noise_sigma=1.0, censor_horizon=10, missing_rate=0.3, seed=seed)
+        )
+        rng = np.random.default_rng(seed)
+        subjects = []
+        for s in cohort.subjects:  # shift the first day and blank whole days
+            values = s.values.copy()
+            values[rng.random(values.shape[0]) < 0.2] = np.nan
+            values[0, 0] = values[-1, 0] = 1.0  # keep the first and last day observed
+            shift = int(rng.integers(0, 5))
+            outcome = (Event(s.outcome.onset_day + shift) if isinstance(s.outcome, Event)
+                       else Censored(s.outcome.horizon_day + shift))
+            subjects.append(SubjectSeries(s.subject_id, s.first_day + shift, values, outcome))
+        shifted = Cohort(subjects, cohort.variables)
+        assert any(s.first_day > 1 for s in subjects)
+        assert any(np.isnan(s.values).all(axis=1).any() for s in subjects)
+        assert {type(s.outcome) for s in subjects} == {Event, Censored}
+        assert_writers_agree(tmp_path, cohort)
+        observations = assert_writers_agree(tmp_path, shifted)[0].decode().splitlines()
+        assert len(observations) == 1 + sum(int(s.mask.sum()) for s in subjects)
+
+    def test_awkward_ids_and_names(self, tmp_path):
+        subjects = [SubjectSeries(text, 2 + i, np.arange(len(AWKWARD_TEXT) * 2.0).reshape(2, -1) + i,
+                                  Event(9.5) if i % 2 else Censored(30))
+                    for i, text in enumerate(AWKWARD_TEXT)]
+        observations = assert_writers_agree(tmp_path, Cohort(subjects, AWKWARD_TEXT))[0].decode()
+        assert '"with,comma"' in observations and '"with""quote"' in observations
+
+    def test_values_that_need_17_digits(self, tmp_path):
+        values = np.array([[1 / 3, -0.0, 5e-324, 1.7976931348623157e308, 60.0],
+                           [-1 / 3, np.nan, -5e-324, -1.7976931348623157e308, 0.1]])
+        subjects = [SubjectSeries("A", 1, values, Event(1 / 3 + 3)), SubjectSeries("B", 4, values[::-1], Censored(7.1))]
+        observations = assert_writers_agree(tmp_path, Cohort(subjects, ["a", "b", "c", "d", "e"]))[0].decode()
+        assert "A,1,a,0.33333333333333331\n" in observations and "A,1,b,-0\n" in observations
+        assert "A,1,c,4.9406564584124654e-324\n" in observations and "A,1,e,60\n" in observations
+
+    def test_no_subjects(self, tmp_path):
+        files = assert_writers_agree(tmp_path, Cohort([], ["hr", "temp"]))
+        assert files == [b"subject_id,day,variable,value\n", b"subject_id,ssi,onset_day,last_obs_day\n",
+                         b"hr\ntemp\n"]
+
+
 class TestExtractWindows:
     def test_event_label(self):
         # onset day 7, window days 1..5: two days of lead time remain

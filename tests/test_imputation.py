@@ -174,6 +174,29 @@ class TestBmcFit:
             warnings.simplefilter("error")
             bmc_fit(np.where(mask, X, np.nan), r=2, max_iter=5000)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact_rank_fit_stops_at_the_scale_floor(self, seed):
+        """Day rows of latent rank 3 fitted at rank 3: the objective falls towards 0, and the fit
+        stops once it is within tol^2 of the observed sum of squares, before the relative rule would."""
+        spec = SyntheticSpec(n_subjects=60, days_per_subject=10, P=10, T_star=5, true_rank=2,
+                             noise_sigma=1.0, missing_rate=0.1, latent_rank=3, seed=seed)
+        X = np.concatenate([s.values for s in generate_cohort(spec)[0].subjects])
+        floor = 1e-12 * np.nansum(X ** 2)
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            done, _ = bmc_fit(X, r=3, trace_out=trace)
+        long_trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            long_done, _ = bmc_fit(X, r=3, tol=0.0, max_iter=3000, trace_out=long_trace)
+        assert np.array_equal(trace, long_trace[:len(trace)])  # the same iterates, cut short
+        assert trace[-1] <= floor < trace[-2]
+        prev, cur = np.array(long_trace[:-1]), np.array(long_trace[1:])
+        relative_stop = np.flatnonzero((prev - cur) / prev < 1e-6)[0] + 2  # trace length under the relative rule
+        assert len(trace) < relative_stop / 2
+        assert np.linalg.norm(done - long_done) <= 1e-5 * np.linalg.norm(long_done)
+
     @pytest.mark.parametrize("case", ["planted_capped", "rank3_tol_stop", "explicit_bounds"])
     def test_iterates_match_reference_bit_for_bit(self, case):
         if case == "planted_capped":  # the planted experiment's training rows, cut to 60 iterations
