@@ -8,6 +8,7 @@ from .cohort import (
     Event,
     SubjectSeries,
     WindowSample,
+    Windows,
     assemble_design,
     extract_windows,
     load_cohort,

@@ -260,17 +260,15 @@ def _cmd_predict(cfg, out_dir: Path):
         raise DataError(f"no windows of length {T} could be extracted")
     if cfg["imputer_model"]:
         windows = fill_windows(windows, modelio.load_imputer(cfg["imputer_model"], cohort.variables).transform)
-    elif any(np.isnan(w.x).any() for w in windows):
+    elif np.isnan(windows.days[windows.rows]).any():
         raise UnimputedSampleError("cohort has missing cells; pass --imputer-model to fill them")
     preds = evaluation.predict_windows(model, windows)
-    rows = [
-        [w.subject_id, w.window_end_day, int(w.censored), "%.17g" % w.y, "%.17g" % p]
-        for w, p in zip(windows, preds)
-    ]
+    rows = zip(windows.subject_id, windows.end_day.tolist(), windows.censored.astype(int).tolist(),
+               ["%.17g" % y for y in windows.y.tolist()], ["%.17g" % p for p in preds.tolist()])
     write_csv(out_dir / "predictions.csv", ["subject_id", "window_end_day", "censored", "y", "prediction"], rows)
     edges, comp, cen = evaluation.onset_distribution(preds, windows, bins=20)
     evaluation.write_onset_hist_csv(out_dir / "onset_hist.csv", edges, comp, cen)
-    print(f"wrote {len(rows)} predictions")
+    print(f"wrote {len(windows)} predictions")
 
 
 def _cmd_cv(cfg, out_dir: Path):

@@ -20,17 +20,18 @@ the only marker of a missing cell: the `mask` and `x_mask` properties are
 derived from it.
 
 A window is T consecutive rows of a day-row array. `extract_windows` stacks
-the subjects' values into one such array per call and copies no window: a
-`WindowSample` holds the array, the row of its first day and T, and its `x`
-is a view. `window_rows` is the one place that turns windows into row
-indices; the imputers' window fill goes through it.
+the subjects' values into one such array per call and returns one `Windows`
+set over it: the array, T, and one array per window field (first row, label,
+censored flag, subject id, last day). No window is copied: indexing the set
+with an integer gives a `WindowSample` whose `x` is a view of its rows, and
+indexing it with an index array gives a `Windows` over the same array.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -93,30 +94,70 @@ class Cohort:
 
 @dataclass
 class WindowSample:
-    """T consecutive rows of a day-row array, from row `start`, with their time-to-event label.
+    """One window of a `Windows` set, with its time-to-event label.
 
-    y = onset_day - window_end_day for complete samples (always > 0);
-    y = horizon - window_end_day, clamped at 0, for censored samples.
-    `x` is the writable T x P view days[start:start + T], NaN at unobserved
-    cells until the window is imputed; the read-only `x_mask` is computed
-    from the NaNs on every access.
+    `x` is the writable T x P view of the window's rows of the set's day-row
+    array, NaN at unobserved cells until the window is imputed; the
+    read-only `x_mask` is computed from the NaNs on every access.
     """
 
-    days: np.ndarray = field(repr=False)
-    start: int
-    T: int
+    x: np.ndarray
     y: float
     censored: bool
     subject_id: str
-    window_end_day: int
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.days[self.start:self.start + self.T]
 
     @property
     def x_mask(self) -> np.ndarray:
         return ~np.isnan(self.x)
+
+
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """A set of length-T windows over one day-row array, one array entry per window.
+
+    Window i is the rows days[start[i]:start[i] + T], ending on day
+    end_day[i] of subject subject_id[i]. y = onset_day - end_day for
+    complete windows (always > 0); y = horizon - end_day, clamped at 0, for
+    censored ones. `windows[i]` is window i as a `WindowSample`; an index
+    array or a slice selects a `Windows` over the same `days`.
+    """
+
+    days: np.ndarray = field(repr=False)
+    T: int
+    start: np.ndarray
+    y: np.ndarray
+    censored: np.ndarray
+    subject_id: np.ndarray
+    end_day: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            start = int(self.start[i])
+            return WindowSample(self.days[start:start + self.T], float(self.y[i]), bool(self.censored[i]),
+                                self.subject_id[i])
+        return replace(self, start=self.start[i], y=self.y[i], censored=self.censored[i],
+                       subject_id=self.subject_id[i], end_day=self.end_day[i])
+
+    @property
+    def rows(self) -> np.ndarray:
+        """rows[i, t], the row of `days` that holds day t of window i."""
+        return self.start[:, None] + np.arange(self.T)
+
+    def columns(self) -> np.ndarray:
+        """The vectorized windows as the columns of a C-contiguous T*P x n array, window i in column i.
+
+        A window with a NaN cell is an UnimputedSampleError naming the first such window.
+        """
+        X = np.ascontiguousarray(self.days[self.rows].reshape(len(self), self.T * self.days.shape[1]).T)
+        unimputed = np.isnan(X).any(axis=0)
+        if unimputed.any():
+            i = int(np.argmax(unimputed))
+            raise UnimputedSampleError(
+                f"window of subject {self.subject_id[i]!r} ending day {self.end_day[i]} has unimputed cells")
+        return X
 
 
 @dataclass
@@ -366,37 +407,38 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     return Cohort(subjects=subjects, variables=variables)
 
 
-def extract_windows(cohort: Cohort, T: int, stride: int = 1, horizon: float = 21) -> list[WindowSample]:
+def extract_windows(cohort: Cohort, T: int, stride: int = 1, horizon: float = 21) -> Windows:
     """Slide length-T windows over each subject and attach labels.
 
     Windows start at first_day and step by `stride`; a window must end on
     or before the subject's last observed day. Event subjects emit only
     windows ending strictly before onset (y = onset - end, censored False);
     censored subjects emit every window with y = horizon - end clamped at
-    zero, censored True. All windows read one day-row array, a copy of the
-    subjects' values stacked in cohort order, so writing to a window
-    changes neither the cohort nor another call's windows.
+    zero, censored True. The windows come subject by subject in cohort
+    order, and by start within a subject. They read one day-row array, a
+    copy of the subjects' values stacked in cohort order, so writing to a
+    window changes neither the cohort nor another call's windows.
     """
     if T < 1 or stride < 1 or horizon < 1:
         raise ValueError("T, stride and horizon must all be >= 1")
-    days = np.concatenate([np.empty((0, len(cohort.variables)))] + [s.values for s in cohort.subjects])
-    samples = []
-    first_row = 0
-    for series in cohort.subjects:
-        D = series.values.shape[0]
-        for start in range(0, D - T + 1, stride):
-            end_day = series.first_day + start + T - 1
-            if isinstance(series.outcome, Event):
-                if end_day >= series.outcome.onset_day:
-                    break
-                y = series.outcome.onset_day - end_day
-                censored = False
-            else:
-                y = max(horizon - end_day, 0.0)
-                censored = True
-            samples.append(WindowSample(days, first_row + start, T, float(y), censored, series.subject_id, end_day))
-        first_row += D
-    return samples
+    subjects = cohort.subjects
+    days = np.concatenate([np.empty((0, len(cohort.variables)))] + [s.values for s in subjects])
+    length = np.array([s.values.shape[0] for s in subjects], dtype=np.int64)
+    first_day = np.array([s.first_day for s in subjects], dtype=np.int64)
+    event = np.array([isinstance(s.outcome, Event) for s in subjects], dtype=bool)
+    onset = np.array([s.outcome.onset_day if e else np.inf for s, e in zip(subjects, event)])
+    # every start 0, stride, ... that fits in its subject, then only the windows ending before onset
+    count = np.maximum((length - T) // stride + 1, 0)
+    subject = np.repeat(np.arange(len(subjects)), count)
+    offset = (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)) * stride
+    end_day = first_day[subject] + offset + T - 1
+    keep = ~(end_day >= onset[subject])
+    subject, offset, end_day = subject[keep], offset[keep], end_day[keep]
+    censored = ~event[subject]
+    y = np.where(censored, np.maximum(horizon - end_day, 0.0), onset[subject] - end_day)
+    first_row = np.cumsum(length) - length
+    ids = np.array([s.subject_id for s in subjects], dtype=object)
+    return Windows(days, T, first_row[subject] + offset, y, censored, ids[subject], end_day)
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
@@ -409,103 +451,54 @@ def unvectorize(v: np.ndarray, T: int, P: int) -> np.ndarray:
     return np.asarray(v).reshape(T, P, order="C")
 
 
-def _window_name(w: WindowSample) -> str:
-    return f"window of subject {w.subject_id!r} ending day {w.window_end_day}"
-
-
-def window_rows(windows: list[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """The day-row array that nonempty `windows` read, and rows[i, t], the row in it of day t of window i.
-
-    The windows must all read one array and have one length, as the
-    windows of one `extract_windows` call do; otherwise the call is a
-    DataError.
-    """
-    days, T = windows[0].days, windows[0].T
-    if any(w.days is not days or w.T != T for w in windows):
-        raise DataError("windows must all read one day-row array and have one length")
-    return days, np.array([w.start for w in windows])[:, None] + np.arange(T)
-
-
-def stack_windows(samples: list[WindowSample], shape: tuple[int, int]) -> np.ndarray:
-    """Vectorized windows as the rows of an n x T*P array.
-
-    Every window must be shaped `shape` and fully imputed. The result is
-    the transpose of a C-contiguous T*P x n array, the layout the design
-    matrices and the prediction product use.
-    """
-    if not samples:
-        return np.zeros((shape[0] * shape[1], 0)).T
-    xs = [w.x for w in samples]
-    wrong = [k for k, x in enumerate(xs) if x.shape != shape]
-    if wrong:
-        raise DataError(f"{_window_name(samples[wrong[0]])} has shape {xs[wrong[0]].shape}, expected {shape}")
-    X = np.stack(xs, axis=-1).reshape(-1, len(samples))  # window i is column i
-    unimputed = np.isnan(X).any(axis=0)
-    if unimputed.any():
-        raise UnimputedSampleError(f"{_window_name(samples[int(np.argmax(unimputed))])} has unimputed cells")
-    return X.T
-
-
-def assemble_design(samples: list[WindowSample]) -> DesignSet:
-    """Stack fully imputed samples into complete/censored design matrices."""
-    if not samples:
+def assemble_design(windows: Windows) -> DesignSet:
+    """Stack fully imputed windows into complete/censored design matrices."""
+    if not len(windows):
         raise DataError("cannot assemble a design from zero samples")
-    T, P = samples[0].x.shape
-    X = stack_windows(samples, (T, P)).T
-    y = np.array([s.y for s in samples], dtype=float)
-    censored = np.array([s.censored for s in samples], dtype=bool)
+    X, censored = windows.columns(), windows.censored
     return DesignSet(
         X_complete=np.compress(~censored, X, axis=1),
-        y_complete=y[~censored],
+        y_complete=windows.y[~censored],
         X_censored=np.compress(censored, X, axis=1),
-        y_censored=y[censored],
-        T=T,
-        P=P,
+        y_censored=windows.y[censored],
+        T=windows.T,
+        P=windows.days.shape[1],
     )
 
 
-def split_folds(samples: list[WindowSample], k: int, unit: str = "sample", seed: int = 0) -> list[np.ndarray]:
-    """Partition sample indices into k folds.
+def split_folds(windows: Windows, k: int, unit: str = "sample", seed: int = 0) -> list[np.ndarray]:
+    """Partition window indices into k folds.
 
     unit="sample": fold sizes differ by at most one. unit="subject": all
-    windows of one subject land in the same fold; subjects are dealt to the
-    currently smallest fold to balance sample counts. Deterministic given
-    seed.
+    windows of one subject land in the same fold; subjects, numbered in
+    order of first appearance, are dealt in a random order to the currently
+    smallest fold (by window count, ties to the lower fold). Deterministic
+    given seed.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if unit not in ("sample", "subject"):
         raise ValueError(f"unknown split unit {unit!r}")
-    n = len(samples)
+    n = len(windows)
     rng = np.random.default_rng(seed)
     if unit == "sample":
         if k > n:
             raise DataError(f"cannot split {n} samples into {k} folds")
-        perm = rng.permutation(n)
-        base, extra = divmod(n, k)
-        folds, pos = [], 0
-        for f in range(k):
-            size = base + (1 if f < extra else 0)
-            folds.append(np.sort(perm[pos : pos + size]))
-            pos += size
-        return folds
+        return [np.sort(fold) for fold in np.array_split(rng.permutation(n), k)]  # the first n % k folds one larger
 
-    subject_order = []
-    by_subject: dict[str, list[int]] = {}
-    for i, s in enumerate(samples):
-        if s.subject_id not in by_subject:
-            by_subject[s.subject_id] = []
-            subject_order.append(s.subject_id)
-        by_subject[s.subject_id].append(i)
-    if k > len(subject_order):
-        raise DataError(f"cannot split {len(subject_order)} subjects into {k} folds")
-    perm = rng.permutation(len(subject_order))
-    fold_members: list[list[int]] = [[] for _ in range(k)]
-    for pos in perm:
-        sid = subject_order[pos]
-        target = min(range(k), key=lambda f: (len(fold_members[f]), f))
-        fold_members[target].extend(by_subject[sid])
-    return [np.sort(np.asarray(members, dtype=int)) for members in fold_members]
+    _, first, code = np.unique(windows.subject_id, return_index=True, return_inverse=True)
+    m = first.size
+    if k > m:
+        raise DataError(f"cannot split {m} subjects into {k} folds")
+    number = np.empty(m, dtype=np.intp)
+    number[np.argsort(first)] = np.arange(m)
+    subject = number[code]  # each window's subject, numbered in order of first appearance
+    size = np.bincount(subject, minlength=m).tolist()
+    fold_of, fold_size = np.empty(m, dtype=np.intp), [0] * k
+    for s in rng.permutation(m).tolist():
+        fold_of[s] = target = min(range(k), key=lambda f: (fold_size[f], f))
+        fold_size[target] += size[s]
+    return [np.flatnonzero(fold_of[subject] == f) for f in range(k)]
 
 
 def _csv_field(text: str) -> str:

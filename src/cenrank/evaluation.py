@@ -5,7 +5,8 @@ duration the windows and folds are drawn once so every grid point sees the
 identical partition (paired comparison), and within a fold the imputer is
 fitted on training windows only; test windows are filled by the fitted
 imputer from their own day rows, each row once, never from the training
-completion.
+completion. Windows come as one `cohort.Windows` set; the MAE, prediction
+and the onset histogram read its arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, solver
-from .cohort import Cohort, DesignSet, WindowSample, assemble_design, extract_windows, split_folds, stack_windows
+from .cohort import Cohort, DesignSet, Windows, assemble_design, extract_windows, split_folds
 from .errors import DataError, UndefinedMetricError
 from .imputation import fill_windows
 
@@ -105,16 +106,15 @@ class CvReport:
         return cls(entries=entries, seed=int(d["seed"]), k=k, split_unit=str(d["split_unit"]))
 
 
-def mae(predictions: np.ndarray, samples: list[WindowSample]) -> float:
-    """Mean absolute error over the complete samples; censored ones are excluded."""
+def mae(predictions: np.ndarray, windows: Windows) -> float:
+    """Mean absolute error over the complete windows; censored ones are excluded."""
     predictions = np.asarray(predictions, dtype=float)
-    if predictions.size != len(samples):
-        raise DataError(f"{predictions.size} predictions for {len(samples)} samples")
-    complete = np.array([not s.censored for s in samples], dtype=bool)
+    if predictions.size != len(windows):
+        raise DataError(f"{predictions.size} predictions for {len(windows)} samples")
+    complete = ~windows.censored
     if not complete.any():
         raise UndefinedMetricError("MAE is undefined without complete samples")
-    labels = np.array([s.y for s in samples], dtype=float)
-    return float(np.mean(np.abs(predictions[complete] - labels[complete])))
+    return float(np.mean(np.abs(predictions[complete] - windows.y[complete])))
 
 
 def impute_split(windows, train_idx, test_idx, imputer):
@@ -125,8 +125,8 @@ def impute_split(windows, train_idx, test_idx, imputer):
     windows its fill of their own rows, in one batch.
     """
     imp = copy.copy(imputer)
-    train = fill_windows([windows[i] for i in train_idx], lambda X: imp.fit(X).completed)
-    return train, fill_windows([windows[i] for i in test_idx], imp.transform), imp
+    train = fill_windows(windows[train_idx], lambda X: imp.fit(X).completed)
+    return train, fill_windows(windows[test_idx], imp.transform), imp
 
 
 def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
@@ -145,9 +145,11 @@ def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def predict_windows(model: solver.ModelParams, samples: list[WindowSample]) -> np.ndarray:
-    """<x, w> + b for each window; every window must be fully imputed and shaped like w."""
-    return stack_windows(samples, model.w.shape) @ model.w_vec + model.b
+def predict_windows(model: solver.ModelParams, windows: Windows) -> np.ndarray:
+    """<x, w> + b for each window; the windows must be fully imputed and shaped like w."""
+    if (windows.T, windows.days.shape[1]) != model.w.shape:
+        raise DataError(f"windows have shape {(windows.T, windows.days.shape[1])}, expected {model.w.shape}")
+    return windows.columns().T @ model.w_vec + model.b
 
 
 def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
@@ -214,15 +216,15 @@ def coefficient_report(params, variable_names, top_n: int = 20):
     return ranked[:top_n]
 
 
-def onset_distribution(predictions: np.ndarray, samples: list[WindowSample], bins=20):
+def onset_distribution(predictions: np.ndarray, windows: Windows, bins=20):
     """Histogram the predicted values of the complete and censored groups.
 
-    `predictions` holds one value per sample, in order. Shared bin edges
+    `predictions` holds one value per window, in order. Shared bin edges
     span all predictions; returns (edges, complete_counts,
     censored_counts). Group counts always sum to the group sizes.
     """
     preds = np.asarray(predictions, dtype=float)
-    censored = np.array([s.censored for s in samples], dtype=bool)
+    censored = windows.censored
     edges = np.histogram_bin_edges(preds, bins=bins)
     complete_counts, _ = np.histogram(preds[~censored], bins=edges)
     censored_counts, _ = np.histogram(preds[censored], bins=edges)

@@ -10,18 +10,18 @@ Column-mean and KNN imputers are provided as benchmarks. Imputers take
 N x P day rows in which NaN, and only NaN, marks a missing cell: `fit(X)`
 keeps the training completion in `completed`, `transform(X)` fills new
 rows. An infinite entry is a NumericalError. `fill_windows` passes the
-day rows a set of windows reads through one fill, each row once, and
-points the windows at the filled rows.
+day rows a `Windows` set reads through one fill, each row once, and
+returns the set over the filled rows.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cohort import WindowSample, window_rows
+from .cohort import Windows
 from .errors import EmptyColumnError, NumericalError
 
 BMC_TOL = 1e-6
@@ -176,22 +176,18 @@ def impute_rows(Z: np.ndarray, model: BmcModel, trace_out: list | None = None) -
     return Z
 
 
-def fill_windows(windows: list[WindowSample], fill) -> list[WindowSample]:
+def fill_windows(windows: Windows, fill) -> Windows:
     """The windows, reading `fill(X)`, where X holds the day rows they read, each once and in row order.
 
     `fill` returns the rows of X with their NaN cells filled: an imputer's
     `transform`, or its `fit` followed by its `completed`. The returned
-    windows read a compact array of the filled rows only. The windows must
-    all read one day-row array and have one length (see `window_rows`).
+    windows read a compact array of the filled rows only. An empty set is
+    returned as it is, and `fill` is not called.
     """
-    if not windows:
-        return []
-    days, rows = window_rows(windows)
-    distinct = np.unique(rows)
-    filled = fill(days[distinct])
-    first = np.searchsorted(distinct, rows[:, 0]).tolist()
-    return [WindowSample(filled, start, w.T, w.y, w.censored, w.subject_id, w.window_end_day)
-            for w, start in zip(windows, first)]
+    if not len(windows):
+        return windows
+    distinct = np.unique(windows.rows)
+    return replace(windows, days=fill(windows.days[distinct]), start=np.searchsorted(distinct, windows.start))
 
 
 class BmcImputer:

@@ -24,6 +24,14 @@ def _floats(a) -> list[float]:
     return [float(v) for v in np.asarray(a, dtype=float).ravel()]
 
 
+def _array(doc, key, *shape) -> np.ndarray:
+    """doc[key] as a float array of `shape`; any other number of values is a ValueError naming the key."""
+    try:
+        return np.asarray(doc[key], dtype=float).reshape(shape)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def write_json(path, doc):
     """Write `doc` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -85,7 +93,7 @@ def load_model(path, variables=None) -> ModelParams:
             raise DataError(f"{path}: unknown model kind {kind!r}")
         T, P = int(doc["T"]), int(doc["P"])
         return ModelParams(
-            w=np.asarray(doc["w"], dtype=float).reshape(T, P),
+            w=_array(doc, "w", T, P),
             b=float(doc["b"]),
             rank=int(doc["rank"]),
             lambda_=float(doc["lambda"]),
@@ -133,25 +141,20 @@ def load_imputer(path, variables=None):
         if kind == "bmc":
             P, r = int(doc["P"]), int(doc["rank"])
             imp = BmcImputer(rank=r)
-            imp.model = BmcModel(
-                basis=np.asarray(doc["basis"], dtype=float).reshape(P, r),
-                lower=np.asarray(doc["lower"], dtype=float),
-                upper=np.asarray(doc["upper"], dtype=float),
-                rank=r,
-                col_means=np.asarray(doc["col_means"], dtype=float),
-            )
+            imp.model = BmcModel(basis=_array(doc, "basis", P, r), lower=_array(doc, "lower", P),
+                                 upper=_array(doc, "upper", P), rank=r, col_means=_array(doc, "col_means", P))
             return imp
         if kind == "mean":
             imp = MeanImputer()
-            imp.col_means = np.asarray(doc["col_means"], dtype=float)
+            stored = doc.get("variables")
+            imp.col_means = _array(doc, "col_means", -1 if stored is None else len(stored))
             return imp
         if kind == "knn":
             imp = KnnImputer(k=int(doc["k"]))
             n, P = int(doc["n_rows"]), int(doc["P"])
-            observed = np.asarray(doc["train_mask"], dtype=bool).reshape(n, P)
-            values = np.asarray(doc["train_values"], dtype=float).reshape(n, P)
-            imp.train_X = np.where(observed, values, np.nan)
-            imp.col_means = np.asarray(doc["col_means"], dtype=float)
+            observed = _array(doc, "train_mask", n, P).astype(bool)
+            imp.train_X = np.where(observed, _array(doc, "train_values", n, P), np.nan)
+            imp.col_means = _array(doc, "col_means", P)
             return imp
         raise DataError(f"{path}: unknown imputer kind {kind!r}")
 

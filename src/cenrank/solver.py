@@ -212,9 +212,10 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
             options: SolverOptions | None = None) -> tuple[ModelParams, SolveReport]:
     """Fit the rank-constrained censored regression by exact alternating minimisation.
 
-    lambda_ must be finite and nonnegative (ValueError otherwise); a
-    non-finite objective raises NumericalError. The name is kept from the
-    projected-gradient solver this replaced.
+    lambda_, options.tol and options.max_iter must be nonnegative, and
+    lambda_ finite (ValueError otherwise); a non-finite objective raises
+    NumericalError. The name is kept from the projected-gradient solver
+    this replaced.
 
     The start is the unconstrained minimiser over [vec(w); b], found by the
     finite Newton routine. When r >= min(T, P) it is the answer, after 0
@@ -244,6 +245,8 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     if r < 1:
         raise ValueError("rank must be >= 1")
     check_lambda(lambda_)
+    if not (opts.tol >= 0 and opts.max_iter >= 0):
+        raise ValueError(f"tol and max_iter must be nonnegative, got {opts.tol!r} and {opts.max_iter!r}")
     T, P = design.T, design.P
     n_c, n_z = design.n_complete, design.n_censored
     if n_c == 0 and n_z == 0:

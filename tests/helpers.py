@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cenrank.cohort import Censored, Cohort, DesignSet, Event, SubjectSeries
+from cenrank.cohort import Censored, Cohort, DesignSet, Event, SubjectSeries, Windows
 
 
 def random_design(rng, T, P, n_complete, n_censored, noise=1.0):
@@ -15,6 +15,26 @@ def random_design(rng, T, P, n_complete, n_censored, noise=1.0):
     yc = Xc.T @ theta + b + noise * rng.standard_normal(n_complete)
     yz = Xz.T @ theta + b + noise * rng.standard_normal(n_censored)
     return DesignSet(Xc, yc, Xz, yz, T, P)
+
+
+def make_windows(xs, y=1.0, censored=False, subject_ids=None):
+    """A `Windows` set over a copy of the n x T x P windows `xs`, stacked in order as its day rows.
+
+    No two windows share a row, and every window ends on day T. `y` and
+    `censored` are one value for all windows or one per window; subject ids
+    default to S0, S1, ...
+    """
+    xs = np.array(xs, dtype=float)
+    n, T, P = xs.shape
+    return Windows(
+        days=xs.reshape(n * T, P),
+        T=T,
+        start=np.arange(n) * T,
+        y=np.array(np.broadcast_to(y, n), dtype=float),
+        censored=np.array(np.broadcast_to(censored, n), dtype=bool),
+        subject_id=np.array([f"S{i}" for i in range(n)] if subject_ids is None else subject_ids, dtype=object),
+        end_day=np.full(n, T),
+    )
 
 
 def excess_sv_ratio(w, r):

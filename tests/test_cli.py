@@ -221,6 +221,13 @@ class TestTrainPredict:
         assert "shape" in capsys.readouterr().err
         assert not (pred / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--max-iter", "-1"), ("--tol", "-1e-4")])
+    def test_negative_solver_setting_is_usage_error(self, cohort_dir, tmp_path, capsys, flag, value):
+        run = tmp_path / "run"
+        assert dispatch(["train", *cohort_args(cohort_dir), "--out", str(run), "--T", "4", f"{flag}={value}"]) == 1
+        assert "must be nonnegative" in capsys.readouterr().err
+        assert not (run / "model.json").exists()
+
     def test_negative_lambda_is_usage_error(self, cohort_dir, tmp_path):
         for method in ("censored_lowrank", "ols", "svr"):
             run = tmp_path / method
@@ -280,6 +287,23 @@ class TestBrokenModelFiles:
     def test_missing_model_file_is_data_error(self, cohort_dir, trained, tmp_path, capsys):
         assert self.predict(cohort_dir, trained, tmp_path, model=tmp_path / "absent.json") == 2
         assert "absent.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("imputer, key", [("bmc", "lower"), ("bmc", "col_means"), ("mean", "col_means"),
+                                              ("knn", "col_means")])
+    def test_imputer_array_of_the_wrong_length_is_data_error(self, cohort_dir, trained, tmp_path, capsys,
+                                                             imputer, key):
+        fitted = tmp_path / "fitted"
+        assert dispatch(["impute", *cohort_args(cohort_dir), "--out", str(fitted), "--imputer", imputer]) == 0
+        doc = json.loads((fitted / "imputer_model.json").read_text())
+        assert len(doc[key]) == 6
+        doc[key] = doc[key][:3]
+        path = tmp_path / "imputer_model.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.predict(cohort_dir, trained, tmp_path, imputer=path) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}" in err and key in err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
 
 
 class TestCv:

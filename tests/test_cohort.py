@@ -11,6 +11,8 @@ from cenrank.cohort import (
     Cohort,
     Event,
     SubjectSeries,
+    WindowSample,
+    Windows,
     assemble_design,
     extract_windows,
     load_cohort,
@@ -29,7 +31,7 @@ from cenrank.errors import (
     UnknownVariableError,
 )
 from cenrank.synthetic import SyntheticSpec, generate_cohort
-from helpers import tiny_cohort, write_cohort_files
+from helpers import make_windows, tiny_cohort, write_cohort_files
 
 
 class TestLoadCohort:
@@ -556,9 +558,9 @@ class TestExtractWindows:
     def test_event_label(self):
         # onset day 7, window days 1..5: two days of lead time remain
         windows = extract_windows(tiny_cohort(), T=5)
-        a = [w for w in windows if w.subject_id == "A"]
+        a = windows[windows.subject_id == "A"]
         assert len(a) == 1
-        assert a[0].window_end_day == 5 and a[0].y == 2.0 and not a[0].censored
+        assert a.end_day[0] == 5 and a.y[0] == 2.0 and not a.censored[0]
 
     def test_censored_label_uses_horizon(self):
         windows = extract_windows(tiny_cohort(), T=5, horizon=21)
@@ -570,17 +572,32 @@ class TestExtractWindows:
         cohort = tiny_cohort()
         cohort.subjects = [cohort.subjects[0]]
         cohort.subjects[0].values = cohort.subjects[0].values[:3]
-        assert extract_windows(cohort, T=5) == []
+        assert len(extract_windows(cohort, T=5)) == 0
 
     def test_complete_windows_end_before_onset(self):
         cohort, _ = generate_cohort(
             SyntheticSpec(n_subjects=30, days_per_subject=12, P=3, T_star=3,
                           true_rank=1, noise_sigma=2.0, censor_horizon=12, seed=2)
         )
-        for w in extract_windows(cohort, T=3, horizon=12):
-            if not w.censored:
-                subject = next(s for s in cohort.subjects if s.subject_id == w.subject_id)
-                assert w.window_end_day < subject.outcome.onset_day
+        onset = {s.subject_id: s.outcome.onset_day for s in cohort.subjects if isinstance(s.outcome, Event)}
+        windows = extract_windows(cohort, T=3, horizon=12)
+        for sid, end_day, censored in zip(windows.subject_id, windows.end_day, windows.censored):
+            if not censored:
+                assert end_day < onset[sid]
+
+    def test_indexing(self):
+        windows = extract_windows(tiny_cohort(), T=3)
+        w = windows[-1]
+        assert isinstance(w, WindowSample) and np.shares_memory(w.x, windows.days)
+        assert (w.y, w.censored, w.subject_id) == (windows.y[-1], True, "B")
+        w.x[0, 0] = 99.0
+        assert windows.days[windows.start[-1], 0] == 99.0
+        assert [v.subject_id for v in windows] == windows.subject_id.tolist()
+        for pick in (np.array([3, 0]), slice(1, 3), [2]):
+            part = windows[pick]
+            assert isinstance(part, Windows) and part.days is windows.days and part.T == 3
+            for field in ("start", "y", "censored", "subject_id", "end_day"):
+                assert np.array_equal(getattr(part, field), getattr(windows, field)[pick])
 
     @pytest.mark.parametrize("T,stride", [(2, 1), (3, 2), (4, 3)])
     def test_window_count_formula(self, T, stride):
@@ -621,56 +638,31 @@ class TestVectorize:
 
 
 class TestAssembleDesign:
-    def _samples(self, n_complete, n_censored, T=2, P=2):
-        rng = np.random.default_rng(0)
-        from cenrank.cohort import WindowSample
-
-        out = []
-        for i in range(n_complete + n_censored):
-            out.append(
-                WindowSample(
-                    days=rng.standard_normal((T, P)),
-                    start=0,
-                    T=T,
-                    y=float(i + 1),
-                    censored=i >= n_complete,
-                    subject_id=f"S{i}",
-                    window_end_day=T,
-                )
-            )
-        return out
+    def _windows(self, n_complete, n_censored, T=2, P=2):
+        n = n_complete + n_censored
+        return make_windows(np.random.default_rng(0).standard_normal((n, T, P)), y=np.arange(1.0, n + 1),
+                            censored=np.arange(n) >= n_complete)
 
     def test_shapes(self):
-        design = assemble_design(self._samples(3, 2))
+        design = assemble_design(self._windows(3, 2))
         assert design.X_complete.shape == (4, 3)
         assert design.X_censored.shape == (4, 2)
         assert design.y_complete.tolist() == [1.0, 2.0, 3.0]
 
     def test_empty_censored_side(self):
-        design = assemble_design(self._samples(3, 0))
+        design = assemble_design(self._windows(3, 0))
         assert design.X_censored.shape == (4, 0)
 
     def test_unimputed_rejected(self):
-        samples = self._samples(2, 0)
-        samples[1].x[0, 0] = np.nan
-        with pytest.raises(UnimputedSampleError):
-            assemble_design(samples)
-
-    def test_mixed_shapes_rejected(self):
-        samples = self._samples(2, 0) + self._samples(1, 0, T=3)
-        with pytest.raises(DataError):
-            assemble_design(samples)
+        windows = self._windows(2, 0)
+        windows[1].x[0, 0] = np.nan
+        with pytest.raises(UnimputedSampleError, match="subject 'S1' ending day 2 has unimputed cells"):
+            assemble_design(windows)
 
 
 class TestSplitFolds:
     def _windows(self, n, subjects=None):
-        from cenrank.cohort import WindowSample
-
-        out = []
-        for i in range(n):
-            sid = subjects[i] if subjects else f"S{i}"
-            out.append(WindowSample(np.zeros((1, 1)), 0, 1, 1.0, False, sid, 1))
-        return out
+        return make_windows(np.zeros((n, 1, 1)), subject_ids=subjects)
 
     def test_equal_folds(self):
         folds = split_folds(self._windows(10), k=5, seed=1)
@@ -703,3 +695,106 @@ class TestSplitFolds:
     def test_too_many_folds(self):
         with pytest.raises(DataError):
             split_folds(self._windows(3), k=4, seed=0)
+
+
+def extract_reference(cohort, T, stride=1, horizon=21):
+    """extract_windows as a window-at-a-time loop: (start row, y, censored, subject id, end day) per window."""
+    out, first_row = [], 0
+    for series in cohort.subjects:
+        D = series.values.shape[0]
+        for start in range(0, D - T + 1, stride):
+            end_day = series.first_day + start + T - 1
+            if isinstance(series.outcome, Event):
+                if end_day >= series.outcome.onset_day:
+                    break
+                y, censored = series.outcome.onset_day - end_day, False
+            else:
+                y, censored = max(horizon - end_day, 0.0), True
+            out.append((first_row + start, float(y), censored, series.subject_id, end_day))
+        first_row += D
+    return out
+
+
+def split_reference(subject_ids, k, unit, seed):
+    """split_folds as a window-at-a-time loop over the windows' subject ids."""
+    rng = np.random.default_rng(seed)
+    n = len(subject_ids)
+    if unit == "sample":
+        perm = rng.permutation(n)
+        base, extra = divmod(n, k)
+        folds, pos = [], 0
+        for f in range(k):
+            size = base + (1 if f < extra else 0)
+            folds.append(np.sort(perm[pos:pos + size]))
+            pos += size
+        return folds
+    subject_order, by_subject = [], {}
+    for i, sid in enumerate(subject_ids):
+        if sid not in by_subject:
+            by_subject[sid] = []
+            subject_order.append(sid)
+        by_subject[sid].append(i)
+    fold_members = [[] for _ in range(k)]
+    for pos in rng.permutation(len(subject_order)):
+        target = min(range(k), key=lambda f: (len(fold_members[f]), f))
+        fold_members[target].extend(by_subject[subject_order[pos]])
+    return [np.sort(np.asarray(members, dtype=int)) for members in fold_members]
+
+
+def random_cohort(seed, n_subjects=30, P=2):
+    """Subjects of 1-11 days with shuffled ids, censored or with whole-day, fractional or very early onsets."""
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for i in rng.permutation(n_subjects):
+        D, first = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            outcome = Censored(horizon_day=float(rng.integers(first + D - 1, 30)))
+        elif kind == 1:
+            outcome = Event(onset_day=float(first + rng.integers(1, D + 4)))  # whole day
+        elif kind == 2:
+            outcome = Event(onset_day=first + rng.uniform(0.1, D + 3))  # fractional
+        else:
+            outcome = Event(onset_day=first + rng.uniform(0.5, 2.0))  # before the first full window of T >= 3
+        subjects.append(SubjectSeries(f"id{i:02d}", first, rng.standard_normal((D, P)), outcome))
+    return Cohort(subjects, [f"v{j}" for j in range(P)])
+
+
+class TestWindowsMatchWindowLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("T, stride, horizon", [
+        (1, 1, 21), (3, 1, 21), (2, 3, 12), (4, 6, 21.0), (3, 2, 1), (12, 1, 21), (11, 2, 21),
+    ])
+    def test_random_cohorts(self, seed, T, stride, horizon):
+        cohort = random_cohort(seed)
+        windows = extract_windows(cohort, T, stride=stride, horizon=horizon)
+        want = extract_reference(cohort, T, stride, horizon)
+        got = list(zip(windows.start.tolist(), windows.y.tolist(), windows.censored.tolist(),
+                       windows.subject_id.tolist(), windows.end_day.tolist()))
+        assert got == want
+        assert windows.T == T
+        assert np.array_equal(windows.days, np.concatenate([s.values for s in cohort.subjects]))
+
+    def test_every_onset_kind_and_a_subject_shorter_than_T_occur(self):
+        cohort = random_cohort(0)
+        outcomes = [s.outcome for s in cohort.subjects]
+        onsets = [o.onset_day - s.first_day for o, s in zip(outcomes, cohort.subjects) if isinstance(o, Event)]
+        assert any(isinstance(o, Censored) for o in outcomes)
+        assert any(d == int(d) for d in onsets) and any(d != int(d) for d in onsets) and min(onsets) < 2
+        assert min(s.values.shape[0] for s in cohort.subjects) < 3
+
+    def test_no_subjects(self):
+        windows = extract_windows(Cohort([], ["v0", "v1"]), 3, stride=2)
+        assert len(windows) == 0 and windows.days.shape == (0, 2) and list(windows) == []
+        assert extract_reference(Cohort([], ["v0", "v1"]), 3, 2) == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("unit", ["sample", "subject"])
+    def test_split_folds(self, seed, unit):
+        windows = extract_windows(random_cohort(seed), 2)
+        shuffled = windows[np.random.default_rng(seed).permutation(len(windows))]
+        for ws in (windows, shuffled):
+            for k in (2, 5):
+                got = split_folds(ws, k, unit=unit, seed=seed)
+                want = split_reference(ws.subject_id.tolist(), k, unit, seed)
+                assert [f.tolist() for f in got] == [f.tolist() for f in want]

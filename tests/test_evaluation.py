@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cenrank.cohort import WindowSample, extract_windows, split_folds
+from cenrank.cohort import extract_windows, split_folds
 from cenrank.errors import UndefinedMetricError
 from cenrank.evaluation import (
     CvReport,
@@ -22,30 +22,23 @@ from cenrank.imputation import BmcImputer, MeanImputer, impute_rows
 from cenrank.modelio import load_cv_report, save_cv_report
 from cenrank.solver import ModelParams, SolverOptions
 from cenrank.synthetic import SyntheticSpec, generate_cohort
-from helpers import random_design
-
-
-def sample(y, censored, x=None):
-    x = np.zeros((1, 1)) if x is None else np.asarray(x, dtype=float)
-    return WindowSample(x, 0, x.shape[0], y, censored, "S", 1)
+from helpers import make_windows, random_design
 
 
 class TestMae:
     def test_zero_when_exact(self):
-        samples = [sample(1.0, False), sample(2.0, False)]
-        assert mae(np.array([1.0, 2.0]), samples) == 0.0
+        assert mae(np.array([1.0, 2.0]), make_windows(np.zeros((2, 1, 1)), y=[1.0, 2.0])) == 0.0
 
     def test_arithmetic(self):
-        samples = [sample(1.0, False), sample(6.0, False)]
-        assert mae(np.array([2.0, 4.0]), samples) == 1.5
+        assert mae(np.array([2.0, 4.0]), make_windows(np.zeros((2, 1, 1)), y=[1.0, 6.0])) == 1.5
 
     def test_censored_excluded(self):
-        samples = [sample(1.0, False), sample(100.0, True)]
-        assert mae(np.array([2.0, 0.0]), samples) == 1.0
+        windows = make_windows(np.zeros((2, 1, 1)), y=[1.0, 100.0], censored=[False, True])
+        assert mae(np.array([2.0, 0.0]), windows) == 1.0
 
     def test_undefined_without_complete(self):
         with pytest.raises(UndefinedMetricError):
-            mae(np.array([1.0]), [sample(1.0, True)])
+            mae(np.array([1.0]), make_windows(np.zeros((1, 1, 1)), y=[1.0], censored=True))
 
 
 def small_cohort(seed=0, n=60):
@@ -157,12 +150,15 @@ class TestCrossValidate:
         test_idx = split_folds(windows, 3, unit="sample", seed=0)[0]
         train_idx = np.setdiff1d(np.arange(len(windows)), test_idx)
         train_filled, test_filled, imputer = impute_split(windows, train_idx, test_idx, BmcImputer(rank=3))
-        assert all(w.days is imputer.completed for w in train_filled)
-        train_rows = {(w.subject_id, w.window_end_day - 3 + t): w.start + t for w in train_filled for t in range(4)}
+        assert train_filled.days is imputer.completed
+        train_rows = {(sid, end_day - 3 + t): start + t
+                      for sid, end_day, start in zip(train_filled.subject_id, train_filled.end_day, train_filled.start)
+                      for t in range(4)}
         checked = differs = 0
-        for raw, filled in zip((windows[i] for i in test_idx), test_filled):
+        test = windows[test_idx]
+        for raw, filled, sid, end_day in zip(test, test_filled, test.subject_id, test.end_day):
             for t in range(4):
-                key = (raw.subject_id, raw.window_end_day - 3 + t)
+                key = (sid, end_day - 3 + t)
                 if key not in train_rows or raw.x_mask[t].all():
                     continue
                 fresh = impute_rows(raw.x[t][None], imputer.model)[0]
@@ -244,16 +240,16 @@ class TestCoefficientReport:
 class TestOnsetDistribution:
     def test_identical_predictions_occupy_single_bin(self):
         params = ModelParams(np.zeros((1, 1)), 2.0, 1, 0.0)
-        samples = [sample(1.0, False), sample(2.0, True), sample(3.0, True)]
-        edges, comp, cen = onset_distribution(predict_windows(params, samples), samples, bins=5)
+        windows = make_windows(np.zeros((3, 1, 1)), y=[1.0, 2.0, 3.0], censored=[False, True, True])
+        edges, comp, cen = onset_distribution(predict_windows(params, windows), windows, bins=5)
         assert comp.sum() == 1 and cen.sum() == 2
         assert (comp > 0).sum() == 1 and (cen > 0).sum() == 1
 
     def test_counts_conserved(self):
         rng = np.random.default_rng(6)
         params = ModelParams(rng.standard_normal((2, 2)), 0.5, 2, 0.0)
-        samples = [sample(float(i), i % 3 == 0, x=rng.standard_normal((2, 2))) for i in range(40)]
-        edges, comp, cen = onset_distribution(predict_windows(params, samples), samples, bins=8)
-        n_cen = sum(s.censored for s in samples)
+        windows = make_windows(rng.standard_normal((40, 2, 2)), y=np.arange(40.0), censored=np.arange(40) % 3 == 0)
+        edges, comp, cen = onset_distribution(predict_windows(params, windows), windows, bins=8)
+        n_cen = int(windows.censored.sum())
         assert cen.sum() == n_cen and comp.sum() == 40 - n_cen
         assert len(edges) == 9

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cenrank.cohort import WindowSample, extract_windows
-from cenrank.errors import DataError, EmptyColumnError, NumericalError
+from cenrank.cohort import extract_windows
+from cenrank.errors import EmptyColumnError, NumericalError
 from cenrank.imputation import (
     BmcImputer,
     BmcModel,
@@ -426,19 +426,11 @@ class TestKnnImpute:
                 assert out[i, j] == pytest.approx(expect, abs=1e-12)
 
 
-def window(subject_id, end_day, T=2, P=2, missing=()):
-    """A T x P window whose cell (t, j) holds end_day - T + 1 + t + j / 10, with `missing` cells NaN."""
-    days = end_day - T + 1 + np.arange(T)
-    x = days[:, None] + np.arange(P) / 10.0
-    for cell in missing:
-        x[cell] = np.nan
-    return WindowSample(days=x, start=0, T=T, y=1.0, censored=False, subject_id=subject_id, window_end_day=end_day)
-
-
 def cohort_rows(cohort, windows):
     """The distinct (subject, day) rows that windows read, taken from the cohort, in cohort order and then day order."""
     order = {s.subject_id: i for i, s in enumerate(cohort.subjects)}
-    keys = sorted({(order[w.subject_id], w.window_end_day - w.T + 1 + t) for w in windows for t in range(w.T)})
+    keys = sorted({(order[sid], end_day - windows.T + 1 + t)
+                   for sid, end_day in zip(windows.subject_id, windows.end_day.tolist()) for t in range(windows.T)})
     return np.array([cohort.subjects[i].values[day - cohort.subjects[i].first_day] for i, day in keys])
 
 
@@ -461,12 +453,12 @@ class TestWindowMatrixPlumbing:
         filled = fill_windows(windows, fill)
         [X] = fill.calls
         assert np.array_equal(X, cohort_rows(cohort, windows), equal_nan=True)
-        assert len({id(w.days) for w in filled}) == 1 and filled[0].days.shape[0] == X.shape[0]
+        assert filled.days.shape[0] == X.shape[0] and filled.T == windows.T
         for raw, w in zip(windows, filled):
             assert w.x_mask.all()
             assert np.array_equal(w.x, np.nan_to_num(raw.x, nan=-1.0))
-            assert (w.y, w.censored, w.subject_id, w.window_end_day) == (raw.y, raw.censored, raw.subject_id,
-                                                                         raw.window_end_day)
+        for field in ("y", "censored", "subject_id", "end_day"):
+            assert np.array_equal(getattr(filled, field), getattr(windows, field))
 
     def test_shuffled_training_windows_fill_to_the_values_of_sorted_ones(self):
         spec = SyntheticSpec(n_subjects=20, days_per_subject=6, P=5, T_star=3, true_rank=2, noise_sigma=1.0,
@@ -477,7 +469,7 @@ class TestWindowMatrixPlumbing:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             ordered = fill_windows(windows, lambda X: BmcImputer(rank=3).fit(X).completed)
-            shuffled = fill_windows([windows[i] for i in perm], lambda X: BmcImputer(rank=3).fit(X).completed)
+            shuffled = fill_windows(windows[perm], lambda X: BmcImputer(rank=3).fit(X).completed)
         for i, w in zip(perm, shuffled):
             assert np.array_equal(w.x, ordered[i].x)
 
@@ -485,12 +477,13 @@ class TestWindowMatrixPlumbing:
         cohort = tiny_cohort()
         windows = extract_windows(cohort, T=2)
         fill = Recorder()
-        filled = {(w.subject_id, w.window_end_day): w for w in fill_windows(windows, fill)}
+        filled = fill_windows(windows, fill)
+        at = {key: i for i, key in enumerate(zip(filled.subject_id, filled.end_day.tolist()))}
         assert fill.calls[0].shape[0] == len(cohort_rows(cohort, windows)) == 11  # A days 1-5, B days 1-6
         for day in (2, 3, 4):
-            a, b = filled["A", day], filled["B", day]
-            assert not {a.start, a.start + 1} & {b.start, b.start + 1}
-            assert not np.array_equal(a.x, b.x)
+            a, b = at["A", day], at["B", day]
+            assert not set(filled.rows[a]) & set(filled.rows[b])
+            assert not np.array_equal(filled[a].x, filled[b].x)
 
     @pytest.mark.parametrize("T, stride", [(1, 1), (2, 3), (3, 5)])
     def test_short_windows_and_strides_beyond_T(self, T, stride):
@@ -498,7 +491,7 @@ class TestWindowMatrixPlumbing:
         fill = Recorder()
         filled = fill_windows(windows, fill)
         assert fill.calls[0].shape[0] == len(windows) * T  # windows that do not overlap share no row
-        assert sorted(t for w in filled for t in range(w.start, w.start + T)) == list(range(len(windows) * T))
+        assert sorted(filled.rows.ravel().tolist()) == list(range(len(windows) * T))
         for raw, w in zip(windows, filled):
             assert np.array_equal(w.x, np.nan_to_num(raw.x, nan=-1.0))
 
@@ -511,15 +504,11 @@ class TestWindowMatrixPlumbing:
             assert np.array_equal(filled.x[raw.x_mask], raw.x[raw.x_mask])
             assert np.array_equal(filled.x[~raw.x_mask], imputer.col_means[np.nonzero(~raw.x_mask)[1]])
 
-    def test_windows_reading_two_day_row_arrays_are_a_data_error(self):
-        cohort = tiny_cohort()
-        for windows in ([window("A", 3), window("A", 4)], extract_windows(cohort, 2)[:1] + extract_windows(cohort, 2)):
-            with pytest.raises(DataError, match="one day-row array"):
-                fill_windows(windows, Recorder())
-
     def test_no_windows_no_rows(self):
         fill = Recorder()
-        assert fill_windows([], fill) == []
+        empty = extract_windows(tiny_cohort(), T=7)  # longer than either subject
+        assert len(empty) == 0
+        assert len(fill_windows(empty, fill)) == 0
         assert fill.calls == []
 
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cenrank.cohort import DesignSet, WindowSample
+from cenrank.cohort import DesignSet
 from cenrank.errors import DataError, NumericalError, UnimputedSampleError
 from cenrank.evaluation import predict_windows
 from cenrank.solver import (
@@ -17,7 +17,7 @@ from cenrank.solver import (
     project_rank,
 )
 from cenrank.synthetic import generate_lowrank_matrix, oracle_ols
-from helpers import excess_sv_ratio, random_design
+from helpers import excess_sv_ratio, make_windows, random_design
 
 
 def design_from(Xc, yc, Xz=None, yz=None, T=None, P=None):
@@ -308,29 +308,25 @@ class TestAlternatingSolver:
 
 
 class TestPredict:
-    def _sample(self, x):
-        x = np.asarray(x, dtype=float)
-        return WindowSample(x, 0, x.shape[0], 1.0, False, "S", x.shape[0])
-
     def test_constant_model(self):
         params = ModelParams(np.zeros((2, 2)), 3.5, 1, 0.0)
-        assert predict_windows(params, [self._sample([[9, 9], [9, 9]])])[0] == 3.5
+        assert predict_windows(params, make_windows([[[9, 9], [9, 9]]]))[0] == 3.5
 
     def test_inner_product(self):
         params = ModelParams(np.eye(2), 0.0, 2, 0.0)
-        assert predict_windows(params, [self._sample([[1, 2], [3, 4]])])[0] == 5.0
+        assert predict_windows(params, make_windows([[[1, 2], [3, 4]]]))[0] == 5.0
 
     def test_unimputed_rejected(self):
         params = ModelParams(np.eye(2), 0.0, 2, 0.0)
-        s = self._sample([[1, 2], [3, 4]])
-        s.x[0, 0] = np.nan
-        with pytest.raises(UnimputedSampleError):
-            predict_windows(params, [self._sample([[5, 6], [7, 8]]), s])
+        windows = make_windows([[[5, 6], [7, 8]], [[1, 2], [3, 4]]])
+        windows[1].x[0, 0] = np.nan
+        with pytest.raises(UnimputedSampleError, match="subject 'S1'"):
+            predict_windows(params, windows)
 
     def test_shape_mismatch_rejected(self):
         params = ModelParams(np.eye(2), 0.0, 2, 0.0)
         with pytest.raises(DataError, match="shape"):
-            predict_windows(params, [self._sample([[1, 2, 3], [4, 5, 6]])])
+            predict_windows(params, make_windows([[[1, 2, 3], [4, 5, 6]]]))
 
     def test_factor_form_agrees(self):
         rng = np.random.default_rng(15)
@@ -340,7 +336,7 @@ class TestPredict:
         for _ in range(20):
             x = rng.standard_normal((4, 6))
             bilinear = sum(u[:, r] @ x @ v[:, r] for r in range(2)) + params.b
-            assert abs(predict_windows(params, [self._sample(x)])[0] - bilinear) < 1e-9
+            assert abs(predict_windows(params, make_windows([x]))[0] - bilinear) < 1e-9
 
 
 class TestFactorize:

@@ -40,6 +40,8 @@ def commands():
 
     Two cohorts are drawn; every other command runs once per cohort, and
     `predict` scores the other cohort with the models trained on this one.
+    Last, a third cohort with whole-day onsets runs `train`, `predict` and
+    `cv` with strides above 1 and a non-default horizon.
     """
     seeds = (0, 3)
     for seed in seeds:
@@ -62,6 +64,14 @@ def commands():
                                           "--durations", "4"], None
         yield f"s{seed}_predict_unimputed", ["predict", *fresh, "--model",
                                              f"s{seed}_train_bmc_censored_lowrank/model.json"], 2
+    rounded = _cohort("synth_round")
+    yield "synth_round", ["synth", "--seed", "5", "--n-subjects", "120", "--days-per-subject", "10",
+                          "--latent-rank", "8", "--missing-rate", "0.2", "--round-onsets"], 0
+    yield "round_train_stride2", ["train", *rounded, "--T", "4", "--stride", "2", "--horizon", "12"], None
+    yield "round_predict_stride3", ["predict", *rounded, "--stride", "3", "--model", "round_train_stride2/model.json",
+                                    "--imputer-model", "round_train_stride2/imputer_model.json"], None
+    yield "round_cv_stride2", ["cv", *rounded, "--stride", "2", "--durations", "3",
+                               "--methods", "censored_lowrank"], None
 
 
 def _sha256(data: bytes) -> str:
