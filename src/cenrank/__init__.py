@@ -2,10 +2,8 @@
 
 from .baselines import SvrOptions, ols_fit, svr_fit
 from .cohort import (
-    Censored,
     Cohort,
     DesignSet,
-    Event,
     SubjectSeries,
     WindowSample,
     Windows,

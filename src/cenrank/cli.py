@@ -157,18 +157,19 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _int_list(text, name):
-    try:
-        return [int(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
-        raise UsageError(f"{name} must be a comma-separated list of integers: {text!r}") from exc
+def _list(text, name, kind):
+    """The values of the comma-separated list `text` of setting `name`, each parsed by kind (int or float).
 
-
-def _float_list(text, name):
+    A value kind rejects, or one that repeats an earlier value, is a UsageError naming the flag.
+    """
     try:
-        return [float(v) for v in str(text).split(",") if v != ""]
+        values = [kind(v) for v in str(text).split(",") if v != ""]
     except ValueError as exc:
-        raise UsageError(f"{name} must be a comma-separated list of numbers: {text!r}") from exc
+        what = "integers" if kind is int else "numbers"
+        raise UsageError(f"{_flag(name)} must be a comma-separated list of {what}: {text!r}") from exc
+    if len(set(values)) < len(values):
+        raise UsageError(f"{_flag(name)} repeats a value: {text!r}")
+    return values
 
 
 def _load_inputs(cfg):
@@ -212,24 +213,25 @@ def _cmd_synth(cfg, out_dir: Path):
         "T_star": spec.T_star,
         "P": spec.P,
     })
-    n_event = sum(1 for s in cohort.subjects if hasattr(s.outcome, "onset_day"))
-    print(f"wrote cohort with {len(cohort.subjects)} subjects ({n_event} with events) to {out_dir}")
+    print(f"wrote cohort with {len(cohort)} subjects ({int(cohort.event.sum())} with events) to {out_dir}")
 
 
 def _cmd_impute(cfg, out_dir: Path):
     cohort = _load_inputs(cfg)
-    if not cohort.subjects:
+    X = cohort.days
+    if not len(X):
         raise EmptyColumnError("cohort has no observation rows")
-    X = np.concatenate([s.values for s in cohort.subjects])
     imputer = _new_imputer(cfg).fit(X)
-    labels = ([s.subject_id, s.first_day + t] for s in cohort.subjects for t in range(s.values.shape[0]))
-    rows = [label + ["%.17g" % v for v in values] for label, values in zip(labels, imputer.completed)]
+    sids = np.repeat(cohort.subject_id, np.diff(cohort.start))
+    rows = [[sid, day] + ["%.17g" % v for v in values]
+            for sid, day, values in zip(sids, cohort.day.tolist(), imputer.completed)]
     write_csv(out_dir / "completed_matrix.csv", ["subject_id", "day"] + cohort.variables, rows)
     modelio.save_imputer(out_dir / "imputer_model.json", imputer, cohort.variables)
     print(f"imputed {int(np.isnan(X).sum())} missing cells over {X.shape[0]} rows")
 
 
 def _cmd_train(cfg, out_dir: Path):
+    options = _solver_options(cfg)
     cohort = _load_inputs(cfg)
     windows = extract_windows(cohort, cfg["T"], stride=cfg["stride"], horizon=cfg["horizon"])
     if not windows:
@@ -237,7 +239,7 @@ def _cmd_train(cfg, out_dir: Path):
     filled, _, imputer = impute_split(windows, range(len(windows)), [], _new_imputer(cfg))
     design = assemble_design(filled)
     method = cfg["method"]
-    model, report = fit_method(design, method, cfg["rank"], cfg["lambda"], _solver_options(cfg))
+    model, report = fit_method(design, method, cfg["rank"], cfg["lambda"], options)
     if report is not None:
         print(f"fit converged={report.converged} iterations={report.iterations} "
               f"objective={report.final_objective:.6g} rank_w={report.rank_w}")
@@ -274,9 +276,9 @@ def _cmd_predict(cfg, out_dir: Path):
 def _cmd_cv(cfg, out_dir: Path):
     cohort = _load_inputs(cfg)
     grid = Grid(
-        durations=_int_list(cfg["durations"], "durations"),
-        ranks=_int_list(cfg["ranks"], "ranks"),
-        lambdas=_float_list(cfg["lambdas"], "lambdas"),
+        durations=_list(cfg["durations"], "durations", int),
+        ranks=_list(cfg["ranks"], "ranks", int),
+        lambdas=_list(cfg["lambdas"], "lambdas", float),
     )
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
     report = cross_validate(

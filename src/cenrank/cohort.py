@@ -1,9 +1,10 @@
 """Cohort ingestion and sliding-window sample construction.
 
-A cohort is a set of subjects, each carrying a daily observation matrix
-(days x variables), NaN where a cell was not recorded, and an outcome:
-either the day the event was observed or the horizon up to which the
-subject stayed event-free. Windows of T consecutive days become the
+A `Cohort` is one set of arrays: the subjects' days as the rows of one
+N x P day-row array (variables in columns, NaN where a cell was not
+recorded), and per subject its id, first day, row offset and outcome, an
+event flag and a day: the day the event was observed, or the horizon up to
+which the subject stayed event-free. Windows of T consecutive days become the
 regression samples; a window from an event subject is labeled with the
 remaining days to onset, a window from an event-free subject with the
 remaining days to the censoring horizon.
@@ -15,13 +16,13 @@ fault mask over the records. When a mask is set, the earliest faulty record
 is reported with the first check it fails, and only then is the file scanned
 again for that record's line. Every observed cell is scattered into one
 N x P day-row array, ordered subject by subject (in order of first
-appearance) and day by day; each subject's values are a slice of it. NaN is
-the only marker of a missing cell: the `mask` and `x_mask` properties are
-derived from it.
+appearance) and day by day, and the cohort is that array with the
+per-subject arrays. NaN is the only marker of a missing cell: the `mask` and
+`x_mask` properties are derived from it.
 
-A window is T consecutive rows of a day-row array. `extract_windows` stacks
-the subjects' values into one such array per call and returns one `Windows`
-set over it: the array, T, and one array per window field (first row, label,
+A window is T consecutive rows of a day-row array. `extract_windows` copies
+the cohort's array once per call and returns one `Windows` set over the
+copy: the array, T, and one array per window field (first row, label,
 censored flag, subject id, last day). No window is copied: indexing the set
 with an integer gives a `WindowSample` whose `x` is a view of its rows, and
 indexing it with an index array gives a `Windows` over the same array.
@@ -47,35 +48,21 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class Event:
-    """Outcome of a subject whose event onset was observed."""
-
-    onset_day: float
-
-
-@dataclass(frozen=True)
-class Censored:
-    """Outcome of a subject who stayed event-free through horizon_day."""
-
-    horizon_day: float
-
-
-Outcome = Event | Censored
-
-
-@dataclass
 class SubjectSeries:
-    """One subject's daily observations.
+    """One subject of a `Cohort`: its rows of the day-row array and its outcome.
 
-    values is D x P with NaN at unobserved cells, and row t corresponds to
-    day first_day + t. The read-only `mask`, True where a measurement was
-    recorded, is computed from the NaNs on every access.
+    values is the D x P view of the subject's rows, NaN at unobserved cells,
+    and row t corresponds to day first_day + t. outcome_day is the onset day
+    if `event`, else the horizon day through which the subject stayed
+    event-free. The read-only `mask`, True where a measurement was recorded,
+    is computed from the NaNs on every access.
     """
 
     subject_id: str
     first_day: int
     values: np.ndarray
-    outcome: Outcome
+    event: bool
+    outcome_day: float
 
     @property
     def mask(self) -> np.ndarray:
@@ -86,10 +73,38 @@ class SubjectSeries:
         return self.first_day + self.values.shape[0] - 1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    subjects: list[SubjectSeries]
+    """The subjects' days as one N x P day-row array, and one array entry per subject.
+
+    Subject i is the rows days[start[i]:start[i + 1]], days first_day[i]
+    onward; NaN marks an unobserved cell. event[i] says whether the onset
+    was observed: outcome_day[i] is the onset day if so, else the horizon
+    day through which the subject stayed event-free. `subjects` lists the
+    subjects as `SubjectSeries` views of the arrays.
+    """
+
     variables: list[str]
+    days: np.ndarray = field(repr=False)
+    subject_id: np.ndarray
+    first_day: np.ndarray
+    start: np.ndarray
+    event: np.ndarray
+    outcome_day: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.subject_id)
+
+    @property
+    def day(self) -> np.ndarray:
+        """day[k], the day of row k of `days`."""
+        return np.arange(len(self.days)) + np.repeat(self.first_day - self.start[:-1], np.diff(self.start))
+
+    @property
+    def subjects(self) -> list[SubjectSeries]:
+        values = np.split(self.days, self.start[1:-1])
+        return [SubjectSeries(*fields) for fields in zip(self.subject_id, self.first_day.tolist(), values,
+                                                          self.event.tolist(), self.outcome_day.tolist())]
 
 
 @dataclass
@@ -283,13 +298,13 @@ def _first_fault(checks):
     return min(faults, default=None)
 
 
-def _raise_first_fault(path, checks):
-    """Raise the error of `_first_fault(checks)`, if any, naming the file and line of its record."""
+def _raise_first_fault(checks, path=None):
+    """Raise the error of `_first_fault(checks)`, if any, naming the file and line of its record if given a path."""
     fault = _first_fault(checks)
     if fault:
         k, j = fault
         _, error, message = checks[j]
-        raise error(f"{path} line {_line_of(path, k)}: {message(k)}")
+        raise error(f"{path} line {_line_of(path, k)}: {message(k)}" if path else message(k))
 
 
 def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
@@ -297,9 +312,8 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
 
     observations.csv columns: subject_id, day, variable, value.
     outcomes.csv columns: subject_id, ssi, onset_day, last_obs_day.
-    `dictionary` is either a list of variable names or a path to a
-    one-name-per-line text file. The files may start with a UTF-8
-    byte-order mark.
+    `dictionary` is the path of a one-name-per-line text file. The files
+    may start with a UTF-8 byte-order mark.
 
     Each file is read once and checked column by column; the first fault
     in file order is reported, naming the file and line (blank lines
@@ -316,10 +330,7 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     no rows between a subject's first and last recorded day become fully
     missing rows so windows stay contiguous.
     """
-    if isinstance(dictionary, (str, bytes)) or hasattr(dictionary, "__fspath__"):
-        variables = load_variable_dictionary(dictionary)
-    else:
-        variables = list(dictionary)
+    variables = load_variable_dictionary(dictionary)
     var_index = {name: j for j, name in enumerate(variables)}
     P = len(variables)
 
@@ -327,12 +338,12 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
         outcomes_path, ["subject_id", "ssi", "onset_day", "last_obs_day"])
     sids = [text.strip() for text in sid_text]
     ssi = [_parse_one(text, int) for text in ssi_text]
-    event = [s == 1 for s in ssi]
+    event = np.array([s == 1 for s in ssi], dtype=bool)
     field = ["onset_day" if e else "last_obs_day" for e in event]
     raw = [(onset if e else last).strip() for e, onset, last in zip(event, onset_text, last_text)]
     when, not_number = _parse(raw, float)
     first_row: dict[str, int] = {}
-    _raise_first_fault(outcomes_path, [
+    _raise_first_fault([
         ([s is None for s in ssi], DataError, lambda k: "ssi must be 0 or 1"),
         ([s not in (0, 1) for s in ssi], DataError, lambda k: f"ssi must be 0 or 1, got {ssi[k]}"),
         ([first_row.setdefault(sid, k) != k for k, sid in enumerate(sids)], DuplicateRecordError,
@@ -340,9 +351,7 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
         ([not text for text in raw], DataError, lambda k: f"{field[k]} required when ssi={ssi[k]}"),
         (not_number, DataError, lambda k: f"{field[k]} must be a number, got {raw[k]!r}"),
         (~np.isfinite(when), DataError, lambda k: f"non-finite {field[k]}"),
-    ])
-    outcomes = {sid: Event(onset_day=w) if e else Censored(horizon_day=w)
-                for sid, e, w in zip(sids, event, when.tolist())}
+    ], outcomes_path)
 
     sid_text, day_text, var_text, value_text = _read_columns(
         observations_path, ["subject_id", "day", "variable", "value"])
@@ -355,8 +364,10 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     texts, which = _distinct(day_text)
     days, not_integer = (a[which] for a in _parse(texts, int))
     observed, not_number = _parse(value_text, float)
-    horizon = np.array([o.horizon_day if isinstance(o := outcomes.get(sid), Censored) else np.inf
-                        for sid in codes], dtype=float)
+    # each subject's outcome record; -1, a subject without one, picks the padding (no event, no horizon)
+    outcome = np.array([first_row.get(sid, -1) for sid in codes], dtype=np.intp)
+    subject_event, outcome_day = np.append(event, False)[outcome], np.append(when, np.inf)[outcome]
+    horizon = np.where(subject_event, np.inf, outcome_day)
     checks = [
         (col < 0, UnknownVariableError, lambda k: f"unknown variable {var_text[k].strip()!r}"),
         (not_integer, DataError, lambda k: "day must be an integer"),
@@ -386,25 +397,17 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     duplicate[np.unique(cell, return_index=True)[1]] = False
     checks.append((duplicate, DuplicateRecordError,
                    lambda k: f"duplicate record for ({sid_text[k].strip()!r}, day {days[k]}, {var_text[k].strip()!r})"))
-    _raise_first_fault(observations_path, checks)
+    _raise_first_fault(checks, observations_path)
 
+    subject_id = np.array(list(codes), dtype=object)
+    _raise_first_fault([
+        (outcome < 0, MissingOutcomeError, lambda c: f"subject {subject_id[c]!r} has observations but no outcome row"),
+        (subject_event & (outcome_day <= first), InvalidOnsetError,
+         lambda c: f"subject {subject_id[c]!r}: onset_day {outcome_day[c]} is not after first observed day {first[c]}"),
+    ])
     values = np.full((start[-1], P), np.nan)
     values.reshape(-1)[cell] = observed
-
-    subjects = []
-    for sid, c in codes.items():
-        if sid not in outcomes:
-            raise MissingOutcomeError(f"subject {sid!r} has observations but no outcome row")
-        first_day = int(first[c])
-        outcome = outcomes[sid]
-        if isinstance(outcome, Event) and outcome.onset_day <= first_day:
-            raise InvalidOnsetError(
-                f"subject {sid!r}: onset_day {outcome.onset_day} is not after first observed day {first_day}"
-            )
-        rows = slice(start[c], start[c + 1])
-        subjects.append(SubjectSeries(sid, first_day, values[rows], outcome))
-
-    return Cohort(subjects=subjects, variables=variables)
+    return Cohort(variables, values, subject_id, first, start, subject_event, outcome_day)
 
 
 def extract_windows(cohort: Cohort, T: int, stride: int = 1, horizon: float = 21) -> Windows:
@@ -415,30 +418,24 @@ def extract_windows(cohort: Cohort, T: int, stride: int = 1, horizon: float = 21
     windows ending strictly before onset (y = onset - end, censored False);
     censored subjects emit every window with y = horizon - end clamped at
     zero, censored True. The windows come subject by subject in cohort
-    order, and by start within a subject. They read one day-row array, a
-    copy of the subjects' values stacked in cohort order, so writing to a
-    window changes neither the cohort nor another call's windows.
+    order, and by start within a subject. They read a copy of the cohort's
+    day-row array, so writing to a window changes neither the cohort nor
+    another call's windows.
     """
     if T < 1 or stride < 1 or horizon < 1:
         raise ValueError("T, stride and horizon must all be >= 1")
-    subjects = cohort.subjects
-    days = np.concatenate([np.empty((0, len(cohort.variables)))] + [s.values for s in subjects])
-    length = np.array([s.values.shape[0] for s in subjects], dtype=np.int64)
-    first_day = np.array([s.first_day for s in subjects], dtype=np.int64)
-    event = np.array([isinstance(s.outcome, Event) for s in subjects], dtype=bool)
-    onset = np.array([s.outcome.onset_day if e else np.inf for s, e in zip(subjects, event)])
+    onset = np.where(cohort.event, cohort.outcome_day, np.inf)
     # every start 0, stride, ... that fits in its subject, then only the windows ending before onset
-    count = np.maximum((length - T) // stride + 1, 0)
-    subject = np.repeat(np.arange(len(subjects)), count)
+    count = np.maximum((np.diff(cohort.start) - T) // stride + 1, 0)
+    subject = np.repeat(np.arange(len(cohort)), count)
     offset = (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)) * stride
-    end_day = first_day[subject] + offset + T - 1
-    keep = ~(end_day >= onset[subject])
+    end_day = cohort.first_day[subject] + offset + T - 1
+    keep = end_day < onset[subject]
     subject, offset, end_day = subject[keep], offset[keep], end_day[keep]
-    censored = ~event[subject]
+    censored = ~cohort.event[subject]
     y = np.where(censored, np.maximum(horizon - end_day, 0.0), onset[subject] - end_day)
-    first_row = np.cumsum(length) - length
-    ids = np.array([s.subject_id for s in subjects], dtype=object)
-    return Windows(days, T, first_row[subject] + offset, y, censored, ids[subject], end_day)
+    return Windows(cohort.days.copy(), T, cohort.start[subject] + offset, y, censored, cohort.subject_id[subject],
+                   end_day)
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
@@ -521,18 +518,19 @@ def write_cohort(cohort: Cohort, observations_path, outcomes_path, dictionary_pa
         for name in cohort.variables:
             fh.write(name + "\n")
     names = [_csv_field(name) for name in cohort.variables]
+    row, col = np.nonzero(~np.isnan(cohort.days))  # row-major: subject by subject, day by day, variables in order
+    days, values, col = cohort.day[row].tolist(), cohort.days[row, col].tolist(), col.tolist()
+    cut = np.searchsorted(row, cohort.start).tolist()  # subject i's cells are cut[i]:cut[i + 1]
     with open(observations_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("subject_id,day,variable,value\n")
-        for s in cohort.subjects:
-            sid = _csv_field(s.subject_id)
-            t, j = np.nonzero(s.mask)  # row-major: day by day, variables in dictionary order
-            days, values = (t + s.first_day).tolist(), s.values[t, j].tolist()
-            fh.write("".join([f"{sid},{day},{names[c]},{v:.17g}\n" for day, c, v in zip(days, j.tolist(), values)]))
+        for sid, a, b in zip(cohort.subject_id, cut, cut[1:]):
+            sid, cells = _csv_field(sid), zip(days[a:b], col[a:b], values[a:b])
+            fh.write("".join([f"{sid},{day},{names[c]},{v:.17g}\n" for day, c, v in cells]))
+    last_day = (cohort.first_day + np.diff(cohort.start) - 1).tolist()
+    outcomes = zip(cohort.subject_id, cohort.event.tolist(), cohort.outcome_day.tolist(), last_day)
     with open(outcomes_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subject_id", "ssi", "onset_day", "last_obs_day"])
-        for s in cohort.subjects:
-            if isinstance(s.outcome, Event):
-                writer.writerow([s.subject_id, 1, "%.17g" % s.outcome.onset_day, s.last_day])
-            else:
-                writer.writerow([s.subject_id, 0, "", "%.17g" % s.outcome.horizon_day])
+        for sid, event, day, last in outcomes:
+            day = "%.17g" % day
+            writer.writerow([sid, 1, day, last] if event else [sid, 0, "", day])

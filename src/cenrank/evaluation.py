@@ -131,11 +131,13 @@ def impute_split(windows, train_idx, test_idx, imputer):
 
 def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
                solver_options: solver.SolverOptions | None = None):
-    """Fit one configuration; rank only applies to the censored_lowrank method.
+    """Fit one configuration; rank, which must be >= 1 for every method, only applies to censored_lowrank.
 
     Returns (model, report): the SolveReport of fit_pgd for censored_lowrank,
     None for the baselines.
     """
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     if method == "censored_lowrank":
         return solver.fit_pgd(design, lambda_, rank, solver_options)
     if method == "ols":

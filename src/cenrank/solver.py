@@ -74,9 +74,9 @@ class SolveReport:
         return float(self.objective_trace[-1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
-    """Stopping rule of fit_pgd: gradient tolerance and the cap on alternating passes.
+    """Stopping rule of fit_pgd: gradient tolerance and the cap on alternating passes, both nonnegative.
 
     `precondition` is read by nothing. It stays only because the benchmark
     (bench/workloads.py) passes precondition=False; it goes when that
@@ -86,6 +86,10 @@ class SolverOptions:
     tol: float = 1e-4
     max_iter: int = 500
     precondition: bool = True
+
+    def __post_init__(self):
+        if not (self.tol >= 0 and self.max_iter >= 0):
+            raise ValueError(f"tol and max_iter must be nonnegative, got {self.tol!r} and {self.max_iter!r}")
 
 
 def check_lambda(lambda_):
@@ -245,8 +249,6 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     if r < 1:
         raise ValueError("rank must be >= 1")
     check_lambda(lambda_)
-    if not (opts.tol >= 0 and opts.max_iter >= 0):
-        raise ValueError(f"tol and max_iter must be nonnegative, got {opts.tol!r} and {opts.max_iter!r}")
     T, P = design.T, design.P
     n_c, n_z = design.n_complete, design.n_censored
     if n_c == 0 and n_z == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import Censored, Cohort, DesignSet, Event, SubjectSeries
+from .cohort import Cohort, DesignSet
 from .errors import DataError
 from .solver import ModelParams
 
@@ -84,27 +84,28 @@ def generate_cohort(spec: SyntheticSpec) -> tuple[Cohort, PlantedTruth]:
     w_star = SIGNAL_NORM * w_raw / np.linalg.norm(w_raw)
     b_star = float(min(spec.censor_horizon - spec.T_star - 1.0, MAX_INTERCEPT))
 
-    width = len(str(spec.n_subjects))
-    subjects = []
-    for n in range(spec.n_subjects):
+    values, event, outcome_day = [], [], []
+    for _ in range(spec.n_subjects):
         coeffs = rng.standard_normal((spec.days_per_subject, spec.latent_rank))
         daily = coeffs @ B.T
         lead = float(np.sum(daily[: spec.T_star] * w_star)) + b_star + rng.normal(0.0, spec.noise_sigma)
         onset = spec.T_star + max(lead, 1.0)
         if spec.round_onsets:
             onset = float(max(round(onset), spec.T_star + 1))
-        if onset > spec.censor_horizon:
-            last_day = min(spec.days_per_subject, int(math.floor(spec.censor_horizon)))
-            outcome = Censored(horizon_day=float(last_day))
-        else:
+        event.append(onset <= spec.censor_horizon)
+        if event[-1]:
             last_day = min(spec.days_per_subject, int(math.ceil(onset)) - 1)
-            outcome = Event(onset_day=onset)
-        values = daily[:last_day].copy()
-        values[rng.random((last_day, spec.P)) < spec.missing_rate] = np.nan
-        subjects.append(SubjectSeries(f"S{n:0{width}d}", 1, values, outcome))
+            outcome_day.append(onset)
+        else:
+            last_day = min(spec.days_per_subject, int(math.floor(spec.censor_horizon)))
+            outcome_day.append(float(last_day))
+        values.append(np.where(rng.random((last_day, spec.P)) < spec.missing_rate, np.nan, daily[:last_day]))
 
-    variables = [f"v{j + 1:02d}" for j in range(spec.P)]
-    return Cohort(subjects=subjects, variables=variables), PlantedTruth(w_star=w_star, b_star=b_star)
+    n, width = spec.n_subjects, len(str(spec.n_subjects))
+    cohort = Cohort([f"v{j + 1:02d}" for j in range(spec.P)], np.concatenate(values),
+                    np.array([f"S{i:0{width}d}" for i in range(n)], dtype=object), np.ones(n, dtype=np.int64),
+                    np.cumsum([0, *map(len, values)], dtype=np.int64), np.array(event), np.array(outcome_day))
+    return cohort, PlantedTruth(w_star=w_star, b_star=b_star)
 
 
 def oracle_ols(design: DesignSet, ridge: float = 1e-10) -> ModelParams:

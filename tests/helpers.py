@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cenrank.cohort import Censored, Cohort, DesignSet, Event, SubjectSeries, Windows
+from cenrank.cohort import Cohort, DesignSet, Windows
 
 
 def random_design(rng, T, P, n_complete, n_censored, noise=1.0):
@@ -43,14 +43,29 @@ def excess_sv_ratio(w, r):
     return float(sv[r:].max(initial=0.0) / sv[0]) if sv[0] > 0 else 0.0
 
 
+def make_cohort(subjects, variables):
+    """A `Cohort` over `variables` from (subject_id, first_day, values, event, outcome_day) tuples.
+
+    Each subject's D x P values are copied into the day-row array, in order.
+    """
+    ids, first_day, values, event, outcome_day = zip(*subjects) if subjects else ((),) * 5
+    return Cohort(
+        variables=list(variables),
+        days=np.concatenate([np.empty((0, len(variables))), *(np.asarray(v, dtype=float) for v in values)]),
+        subject_id=np.array(ids, dtype=object),
+        first_day=np.array(first_day, dtype=np.int64),
+        start=np.cumsum([0, *map(len, values)], dtype=np.int64),
+        event=np.array(event, dtype=bool),
+        outcome_day=np.array(outcome_day, dtype=float),
+    )
+
+
 def tiny_cohort():
     """Two hand-built subjects: one event (onset day 7), one censored."""
     values_a = np.arange(10.0).reshape(5, 2) + 1.0
-    a = SubjectSeries("A", 1, values_a, Event(onset_day=7))
     values_b = np.arange(12.0).reshape(6, 2) * 0.5
     values_b[2, 1] = np.nan
-    b = SubjectSeries("B", 1, values_b, Censored(horizon_day=6))
-    return Cohort(subjects=[a, b], variables=["v01", "v02"])
+    return make_cohort([("A", 1, values_a, True, 7), ("B", 1, values_b, False, 6)], ["v01", "v02"])
 
 
 def write_cohort_files(tmp_path, observations, outcomes, variables):

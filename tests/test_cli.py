@@ -14,6 +14,7 @@ from cenrank.evaluation import predict_windows
 from cenrank.imputation import fill_windows
 from cenrank.modelio import load_imputer, load_model, save_model
 from cenrank.solver import ModelParams
+from helpers import write_cohort_files
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,24 @@ class TestTrainPredict:
         assert "must be nonnegative" in capsys.readouterr().err
         assert not (run / "model.json").exists()
 
+    @pytest.mark.parametrize("method", ["ols", "svr"])
+    def test_negative_solver_settings_are_usage_errors_for_baselines(self, cohort_dir, tmp_path, capsys, method):
+        for flag in ("--max-iter=-1", "--tol=-1"):
+            run = tmp_path / flag
+            assert dispatch(["train", *cohort_args(cohort_dir), "--out", str(run), "--method", method, flag]) == 1
+            assert "must be nonnegative" in capsys.readouterr().err
+            assert not (run / "model.json").exists()
+
+    @pytest.mark.parametrize("method", evaluation.METHODS)
+    @pytest.mark.parametrize("rank", ["0", "-5"])
+    def test_rank_below_one_is_usage_error(self, cohort_dir, tmp_path, capsys, method, rank):
+        run = tmp_path / "run"
+        argv = ["train", *cohort_args(cohort_dir), "--out", str(run), "--T", "4", "--method", method, "--imputer",
+                "mean", f"--rank={rank}"]
+        assert dispatch(argv) == 1
+        assert f"rank must be >= 1, got {rank}" in capsys.readouterr().err
+        assert not (run / "model.json").exists()
+
     def test_negative_lambda_is_usage_error(self, cohort_dir, tmp_path):
         for method in ("censored_lowrank", "ols", "svr"):
             run = tmp_path / method
@@ -338,6 +357,22 @@ class TestCv:
         for name in ("grid.csv", "lambda_curve.csv", "duration_curve.csv"):
             assert (rep / name).read_bytes() == (out / name).read_bytes()
 
+    @pytest.mark.parametrize("methods", ["ols", "svr", "censored_lowrank"])
+    def test_rank_below_one_is_usage_error(self, cohort_dir, tmp_path, capsys, methods):
+        run = tmp_path / "cv"
+        assert dispatch(["cv", *cohort_args(cohort_dir), "--out", str(run), "--durations", "3", "--ranks", "0,-3",
+                         "--lambdas", "0.05", "--methods", methods, "--imputer", "mean", "--k", "3"]) == 1
+        assert "rank must be >= 1, got 0" in capsys.readouterr().err
+        assert not (run / "grid.csv").exists()
+
+    @pytest.mark.parametrize("flag, text", [("--durations", "3,3"), ("--ranks", "2,2"), ("--lambdas", "0.05,0.050")])
+    def test_repeated_grid_value_is_usage_error(self, cohort_dir, tmp_path, capsys, flag, text):
+        run = tmp_path / "cv"
+        assert dispatch(["cv", *cohort_args(cohort_dir), "--out", str(run), "--durations", "3", "--ranks", "2",
+                         "--lambdas", "0.05", "--k", "3", flag, text]) == 1
+        assert f"usage error: {flag} repeats a value: {text!r}" in capsys.readouterr().err
+        assert not (run / "grid.csv").exists()
+
     @pytest.mark.parametrize("max_iter, capped", [(1, True), (500, False)])
     def test_solver_report_kept_per_fold(self, cohort_dir, tmp_path, capsys, max_iter, capped):
         out = tmp_path / "cv"
@@ -387,11 +422,26 @@ class TestImpute:
         ]) == 0
         cohort = load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
                              cohort_dir / "variables.txt")
-        n_rows = sum(s.values.shape[0] for s in cohort.subjects)
+        n_rows = len(cohort.days)
         with open(out / "completed_matrix.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == n_rows
         assert all(np.isfinite(float(r[v])) for r in rows for v in cohort.variables)
+
+    def test_labels_start_at_the_first_day_and_cover_gap_days(self, tmp_path):
+        obs, out, dic = write_cohort_files(
+            tmp_path, ["A,3,hr,60", "A,3,temp,37", "A,5,hr,64", "B,2,temp,38", "B,3,hr,70"],
+            ["A,0,,21", "B,1,9,"], ["hr", "temp"])
+        run = tmp_path / "imp"
+        assert dispatch(["impute", "--observations", str(obs), "--outcomes", str(out), "--dictionary", str(dic),
+                         "--out", str(run), "--imputer", "mean"]) == 0
+        with open(run / "completed_matrix.csv") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["subject_id", "day", "hr", "temp"]
+        assert [row[:2] for row in rows] == [["A", "3"], ["A", "4"], ["A", "5"], ["B", "2"], ["B", "3"]]
+        hr, temp = np.mean([60.0, 64.0, 70.0]), np.mean([37.0, 38.0])
+        want = [[60, 37], [hr, temp], [64, temp], [hr, 38], [70, temp]]
+        assert np.allclose([[float(v) for v in row[2:]] for row in rows], want, rtol=0, atol=1e-12)
 
     def test_knn_and_mean_imputers_run(self, cohort_dir, tmp_path):
         windows = extract_windows(load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
@@ -515,6 +565,16 @@ class TestErrors:
 
     def test_bad_flag_value_is_usage_error(self):
         assert dispatch(["cv", "--k", "not_a_number"]) == 1
+
+    def test_grid_lists(self):
+        assert cli._list("3,4,", "durations", int) == [3, 4]
+        assert cli._list("0.05,1e-2", "lambdas", float) == [0.05, 0.01]
+        for text, kind, message in [("3,x", int, "--durations must be a comma-separated list of integers"),
+                                    ("0.1,y", float, "--durations must be a comma-separated list of numbers"),
+                                    ("3,4,3", int, "--durations repeats a value: '3,4,3'"),
+                                    ("0.1,0.10", float, "--durations repeats a value: '0.1,0.10'")]:
+            with pytest.raises(cli.UsageError, match=message):
+                cli._list(text, "durations", kind)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_objective_is_numerical_error(self, cohort_dir, tmp_path, capsys):

@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 
 from cenrank.cohort import (
-    Censored,
     Cohort,
-    Event,
-    SubjectSeries,
     WindowSample,
     Windows,
     assemble_design,
@@ -31,7 +28,7 @@ from cenrank.errors import (
     UnknownVariableError,
 )
 from cenrank.synthetic import SyntheticSpec, generate_cohort
-from helpers import make_windows, tiny_cohort, write_cohort_files
+from helpers import make_cohort, make_windows, tiny_cohort, write_cohort_files
 
 
 class TestLoadCohort:
@@ -47,9 +44,9 @@ class TestLoadCohort:
         a, b = cohort.subjects
         assert a.first_day == 1 and a.values.shape == (2, 2)
         assert a.mask.tolist() == [[True, True], [True, False]]
-        assert a.outcome == Event(onset_day=5)
+        assert (a.event, a.outcome_day) == (True, 5)
         assert b.first_day == 3 and b.values[0, 0] == 70
-        assert b.outcome == Censored(horizon_day=21)
+        assert (b.event, b.outcome_day) == (False, 21)
 
     def test_unknown_variable(self, tmp_path):
         obs, out, dic = write_cohort_files(
@@ -133,7 +130,7 @@ class TestLoadCohort:
     def test_event_subject_may_be_observed_after_onset(self, tmp_path):
         obs, out, dic = write_cohort_files(tmp_path, ["A,1,hr,60", "A,9,hr,61"], ["A,1,5,2"], ["hr"])
         (a,) = load_cohort(obs, out, dic).subjects
-        assert a.last_day == 9 and a.outcome == Event(onset_day=5)
+        assert a.last_day == 9 and (a.event, a.outcome_day) == (True, 5)
 
     def test_write_load_roundtrip_is_exact(self, tmp_path):
         cohort, _ = generate_cohort(
@@ -149,7 +146,7 @@ class TestLoadCohort:
             assert got.first_day == want.first_day
             assert np.array_equal(got.mask, want.mask)
             assert np.array_equal(got.values[got.mask], want.values[want.mask])
-            assert got.outcome == want.outcome
+            assert (got.event, got.outcome_day) == (want.event, want.outcome_day)
 
     def test_masks_are_read_only_and_follow_the_nans(self, tmp_path):
         cohort, _ = generate_cohort(
@@ -159,7 +156,7 @@ class TestLoadCohort:
         write_cohort(cohort, tmp_path / "o.csv", tmp_path / "y.csv", tmp_path / "v.txt")
         loaded = load_cohort(tmp_path / "o.csv", tmp_path / "y.csv", tmp_path / "v.txt")
         for c in (cohort, loaded):
-            missing = np.isnan(np.concatenate([s.values for s in c.subjects]))
+            missing = np.isnan(c.days)
             assert missing.any() and not missing.all()
             for s in c.subjects:
                 assert np.array_equal(s.mask, ~np.isnan(s.values))
@@ -231,7 +228,7 @@ def load_reference(observations_path, outcomes_path, dictionary):
             raise DataError(f"{outcomes_path} line {line}: {field} must be a number, got {raw!r}") from None
         if not math.isfinite(when):
             raise DataError(f"{outcomes_path} line {line}: non-finite {field}")
-        outcomes[sid] = Event(onset_day=when) if ssi == 1 else Censored(horizon_day=when)
+        outcomes[sid] = (ssi == 1, when)
 
     codes = {}
     cells = {}
@@ -246,10 +243,10 @@ def load_reference(observations_path, outcomes_path, dictionary):
             raise DataError(f"{observations_path} line {line}: day must be an integer") from None
         if day < 1:
             raise DataError(f"{observations_path} line {line}: day must be >= 1, got {day}")
-        outcome = outcomes.get(sid)
-        if isinstance(outcome, Censored) and day > outcome.horizon_day:
+        event, when = outcomes.get(sid, (True, None))  # a subject without an outcome row fails after the file
+        if not event and day > when:
             raise DataError(f"{observations_path} line {line}: day {day} is after last_obs_day "
-                            f"{outcome.horizon_day:g} of event-free subject {sid!r}")
+                            f"{when:g} of event-free subject {sid!r}")
         try:
             value = float(value_text)
         except ValueError:
@@ -268,16 +265,16 @@ def load_reference(observations_path, outcomes_path, dictionary):
             raise MissingOutcomeError(f"subject {sid!r} has observations but no outcome row")
         days = {d: v for (code, d, _), v in cells.items() if code == c}
         first_day = min(days)
-        outcome = outcomes[sid]
-        if isinstance(outcome, Event) and outcome.onset_day <= first_day:
+        event, when = outcomes[sid]
+        if event and when <= first_day:
             raise InvalidOnsetError(
-                f"subject {sid!r}: onset_day {outcome.onset_day} is not after first observed day {first_day}")
+                f"subject {sid!r}: onset_day {when} is not after first observed day {first_day}")
         values = np.full((max(days) - first_day + 1, len(variables)), np.nan)
         for (code, d, j), v in cells.items():
             if code == c:
                 values[d - first_day, j] = v
-        subjects.append(SubjectSeries(sid, first_day, values, outcome))
-    return Cohort(subjects=subjects, variables=variables)
+        subjects.append((sid, first_day, values, event, when))
+    return make_cohort(subjects, variables)
 
 
 def assert_same_cohort(got, want):
@@ -285,7 +282,7 @@ def assert_same_cohort(got, want):
     assert [s.subject_id for s in got.subjects] == [s.subject_id for s in want.subjects]
     for g, w in zip(got.subjects, want.subjects):
         assert g.first_day == w.first_day
-        assert g.outcome == w.outcome
+        assert (g.event, g.outcome_day) == (w.event, w.outcome_day)
         assert np.array_equal(g.values, w.values, equal_nan=True)
 
 
@@ -485,10 +482,10 @@ def write_reference(cohort, observations_path, outcomes_path, dictionary_path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subject_id", "ssi", "onset_day", "last_obs_day"])
         for s in cohort.subjects:
-            if isinstance(s.outcome, Event):
-                writer.writerow([s.subject_id, 1, "%.17g" % s.outcome.onset_day, s.last_day])
+            if s.event:
+                writer.writerow([s.subject_id, 1, "%.17g" % s.outcome_day, s.last_day])
             else:
-                writer.writerow([s.subject_id, 0, "", "%.17g" % s.outcome.horizon_day])
+                writer.writerow([s.subject_id, 0, "", "%.17g" % s.outcome_day])
 
 
 def assert_writers_agree(tmp_path, cohort):
@@ -522,34 +519,31 @@ class TestWriterMatchesRowLoop:
             values[rng.random(values.shape[0]) < 0.2] = np.nan
             values[0, 0] = values[-1, 0] = 1.0  # keep the first and last day observed
             shift = int(rng.integers(0, 5))
-            outcome = (Event(s.outcome.onset_day + shift) if isinstance(s.outcome, Event)
-                       else Censored(s.outcome.horizon_day + shift))
-            subjects.append(SubjectSeries(s.subject_id, s.first_day + shift, values, outcome))
-        shifted = Cohort(subjects, cohort.variables)
-        assert any(s.first_day > 1 for s in subjects)
-        assert any(np.isnan(s.values).all(axis=1).any() for s in subjects)
-        assert {type(s.outcome) for s in subjects} == {Event, Censored}
+            subjects.append((s.subject_id, s.first_day + shift, values, s.event, s.outcome_day + shift))
+        shifted = make_cohort(subjects, cohort.variables)
+        assert any(s.first_day > 1 for s in shifted.subjects)
+        assert any(np.isnan(s.values).all(axis=1).any() for s in shifted.subjects)
+        assert set(shifted.event.tolist()) == {True, False}
         assert_writers_agree(tmp_path, cohort)
         observations = assert_writers_agree(tmp_path, shifted)[0].decode().splitlines()
-        assert len(observations) == 1 + sum(int(s.mask.sum()) for s in subjects)
+        assert len(observations) == 1 + int((~np.isnan(shifted.days)).sum())
 
     def test_awkward_ids_and_names(self, tmp_path):
-        subjects = [SubjectSeries(text, 2 + i, np.arange(len(AWKWARD_TEXT) * 2.0).reshape(2, -1) + i,
-                                  Event(9.5) if i % 2 else Censored(30))
-                    for i, text in enumerate(AWKWARD_TEXT)]
-        observations = assert_writers_agree(tmp_path, Cohort(subjects, AWKWARD_TEXT))[0].decode()
+        subjects = [(text, 2 + i, np.arange(len(AWKWARD_TEXT) * 2.0).reshape(2, -1) + i, i % 2 == 1,
+                     9.5 if i % 2 else 30) for i, text in enumerate(AWKWARD_TEXT)]
+        observations = assert_writers_agree(tmp_path, make_cohort(subjects, AWKWARD_TEXT))[0].decode()
         assert '"with,comma"' in observations and '"with""quote"' in observations
 
     def test_values_that_need_17_digits(self, tmp_path):
         values = np.array([[1 / 3, -0.0, 5e-324, 1.7976931348623157e308, 60.0],
                            [-1 / 3, np.nan, -5e-324, -1.7976931348623157e308, 0.1]])
-        subjects = [SubjectSeries("A", 1, values, Event(1 / 3 + 3)), SubjectSeries("B", 4, values[::-1], Censored(7.1))]
-        observations = assert_writers_agree(tmp_path, Cohort(subjects, ["a", "b", "c", "d", "e"]))[0].decode()
+        subjects = [("A", 1, values, True, 1 / 3 + 3), ("B", 4, values[::-1], False, 7.1)]
+        observations = assert_writers_agree(tmp_path, make_cohort(subjects, ["a", "b", "c", "d", "e"]))[0].decode()
         assert "A,1,a,0.33333333333333331\n" in observations and "A,1,b,-0\n" in observations
         assert "A,1,c,4.9406564584124654e-324\n" in observations and "A,1,e,60\n" in observations
 
     def test_no_subjects(self, tmp_path):
-        files = assert_writers_agree(tmp_path, Cohort([], ["hr", "temp"]))
+        files = assert_writers_agree(tmp_path, make_cohort([], ["hr", "temp"]))
         assert files == [b"subject_id,day,variable,value\n", b"subject_id,ssi,onset_day,last_obs_day\n",
                          b"hr\ntemp\n"]
 
@@ -569,9 +563,8 @@ class TestExtractWindows:
         assert all(w.censored for w in b)
 
     def test_short_subject_yields_nothing(self):
-        cohort = tiny_cohort()
-        cohort.subjects = [cohort.subjects[0]]
-        cohort.subjects[0].values = cohort.subjects[0].values[:3]
+        a = tiny_cohort().subjects[0]
+        cohort = make_cohort([(a.subject_id, a.first_day, a.values[:3], a.event, a.outcome_day)], ["v01", "v02"])
         assert len(extract_windows(cohort, T=5)) == 0
 
     def test_complete_windows_end_before_onset(self):
@@ -579,7 +572,7 @@ class TestExtractWindows:
             SyntheticSpec(n_subjects=30, days_per_subject=12, P=3, T_star=3,
                           true_rank=1, noise_sigma=2.0, censor_horizon=12, seed=2)
         )
-        onset = {s.subject_id: s.outcome.onset_day for s in cohort.subjects if isinstance(s.outcome, Event)}
+        onset = {s.subject_id: s.outcome_day for s in cohort.subjects if s.event}
         windows = extract_windows(cohort, T=3, horizon=12)
         for sid, end_day, censored in zip(windows.subject_id, windows.end_day, windows.censored):
             if not censored:
@@ -608,8 +601,8 @@ class TestExtractWindows:
         windows = extract_windows(cohort, T=T, stride=stride, horizon=14)
         for s in cohort.subjects:
             D = s.values.shape[0]
-            if isinstance(s.outcome, Event):
-                last_ok = min(s.last_day, int(np.ceil(s.outcome.onset_day)) - 1)
+            if s.event:
+                last_ok = min(s.last_day, int(np.ceil(s.outcome_day)) - 1)
                 d_eligible = max(0, last_ok - s.first_day + 1)
             else:
                 d_eligible = D
@@ -704,10 +697,10 @@ def extract_reference(cohort, T, stride=1, horizon=21):
         D = series.values.shape[0]
         for start in range(0, D - T + 1, stride):
             end_day = series.first_day + start + T - 1
-            if isinstance(series.outcome, Event):
-                if end_day >= series.outcome.onset_day:
+            if series.event:
+                if end_day >= series.outcome_day:
                     break
-                y, censored = series.outcome.onset_day - end_day, False
+                y, censored = series.outcome_day - end_day, False
             else:
                 y, censored = max(horizon - end_day, 0.0), True
             out.append((first_row + start, float(y), censored, series.subject_id, end_day))
@@ -749,15 +742,15 @@ def random_cohort(seed, n_subjects=30, P=2):
         D, first = int(rng.integers(1, 12)), int(rng.integers(1, 5))
         kind = int(rng.integers(4))
         if kind == 0:
-            outcome = Censored(horizon_day=float(rng.integers(first + D - 1, 30)))
+            outcome_day = float(rng.integers(first + D - 1, 30))  # censored
         elif kind == 1:
-            outcome = Event(onset_day=float(first + rng.integers(1, D + 4)))  # whole day
+            outcome_day = float(first + rng.integers(1, D + 4))  # whole-day onset
         elif kind == 2:
-            outcome = Event(onset_day=first + rng.uniform(0.1, D + 3))  # fractional
+            outcome_day = first + rng.uniform(0.1, D + 3)  # fractional
         else:
-            outcome = Event(onset_day=first + rng.uniform(0.5, 2.0))  # before the first full window of T >= 3
-        subjects.append(SubjectSeries(f"id{i:02d}", first, rng.standard_normal((D, P)), outcome))
-    return Cohort(subjects, [f"v{j}" for j in range(P)])
+            outcome_day = first + rng.uniform(0.5, 2.0)  # before the first full window of T >= 3
+        subjects.append((f"id{i:02d}", first, rng.standard_normal((D, P)), kind != 0, outcome_day))
+    return make_cohort(subjects, [f"v{j}" for j in range(P)])
 
 
 class TestWindowsMatchWindowLoop:
@@ -773,20 +766,20 @@ class TestWindowsMatchWindowLoop:
                        windows.subject_id.tolist(), windows.end_day.tolist()))
         assert got == want
         assert windows.T == T
-        assert np.array_equal(windows.days, np.concatenate([s.values for s in cohort.subjects]))
+        assert np.array_equal(windows.days, cohort.days) and not np.shares_memory(windows.days, cohort.days)
 
     def test_every_onset_kind_and_a_subject_shorter_than_T_occur(self):
         cohort = random_cohort(0)
-        outcomes = [s.outcome for s in cohort.subjects]
-        onsets = [o.onset_day - s.first_day for o, s in zip(outcomes, cohort.subjects) if isinstance(o, Event)]
-        assert any(isinstance(o, Censored) for o in outcomes)
+        onsets = [s.outcome_day - s.first_day for s in cohort.subjects if s.event]
+        assert not cohort.event.all()
         assert any(d == int(d) for d in onsets) and any(d != int(d) for d in onsets) and min(onsets) < 2
         assert min(s.values.shape[0] for s in cohort.subjects) < 3
 
     def test_no_subjects(self):
-        windows = extract_windows(Cohort([], ["v0", "v1"]), 3, stride=2)
+        cohort = make_cohort([], ["v0", "v1"])
+        windows = extract_windows(cohort, 3, stride=2)
         assert len(windows) == 0 and windows.days.shape == (0, 2) and list(windows) == []
-        assert extract_reference(Cohort([], ["v0", "v1"]), 3, 2) == []
+        assert extract_reference(cohort, 3, 2) == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("unit", ["sample", "subject"])

@@ -180,7 +180,7 @@ class TestBmcFit:
         stops once it is within tol^2 of the observed sum of squares, before the relative rule would."""
         spec = SyntheticSpec(n_subjects=60, days_per_subject=10, P=10, T_star=5, true_rank=2,
                              noise_sigma=1.0, missing_rate=0.1, latent_rank=3, seed=seed)
-        X = np.concatenate([s.values for s in generate_cohort(spec)[0].subjects])
+        X = generate_cohort(spec)[0].days
         floor = 1e-12 * np.nansum(X ** 2)
         trace = []
         with warnings.catch_warnings():
@@ -202,7 +202,7 @@ class TestBmcFit:
         if case == "planted_capped":  # the planted experiment's training rows, cut to 60 iterations
             spec = SyntheticSpec(n_subjects=600, days_per_subject=5, P=10, T_star=5, true_rank=2,
                                  noise_sigma=1.0, missing_rate=0.10, latent_rank=8, seed=5)
-            X = np.concatenate([s.values for s in generate_cohort(spec)[0].subjects])
+            X = generate_cohort(spec)[0].days
             kwargs = dict(r=8, max_iter=60)
         else:
             rng = np.random.default_rng(9)
@@ -298,8 +298,7 @@ class TestImputeRows:
     def fitted(self):
         spec = SyntheticSpec(n_subjects=100, days_per_subject=6, P=10, T_star=5, true_rank=2,
                              noise_sigma=1.0, missing_rate=0.2, latent_rank=8, seed=5)
-        subjects = generate_cohort(spec)[0].subjects
-        X = np.concatenate([s.values for s in subjects])
+        X = generate_cohort(spec)[0].days
         mask = ~np.isnan(X)
         assert X.shape[0] >= 500
         assert mask.all(axis=1).any() and not mask.all()

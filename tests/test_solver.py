@@ -190,6 +190,13 @@ class TestFitPgd:
             _, report = fit_pgd(design, 0.1, 2, SolverOptions(max_iter=5000))
         assert report.converged
 
+    @pytest.mark.parametrize("setting", [{"tol": -1e-4}, {"tol": float("nan")}, {"max_iter": -1}])
+    def test_options_reject_a_negative_setting(self, setting):
+        with pytest.raises(ValueError, match="tol and max_iter must be nonnegative"):
+            SolverOptions(**setting)
+        with pytest.raises(AttributeError):
+            SolverOptions().tol = -1.0
+
     def test_pass_that_does_not_lower_the_objective_ends_the_fit(self):
         design = random_design(np.random.default_rng(17), 4, 5, 40, 15)
         with pytest.warns(RuntimeWarning, match="stalled"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cenrank.baselines import ols_fit
-from cenrank.cohort import Censored, Event, assemble_design, extract_windows
+from cenrank.cohort import assemble_design, extract_windows
 from cenrank.errors import DataError
 from cenrank.evaluation import mae, predict_windows
 from cenrank.solver import ModelParams, SolverOptions, fit_pgd, objective
@@ -25,16 +25,15 @@ class TestGenerateCohort:
         b, tb = generate_cohort(spec)
         assert ta.b_star == tb.b_star
         assert np.array_equal(ta.w_star, tb.w_star)
-        for sa, sb in zip(a.subjects, b.subjects):
-            assert sa.outcome == sb.outcome
-            assert np.array_equal(sa.mask, sb.mask)
-            assert np.array_equal(sa.values[sa.mask], sb.values[sb.mask])
+        for field in ("subject_id", "first_day", "start", "event", "outcome_day"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(a.days, b.days, equal_nan=True)
 
     def test_missing_fraction_close_to_rate(self):
         spec = SyntheticSpec(n_subjects=300, days_per_subject=10, P=8, T_star=3, true_rank=2,
                              censor_horizon=50, missing_rate=0.25, seed=3)
         cohort, _ = generate_cohort(spec)
-        cells = np.concatenate([s.mask.ravel() for s in cohort.subjects])
+        cells = ~np.isnan(cohort.days)
         assert cells.size >= 10_000
         assert abs((~cells).mean() - 0.25) < 0.02
 
@@ -48,11 +47,11 @@ class TestGenerateCohort:
             assert s.first_day >= 1
             assert np.isnan(s.values[~s.mask]).all()
             assert np.isfinite(s.values[s.mask]).all()
-            if isinstance(s.outcome, Event):
-                assert s.outcome.onset_day > s.first_day
-                assert s.last_day < s.outcome.onset_day
+            if s.event:
+                assert s.outcome_day > s.first_day
+                assert s.last_day < s.outcome_day
             else:
-                assert isinstance(s.outcome, Censored)
+                assert s.last_day <= s.outcome_day
 
     def test_planted_model_has_zero_objective_without_noise(self):
         # one window per subject: labels are exactly the planted predictions
@@ -84,9 +83,8 @@ class TestGenerateCohort:
             SyntheticSpec(n_subjects=25, days_per_subject=6, P=4, T_star=3, true_rank=1,
                           noise_sigma=2.0, seed=7, round_onsets=True)
         )
-        for s in cohort.subjects:
-            if isinstance(s.outcome, Event):
-                assert s.outcome.onset_day == int(s.outcome.onset_day)
+        onsets = cohort.outcome_day[cohort.event]
+        assert onsets.size and np.array_equal(onsets, np.round(onsets))
 
 
 class TestGenerateLowrankMatrix:

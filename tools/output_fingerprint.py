@@ -7,9 +7,13 @@ each writing into its own directory under <workdir> (which must not exist
 yet), and prints one line per command with its exit code and the sha256 of
 its standard output, then one line per output file with its sha256.
 `effective_config.json` is skipped because it records the paths of the
-run. The `synth` commands, and the `predict` without an imputer model
-(which must exit 2), are checked against their expected exit codes; the
-script exits 1 when one differs. Two checkouts produce the same outputs
+run. Besides the synthetic cohorts, which all start on day 1 with no gaps,
+the script writes one hand-made cohort with later first days, gap days,
+rows after onset and ids that need quoting, and runs `impute`, `train`,
+`predict` and `cv` on it. The `synth` commands, the hand-made cohort's
+commands and the `predict` without an imputer model (which must exit 2)
+are checked against their expected exit codes; the script exits 1 when
+one differs. Two checkouts produce the same outputs
 when their printouts are equal:
 
     python tools/output_fingerprint.py old/ /tmp/fp-old > old.txt
@@ -19,8 +23,10 @@ when their printouts are equal:
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +34,41 @@ from pathlib import Path
 IMPUTERS = ("bmc", "mean", "knn")
 METHODS = ("censored_lowrank", "ols", "svr")
 SKIPPED = {"effective_config.json"}
+HAND_IDS = ["plain", "with,comma", 'with"quote', "Zürich-Ω", " padded ", "multi\nline"]
+
+
+def write_hand_cohort(out: Path, n_subjects=30, variables=("hr", "temp", "wbc", "crp")):
+    """Write a fixed cohort that no `synth` run makes, drawn with random.Random(0) to three decimals.
+
+    Subjects start on days 1-4 and span D = 6-12 days, with one day from
+    the third on unrecorded and 15% of the other cells missing. Every
+    second subject has an event 4 to D + 1 days after its first observed
+    day, so some are observed after onset; the others are event-free
+    through their last observed day, or one day more.
+    """
+    rng = random.Random(0)
+    out.mkdir()
+    (out / "variables.txt").write_text("".join(v + "\n" for v in variables), encoding="utf-8")
+    observations, outcomes = [], []
+    for i in range(n_subjects):
+        sid = f"{HAND_IDS[i % len(HAND_IDS)]}{i}"
+        first, D = rng.randint(1, 4), rng.randint(6, 12)
+        gap = first + rng.randint(2, D - 2)
+        level = [rng.gauss(0, 1) for _ in variables]
+        for day in range(first, first + D):
+            for name, mean in zip(variables, level):
+                if day != gap and rng.random() >= 0.15:
+                    observations.append([sid, day, name, f"{mean + rng.gauss(0, 0.5):.3f}"])
+        days = [row[1] for row in observations if row[0] == sid]
+        if i % 2:
+            outcomes.append([sid, 1, min(days) + rng.randint(4, D + 1), ""])
+        else:
+            outcomes.append([sid, 0, "", max(days) + rng.randint(0, 1)])
+    rng.shuffle(observations)
+    for name, header, rows in (("observations.csv", ["subject_id", "day", "variable", "value"], observations),
+                               ("outcomes.csv", ["subject_id", "ssi", "onset_day", "last_obs_day"], outcomes)):
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _cohort(name):
@@ -72,6 +113,13 @@ def commands():
                                     "--imputer-model", "round_train_stride2/imputer_model.json"], None
     yield "round_cv_stride2", ["cv", *rounded, "--stride", "2", "--durations", "3",
                                "--methods", "censored_lowrank"], None
+    hand = _cohort("hand")
+    for imputer in ("bmc", "mean"):
+        yield f"hand_impute_{imputer}", ["impute", *hand, "--imputer", imputer], 0
+    yield "hand_train", ["train", *hand, "--T", "3"], 0
+    yield "hand_predict", ["predict", *hand, "--model", "hand_train/model.json",
+                           "--imputer-model", "hand_train/imputer_model.json"], 0
+    yield "hand_cv", ["cv", *hand, "--durations", "3", "--k", "3", "--methods", ",".join(METHODS)], 0
 
 
 def _sha256(data: bytes) -> str:
@@ -84,6 +132,7 @@ def main(argv) -> int:
         return 1
     checkout, work = Path(argv[0]).resolve(), Path(argv[1])
     work.mkdir(parents=True)
+    write_hand_cohort(work / "hand")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     unexpected = 0
     for out, args, expected in commands():
