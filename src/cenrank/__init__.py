@@ -1,6 +1,6 @@
 """Censored low-rank time-to-event regression on sliding-window matrices."""
 
-from .baselines import SvrOptions, ols_fit, svr_fit
+from .baselines import ols_fit, svr_fit
 from .cohort import (
     Cohort,
     DesignSet,

@@ -3,43 +3,30 @@
 Both can either ignore censored samples or weight them into the fit by
 lambda, treating the censoring label as a plain regression target (the
 conventional way unbalanced samples are folded into these models); lambda
-must be finite and nonnegative. Both return the solver's ModelParams, with
-no rank budget.
+must be finite and nonnegative, and "ignore" means a censored weight of 0.
+Both fit theta = (w, b) over the solver's intercept block and return the
+solver's ModelParams, with no rank budget.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cohort import DesignSet
 from .errors import DataError, NumericalError
-from .solver import ModelParams, check_lambda
+from .solver import ModelParams, _block, check_lambda
 
 
-@dataclass
-class SvrOptions:
-    tol: float = 1e-8
-    max_iter: int = 100
-
-
-def _augmented(design: DesignSet, lambda_: float, censored_mode: str):
+def _augmented(design: DesignSet, lambda_: float, censored_mode: str) -> tuple[DesignSet, float]:
+    """The intercept block of the design, and the weight of its censored samples."""
     if censored_mode not in ("ignore", "weighted"):
         raise ValueError(f"unknown censored_mode {censored_mode!r}")
     check_lambda(lambda_)
     if design.n_complete == 0:
         raise DataError("baseline fits require at least one complete sample")
-    Z = np.vstack([design.X_complete, np.ones((1, design.n_complete))])
-    y = design.y_complete
-    if censored_mode == "weighted" and design.n_censored:
-        Zc = np.vstack([design.X_censored, np.ones((1, design.n_censored))])
-        yc = design.y_censored
-    else:
-        Zc = np.zeros((Z.shape[0], 0))
-        yc = np.zeros(0)
-    return Z, y, Zc, yc
+    return _block(design.X_complete, design.X_censored, design), lambda_ if censored_mode == "weighted" else 0.0
 
 
 def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weighted") -> ModelParams:
@@ -49,9 +36,10 @@ def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weigh
     trace-scaled floor, 1e-8 * trace(H) / dim, so exactly fittable data is
     interpolated to machine precision.
     """
-    Z, y, Zc, yc = _augmented(design, lambda_, censored_mode)
-    H = Z @ Z.T + lambda_ * (Zc @ Zc.T)
-    rhs = Z @ y + lambda_ * (Zc @ yc)
+    block, weight = _augmented(design, lambda_, censored_mode)
+    Z, Zc = block.X_complete, block.X_censored
+    H = Z @ Z.T + weight * (Zc @ Zc.T)
+    rhs = Z @ block.y_complete + weight * (Zc @ block.y_censored)
     eps = 1e-8 * float(np.trace(H)) / H.shape[0]
     mu, V = np.linalg.eigh(H)
     # floor small curvature at eps and drop the numerical null space so a
@@ -63,12 +51,12 @@ def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weigh
 
 def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
             lambda_: float = 0.0, censored_mode: str = "weighted",
-            options: SvrOptions | None = None, trace_out: list | None = None) -> ModelParams:
+            tol: float = 1e-8, max_iter: int = 100, trace_out: list | None = None) -> ModelParams:
     """Linear epsilon-insensitive SVR by a primal-dual interior-point method.
 
     Minimizes 1/2 ||w||^2 + sum c_i max(0, |z_i'theta - y_i| - eps) over
     theta = (w, b), with c_i = C for complete samples and C * lambda for the
-    censored ones, which are stacked only in weighted mode with lambda > 0.
+    censored ones, which are stacked only when that weight is nonzero.
     This is the QP
 
         min 1/2 ||w||^2 + c'(xi + xi*)
@@ -77,9 +65,10 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
     in r = Z'theta - y, solved by Mehrotra predictor-corrector steps from a
     strictly feasible start. Eliminating the diagonal blocks leaves one
     Cholesky factorisation of diag(1, ..., 1, 0) + Z D Z' per iteration,
-    (d + 1) x (d + 1). The fit stops once the duality gap is at most tol
-    times 1 + |primal objective| and both residuals are at most tol times
-    their data scale; stopping at max_iter instead emits a RuntimeWarning.
+    (d + 1) x (d + 1). The fit stops once the duality gap is at most `tol`
+    times 1 + |primal objective| and both residuals are at most `tol` times
+    their data scale; stopping after `max_iter` iterations instead emits a
+    RuntimeWarning.
     `trace_out`, if given, records the best objective after each iteration
     (non-increasing). After the last iteration, b is set exactly for the
     final w; where a whole interval minimizes, b is its point nearest
@@ -89,13 +78,13 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
         raise ValueError("C must be positive")
     if epsilon_tube < 0:
         raise ValueError("epsilon_tube must be nonnegative")
-    opts = options or SvrOptions()
-    Z, y, Zc, yc = _augmented(design, lambda_, censored_mode)
+    block, weight = _augmented(design, lambda_, censored_mode)
+    Z, y = block.X_complete, block.y_complete
     b_start = float(y.mean())
     c = np.full(y.size, C)
-    if lambda_ != 0.0 and yc.size:
-        Z, y = np.hstack([Z, Zc]), np.concatenate([y, yc])
-        c = np.concatenate([c, np.full(yc.size, C * lambda_)])
+    if weight:
+        Z, y = np.hstack([Z, block.X_censored]), np.concatenate([y, block.y_censored])
+        c = np.concatenate([c, np.full(block.n_censored, C * weight)])
     eps = epsilon_tube
     reg = np.ones(Z.shape[0])
     reg[-1] = 0.0  # the intercept is not regularized
@@ -126,7 +115,7 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
 
     best = 0.5 * float(theta[:-1] @ theta[:-1]) + float(c @ np.maximum(np.abs(r) - eps, 0.0))
     converged = False
-    for _ in range(opts.max_iter):
+    for _ in range(max_iter):
         g = slack[:2] / dual[:2] + slack[2:] / dual[2:]
         try:
             L_inv = np.linalg.inv(np.linalg.cholesky(np.diag(reg) + (Z * (1.0 / g).sum(axis=0)) @ Z.T))
@@ -156,13 +145,13 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
         best = min(best, half_ww + float(c @ np.maximum(np.abs(r) - eps, 0.0)))
         if trace_out is not None:
             trace_out.append(best)
-        if (float(np.sum(dual * slack)) <= opts.tol * (1.0 + abs(half_ww + float(c @ slack[2:].sum(axis=0))))
-                and np.abs(primal).max() <= opts.tol * primal_scale
-                and max(np.abs(stationarity).max(), np.abs(dual_box).max()) <= opts.tol * dual_scale):
+        if (float(np.sum(dual * slack)) <= tol * (1.0 + abs(half_ww + float(c @ slack[2:].sum(axis=0))))
+                and np.abs(primal).max() <= tol * primal_scale
+                and max(np.abs(stationarity).max(), np.abs(dual_box).max()) <= tol * dual_scale):
             converged = True
             break
     if not converged:
-        warnings.warn(f"svr_fit stopped at max_iter={opts.max_iter} before its duality gap closed",
+        warnings.warn(f"svr_fit stopped at max_iter={max_iter} before its duality gap closed",
                       RuntimeWarning, stacklevel=2)
     theta[-1] = _exact_intercept(Z[:-1].T @ theta[:-1] - y, c, eps, b_start)
     return ModelParams.unconstrained(theta, design, lambda_, "svr",

@@ -25,7 +25,7 @@ import numpy as np
 from . import evaluation, modelio, solver
 from .cohort import assemble_design, extract_windows, load_cohort, write_cohort
 from .errors import DataError, EmptyColumnError, NumericalError, UnimputedSampleError
-from .evaluation import Grid, cross_validate, fit_method, impute_split, write_csv, write_report_csvs
+from .evaluation import Grid, cross_validate, fit_method, write_csv, write_report_csvs
 from .imputation import BmcImputer, KnnImputer, MeanImputer, fill_windows
 from .synthetic import SyntheticSpec, generate_cohort
 
@@ -158,12 +158,13 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def _list(text, name, kind):
-    """The values of the comma-separated list `text` of setting `name`, each parsed by kind (int or float).
+    """The values of the comma-separated list `text` of setting `name`, each parsed by kind (int, float or str.strip).
 
-    A value kind rejects, or one that repeats an earlier value, is a UsageError naming the flag.
+    Blank entries are skipped. A value kind rejects, or one that repeats an
+    earlier value, is a UsageError naming the flag.
     """
     try:
-        values = [kind(v) for v in str(text).split(",") if v != ""]
+        values = [kind(v) for v in str(text).split(",") if v.strip()]
     except ValueError as exc:
         what = "integers" if kind is int else "numbers"
         raise UsageError(f"{_flag(name)} must be a comma-separated list of {what}: {text!r}") from exc
@@ -192,19 +193,8 @@ def _solver_options(cfg) -> solver.SolverOptions:
 
 
 def _cmd_synth(cfg, out_dir: Path):
-    spec = SyntheticSpec(
-        n_subjects=cfg["n_subjects"],
-        days_per_subject=cfg["days_per_subject"],
-        P=cfg["num_vars"],
-        T_star=cfg["T_star"],
-        true_rank=cfg["true_rank"],
-        noise_sigma=cfg["noise_sigma"],
-        censor_horizon=cfg["censor_horizon"],
-        missing_rate=cfg["missing_rate"],
-        latent_rank=cfg["latent_rank"],
-        seed=cfg["seed"],
-        round_onsets=cfg["round_onsets"],
-    )
+    # every synth setting but out is a SyntheticSpec field of the same name; num_vars is P
+    spec = SyntheticSpec(**{"P" if key == "num_vars" else key: cfg[key] for key in DEFAULTS["synth"] if key != "out"})
     cohort, truth = generate_cohort(spec)
     write_cohort(cohort, out_dir / "observations.csv", out_dir / "outcomes.csv", out_dir / "variables.txt")
     modelio.write_json(out_dir / "truth.json", {
@@ -221,10 +211,11 @@ def _cmd_impute(cfg, out_dir: Path):
     X = cohort.days
     if not len(X):
         raise EmptyColumnError("cohort has no observation rows")
-    imputer = _new_imputer(cfg).fit(X)
+    imputer = _new_imputer(cfg)
+    completed = imputer.fit_transform(X)
     sids = np.repeat(cohort.subject_id, np.diff(cohort.start))
     rows = [[sid, day] + ["%.17g" % v for v in values]
-            for sid, day, values in zip(sids, cohort.day.tolist(), imputer.completed)]
+            for sid, day, values in zip(sids, cohort.day.tolist(), completed)]
     write_csv(out_dir / "completed_matrix.csv", ["subject_id", "day"] + cohort.variables, rows)
     modelio.save_imputer(out_dir / "imputer_model.json", imputer, cohort.variables)
     print(f"imputed {int(np.isnan(X).sum())} missing cells over {X.shape[0]} rows")
@@ -236,7 +227,8 @@ def _cmd_train(cfg, out_dir: Path):
     windows = extract_windows(cohort, cfg["T"], stride=cfg["stride"], horizon=cfg["horizon"])
     if not windows:
         raise DataError(f"no windows of length {cfg['T']} could be extracted")
-    filled, _, imputer = impute_split(windows, range(len(windows)), [], _new_imputer(cfg))
+    imputer = _new_imputer(cfg)
+    filled = fill_windows(windows, imputer.fit_transform)
     design = assemble_design(filled)
     method = cfg["method"]
     model, report = fit_method(design, method, cfg["rank"], cfg["lambda"], options)
@@ -280,9 +272,8 @@ def _cmd_cv(cfg, out_dir: Path):
         ranks=_list(cfg["ranks"], "ranks", int),
         lambdas=_list(cfg["lambdas"], "lambdas", float),
     )
-    methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
     report = cross_validate(
-        cohort, grid, methods, _new_imputer(cfg),
+        cohort, grid, _list(cfg["methods"], "methods", str.strip), _new_imputer(cfg),
         k=cfg["k"], split_unit=cfg["split_unit"], seed=cfg["seed"],
         stride=cfg["stride"], horizon=cfg["horizon"],
         solver_options=_solver_options(cfg),

@@ -121,11 +121,11 @@ def impute_split(windows, train_idx, test_idx, imputer):
     """Fit a fresh imputer on the training windows and fill both sides.
 
     Returns (train_windows, test_windows, fitted_imputer): the training
-    windows read the imputer's completion of their rows, and the test
-    windows its fill of their own rows, in one batch.
+    windows read the imputer's `fit_transform` of their rows, and the test
+    windows its `transform` of their own rows, in one batch.
     """
     imp = copy.copy(imputer)
-    train = fill_windows(windows[train_idx], lambda X: imp.fit(X).completed)
+    train = fill_windows(windows[train_idx], imp.fit_transform)
     return train, fill_windows(windows[test_idx], imp.transform), imp
 
 
@@ -161,8 +161,10 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
 
     Every fold serves as the test set once. Fold partitions, imputations
     and designs are computed once per duration and shared across all grid
-    points and methods, so the comparison is paired. Deterministic given
-    the seed. censored_lowrank entries keep each fold's solver iterations
+    points and methods, so the comparison is paired. Every duration, rank
+    and lambda is checked before the first window is drawn, so an invalid
+    grid value is a ValueError before any fit. Deterministic given the
+    seed. censored_lowrank entries keep each fold's solver iterations
     and converged flag.
     """
     methods = list(methods)
@@ -171,6 +173,12 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
             raise ValueError(f"unknown method {m!r}")
     if not (grid.durations and grid.ranks and grid.lambdas and methods):
         raise ValueError("grid and methods must be nonempty")
+    for name, values in (("duration", grid.durations), ("rank", grid.ranks)):
+        for v in values:
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v}")
+    for lam in grid.lambdas:
+        solver.check_lambda(lam)
 
     entries = []
     for T in grid.durations:

@@ -7,9 +7,10 @@ of the missing cells through their flat index, where each variable's box is
 the observed min/max of its column. Test-time rows are filled, all in one
 batch, by projecting onto the fitted daily basis under the same bounds.
 Column-mean and KNN imputers are provided as benchmarks. Imputers take
-N x P day rows in which NaN, and only NaN, marks a missing cell: `fit(X)`
-keeps the training completion in `completed`, `transform(X)` fills new
-rows. An infinite entry is a NumericalError. `fill_windows` passes the
+N x P day rows in which NaN, and only NaN, marks a missing cell:
+`fit_transform(X)` fits on the training rows and returns their
+completion, `transform(X)` fills new rows. An infinite entry is a
+NumericalError. `fill_windows` passes the
 day rows a `Windows` set reads through one fill, each row once, and
 returns the set over the filled rows.
 """
@@ -180,7 +181,7 @@ def fill_windows(windows: Windows, fill) -> Windows:
     """The windows, reading `fill(X)`, where X holds the day rows they read, each once and in row order.
 
     `fill` returns the rows of X with their NaN cells filled: an imputer's
-    `transform`, or its `fit` followed by its `completed`. The returned
+    `transform`, or its `fit_transform` on training rows. The returned
     windows read a compact array of the filled rows only. An empty set is
     returned as it is, and `fill` is not called.
     """
@@ -196,27 +197,24 @@ class BmcImputer:
     def __init__(self, rank: int = 3):
         self.rank = rank
         self.model: BmcModel | None = None
-        self.completed: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray) -> "BmcImputer":
-        self.completed, self.model = bmc_fit(X, self.rank)
-        return self
+    def fit_transform(self, X: np.ndarray) -> np.ndarray:
+        completed, self.model = bmc_fit(X, self.rank)
+        return completed
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return impute_rows(X, self.model)
 
 
 class MeanImputer:
-    """Column means of the training rows; `fit` fills the training rows with `transform`."""
+    """Column means of the training rows; `fit_transform` fills the training rows with `transform`."""
 
     def __init__(self):
         self.col_means: np.ndarray | None = None
-        self.completed: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray) -> "MeanImputer":
+    def fit_transform(self, X: np.ndarray) -> np.ndarray:
         self.col_means = _column_means(X)
-        self.completed = self.transform(X)
-        return self
+        return self.transform(X)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return np.where(np.isnan(X), self.col_means, X)
@@ -227,9 +225,9 @@ class KnnImputer:
 
     Distance is the root mean squared difference over mutually observed
     columns; rows sharing no observed column are skipped, and the column
-    mean is used when no eligible row observes the entry's column. `fit`
-    fills the training rows with `transform`: a row never observes the
-    column it is missing, so it is never its own neighbour.
+    mean is used when no eligible row observes the entry's column.
+    `fit_transform` fills the training rows with `transform`: a row never
+    observes the column it is missing, so it is never its own neighbour.
     """
 
     def __init__(self, k: int = 5):
@@ -238,13 +236,11 @@ class KnnImputer:
         self.k = k
         self.train_X: np.ndarray | None = None
         self.col_means: np.ndarray | None = None
-        self.completed: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray) -> "KnnImputer":
+    def fit_transform(self, X: np.ndarray) -> np.ndarray:
         self.train_X = np.array(X, dtype=float)
         self.col_means = _column_means(self.train_X)
-        self.completed = self.transform(X)
-        return self
+        return self.transform(X)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         out = np.array(X, dtype=float)

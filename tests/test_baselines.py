@@ -1,10 +1,12 @@
+import inspect
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from cenrank import baselines
-from cenrank.baselines import SvrOptions, ols_fit, svr_fit
+from cenrank.baselines import ols_fit, svr_fit
 from cenrank.cli import dispatch
 from cenrank.cohort import DesignSet
 from cenrank.errors import DataError, NumericalError
@@ -155,7 +157,7 @@ class TestSvr:
         y = np.array([0.2, 1.1, 1.9, 3.2, 3.8])
         design = DesignSet(x, y, np.zeros((1, 0)), np.zeros(0), 1, 1)
         C, eps = 1.0, 0.1
-        params = svr_fit(design, C=C, epsilon_tube=eps, options=SvrOptions(max_iter=20000, tol=1e-10))
+        params = svr_fit(design, C=C, epsilon_tube=eps, max_iter=20000, tol=1e-10)
 
         ws = np.linspace(0.5, 1.5, 401)
         bs = np.linspace(-0.5, 0.8, 521)
@@ -171,14 +173,14 @@ class TestSvr:
         rng = np.random.default_rng(6)
         design = random_design(rng, 2, 3, 20, 6)
         trace = []
-        svr_fit(design, C=2.0, epsilon_tube=0.1, lambda_=0.3, options=SvrOptions(max_iter=3000), trace_out=trace)
+        svr_fit(design, C=2.0, epsilon_tube=0.1, lambda_=0.3, max_iter=3000, trace_out=trace)
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     def test_lambda_zero_matches_ignore(self):
         rng = np.random.default_rng(7)
         design = random_design(rng, 2, 2, 12, 6)
-        a = svr_fit(design, lambda_=0.0, censored_mode="weighted", options=SvrOptions(max_iter=2000))
-        b = svr_fit(design, lambda_=0.0, censored_mode="ignore", options=SvrOptions(max_iter=2000))
+        a = svr_fit(design, lambda_=0.0, censored_mode="weighted", max_iter=2000)
+        b = svr_fit(design, lambda_=0.0, censored_mode="ignore", max_iter=2000)
         assert np.array_equal(a.w_vec, b.w_vec) and a.b == b.b
 
     def test_rejects_bad_hyperparams(self):
@@ -193,7 +195,7 @@ class TestSvr:
         rng = np.random.default_rng(9)
         design = random_design(rng, 2, 3, 20, 6)
         with pytest.warns(RuntimeWarning, match="max_iter=5"):
-            svr_fit(design, lambda_=0.3, options=SvrOptions(max_iter=5))
+            svr_fit(design, lambda_=0.3, max_iter=5)
 
     def test_no_warning_when_the_step_converges(self):
         rng = np.random.default_rng(10)
@@ -202,7 +204,7 @@ class TestSvr:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             svr_fit(design, lambda_=0.3, trace_out=trace)
-        assert len(trace) < SvrOptions().max_iter
+        assert len(trace) < inspect.signature(svr_fit).parameters["max_iter"].default
 
 
 @pytest.mark.parametrize("seed", range(20, 30))
@@ -271,3 +273,37 @@ def test_svr_non_finite_iterate_is_numerical_error():
     design.y_complete[0] = 1e200
     with pytest.raises(NumericalError, match="non-finite"):
         svr_fit(design, lambda_=0.3)
+
+
+def stacked_augmented(design, lambda_, censored_mode):
+    """`_augmented` as it was when it stacked its own [X; 1] blocks, as the (block, weight) pair.
+
+    Ignored or absent censored samples give an empty censored block; the
+    weight is always lambda, so svr_fit stacks whenever lambda is nonzero.
+    """
+    Z = np.vstack([design.X_complete, np.ones((1, design.n_complete))])
+    y = design.y_complete
+    if censored_mode == "weighted" and design.n_censored:
+        Zc = np.vstack([design.X_censored, np.ones((1, design.n_censored))])
+        yc = design.y_censored
+    else:
+        Zc = np.zeros((Z.shape[0], 0))
+        yc = np.zeros(0)
+    return DesignSet(Z, y, Zc, yc, 1, Z.shape[0]), lambda_
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(40, 52))
+def test_fits_match_the_stacked_blocks_bit_for_bit(seed, monkeypatch):
+    # every third design has no censored samples; "ignore" is reached by no CLI command
+    rng = np.random.default_rng(seed)
+    T, P = rng.integers(1, 4, size=2)
+    n_censored = 0 if seed % 3 == 0 else int(rng.integers(1, 20))
+    design = random_design(rng, T, P, int(rng.integers(5, 40)), n_censored)
+    for lam, mode in itertools.product((0.0, 0.05, 0.3), ("weighted", "ignore")):
+        got = [ols_fit(design, lam, mode), svr_fit(design, lambda_=lam, censored_mode=mode)]
+        with monkeypatch.context() as patched:
+            patched.setattr(baselines, "_augmented", stacked_augmented)
+            want = [ols_fit(design, lam, mode), svr_fit(design, lambda_=lam, censored_mode=mode)]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.w, w.w) and g.b == w.b, (g.method, lam, mode)

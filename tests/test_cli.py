@@ -365,7 +365,8 @@ class TestCv:
         assert "rank must be >= 1, got 0" in capsys.readouterr().err
         assert not (run / "grid.csv").exists()
 
-    @pytest.mark.parametrize("flag, text", [("--durations", "3,3"), ("--ranks", "2,2"), ("--lambdas", "0.05,0.050")])
+    @pytest.mark.parametrize("flag, text", [("--durations", "3,3"), ("--ranks", "2,2"), ("--lambdas", "0.05,0.050"),
+                                            ("--methods", "ols,ols"), ("--methods", "ols, svr,ols ")])
     def test_repeated_grid_value_is_usage_error(self, cohort_dir, tmp_path, capsys, flag, text):
         run = tmp_path / "cv"
         assert dispatch(["cv", *cohort_args(cohort_dir), "--out", str(run), "--durations", "3", "--ranks", "2",
@@ -569,6 +570,7 @@ class TestErrors:
     def test_grid_lists(self):
         assert cli._list("3,4,", "durations", int) == [3, 4]
         assert cli._list("0.05,1e-2", "lambdas", float) == [0.05, 0.01]
+        assert cli._list(" ols,, svr , ,", "methods", str.strip) == ["ols", "svr"]
         for text, kind, message in [("3,x", int, "--durations must be a comma-separated list of integers"),
                                     ("0.1,y", float, "--durations must be a comma-separated list of numbers"),
                                     ("3,4,3", int, "--durations repeats a value: '3,4,3'"),

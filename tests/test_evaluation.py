@@ -18,7 +18,7 @@ from cenrank.evaluation import (
     predict_windows,
     write_report_csvs,
 )
-from cenrank.imputation import BmcImputer, MeanImputer, impute_rows
+from cenrank.imputation import BmcImputer, MeanImputer, bmc_fit, impute_rows
 from cenrank.modelio import load_cv_report, save_cv_report
 from cenrank.solver import ModelParams, SolverOptions
 from cenrank.synthetic import SyntheticSpec, generate_cohort
@@ -132,6 +132,32 @@ class TestCrossValidate:
             rank_wins += by_rank[2] <= by_rank[4]
         assert rank_wins >= 6
 
+    @pytest.mark.parametrize("durations, ranks, lambdas, message", [
+        ([3, 0], [2], [0.05], "duration must be >= 1, got 0"),
+        ([3], [2, 0], [0.05], "rank must be >= 1, got 0"),
+        ([3], [2], [0.05, -1.0], "lambda must be finite and nonnegative, got -1.0"),
+        ([3], [2], [0.05, float("nan")], "lambda must be finite and nonnegative, got nan"),
+    ])
+    def test_invalid_grid_value_fails_before_any_fit(self, durations, ranks, lambdas, message):
+        class RecordingImputer:
+            def __init__(self):
+                self.calls = []  # shared with the copies cross_validate fits
+
+            def fit_transform(self, X):
+                self.calls.append("fit_transform")
+                return np.nan_to_num(X)
+
+            def transform(self, X):
+                self.calls.append("transform")
+                return np.nan_to_num(X)
+
+        imputer = RecordingImputer()
+        with pytest.raises(ValueError, match=message):
+            cross_validate(small_cohort(), Grid(durations, ranks, lambdas), ["ols"], imputer, k=3)
+        assert imputer.calls == []
+        assert cross_validate(small_cohort(), Grid([3], [2], [0.05]), ["ols"], imputer, k=3).entries
+        assert imputer.calls  # the same imputer records the fits of a valid grid
+
     def test_imputer_fitted_on_training_windows_only(self):
         cohort = small_cohort(seed=4)
         windows = extract_windows(cohort, 4)
@@ -150,7 +176,10 @@ class TestCrossValidate:
         test_idx = split_folds(windows, 3, unit="sample", seed=0)[0]
         train_idx = np.setdiff1d(np.arange(len(windows)), test_idx)
         train_filled, test_filled, imputer = impute_split(windows, train_idx, test_idx, BmcImputer(rank=3))
-        assert train_filled.days is imputer.completed
+        train = windows[train_idx]
+        distinct = np.unique(train.rows)
+        completion = bmc_fit(train.days[distinct], 3)[0]
+        assert np.array_equal(train_filled.days[train_filled.rows], completion[np.searchsorted(distinct, train.rows)])
         train_rows = {(sid, end_day - 3 + t): start + t
                       for sid, end_day, start in zip(train_filled.subject_id, train_filled.end_day, train_filled.start)
                       for t in range(4)}
@@ -163,7 +192,7 @@ class TestCrossValidate:
                     continue
                 fresh = impute_rows(raw.x[t][None], imputer.model)[0]
                 assert np.max(np.abs(filled.x[t] - fresh)) <= 1e-12
-                differs += np.max(np.abs(filled.x[t] - imputer.completed[train_rows[key]])) > 1e-9
+                differs += np.max(np.abs(filled.x[t] - train_filled.days[train_rows[key]])) > 1e-9
                 checked += 1
         assert checked > 0 and differs > 0  # the training completion would have been told apart
 

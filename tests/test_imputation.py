@@ -302,7 +302,9 @@ class TestImputeRows:
         mask = ~np.isnan(X)
         assert X.shape[0] >= 500
         assert mask.all(axis=1).any() and not mask.all()
-        return X, mask, BmcImputer(rank=3).fit(X).model
+        imputer = BmcImputer(rank=3)
+        imputer.fit_transform(X)
+        return X, mask, imputer.model
 
     def test_matches_one_row_at_a_time(self, fitted):
         X, mask, model = fitted
@@ -333,13 +335,17 @@ class TestTransform:
 
     def test_mean_transform_fills_training_means(self):
         train = np.array([[2.0, 4.0, 0.0], [4.0, 8.0, 3.0]])
-        out = MeanImputer().fit(train).transform(self.X.copy())
+        imputer = MeanImputer()
+        imputer.fit_transform(train)
+        out = imputer.transform(self.X.copy())
         expected = np.where(np.isnan(self.X), np.array([3.0, 6.0, 1.5]), self.X)
         assert np.array_equal(out, expected)
 
     def test_knn_transform_matches_per_row_neighbours(self):
         train_X = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, np.nan], [5.0, 5.0, 5.0], [1.0, np.nan, 7.0]])
-        out = KnnImputer(k=2).fit(train_X).transform(self.X.copy())
+        imputer = KnnImputer(k=2)
+        imputer.fit_transform(train_X)
+        out = imputer.transform(self.X.copy())
         expected = self.X.copy()
         train_mask = ~np.isnan(train_X)
         for i, j in zip(*np.nonzero(np.isnan(self.X))):
@@ -355,41 +361,36 @@ class TestTransform:
         assert np.array_equal(out[2], self.X[2])
 
 
-def completed(imputer, X):
-    """The training completion of an imputer fitted on X."""
-    return imputer.fit(X).completed
-
-
 class TestMeanImpute:
     def test_column_mean(self):
         X = np.array([[2.0, 1.0], [4.0, 2.0], [np.nan, 3.0]])
-        out = completed(MeanImputer(), X)
+        out = MeanImputer().fit_transform(X)
         assert out[2, 0] == 3.0
 
     def test_no_missing_unchanged(self):
         X = np.array([[1.0, 2.0]])
-        assert np.array_equal(completed(MeanImputer(), X), X)
+        assert np.array_equal(MeanImputer().fit_transform(X), X)
 
     def test_single_observation_columns(self):
         X = np.array([[5.0, np.nan], [np.nan, 7.0]])
-        out = completed(MeanImputer(), X)
+        out = MeanImputer().fit_transform(X)
         assert out[1, 0] == 5.0 and out[0, 1] == 7.0
 
 
 class TestKnnImpute:
     def test_nearest_row_wins(self):
         X = np.array([[1.0, 2.0], [1.0, np.nan], [5.0, 6.0]])
-        out = completed(KnnImputer(k=1), X)
+        out = KnnImputer(k=1).fit_transform(X)
         assert out[1, 1] == 2.0
 
     def test_large_k_averages_eligible_rows(self):
         X = np.array([[1.0, 2.0], [1.0, np.nan], [5.0, 6.0], [2.0, 4.0]])
-        out = completed(KnnImputer(k=10), X)
+        out = KnnImputer(k=10).fit_transform(X)
         assert out[1, 1] == pytest.approx((2.0 + 6.0 + 4.0) / 3)
 
     def test_isolated_row_falls_back_to_column_mean(self):
         X = np.array([[1.0, np.nan], [np.nan, 6.0], [np.nan, 2.0]])
-        out = completed(KnnImputer(k=2), X)
+        out = KnnImputer(k=2).fit_transform(X)
         assert out[0, 1] == 4.0  # no row shares an observed column with row 0
 
     def test_k_below_one_rejected(self):
@@ -402,7 +403,7 @@ class TestKnnImpute:
         mask = rng.random((9, 4)) >= 0.3
         mask[0] = True
         X_in = np.where(mask, X, np.nan)
-        out = completed(KnnImputer(k=3), X_in)
+        out = KnnImputer(k=3).fit_transform(X_in)
         col_means = np.nanmean(np.where(mask, X, np.nan), axis=0)
         for i in range(9):
             for j in range(4):
@@ -467,8 +468,8 @@ class TestWindowMatrixPlumbing:
         assert perm[0] != 0  # the shuffle moved the first window
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            ordered = fill_windows(windows, lambda X: BmcImputer(rank=3).fit(X).completed)
-            shuffled = fill_windows(windows[perm], lambda X: BmcImputer(rank=3).fit(X).completed)
+            ordered = fill_windows(windows, BmcImputer(rank=3).fit_transform)
+            shuffled = fill_windows(windows[perm], BmcImputer(rank=3).fit_transform)
         for i, w in zip(perm, shuffled):
             assert np.array_equal(w.x, ordered[i].x)
 
@@ -497,7 +498,8 @@ class TestWindowMatrixPlumbing:
     def test_refilled_windows_keep_their_observed_cells(self):
         windows = extract_windows(tiny_cohort(), T=3)
         assert not all(w.x_mask.all() for w in windows)
-        imputer = MeanImputer().fit(np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 6.0]]))
+        imputer = MeanImputer()
+        imputer.fit_transform(np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 6.0]]))
         for raw, filled in zip(windows, fill_windows(windows, imputer.transform)):
             assert filled.x_mask.all()
             assert np.array_equal(filled.x[raw.x_mask], raw.x[raw.x_mask])
@@ -517,7 +519,8 @@ class TestBmcPersistence:
         X = rng.standard_normal((30, 5))
         mask = rng.random((30, 5)) >= 0.2
         mask[0] = True
-        imputer = BmcImputer(rank=2).fit(np.where(mask, X, np.nan))
+        imputer = BmcImputer(rank=2)
+        imputer.fit_transform(np.where(mask, X, np.nan))
         model = imputer.model
         path = tmp_path / "bmc.json"
         save_imputer(path, imputer, [f"v{i}" for i in range(5)])
