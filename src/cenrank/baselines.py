@@ -16,7 +16,7 @@ import numpy as np
 
 from .cohort import DesignSet
 from .errors import DataError, NumericalError
-from .solver import ModelParams, _block, check_lambda
+from .solver import ModelParams, _block, _solve, check_lambda
 
 
 def _augmented(design: DesignSet, lambda_: float, censored_mode: str) -> tuple[DesignSet, float]:
@@ -32,21 +32,15 @@ def _augmented(design: DesignSet, lambda_: float, censored_mode: str) -> tuple[D
 def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weighted") -> ModelParams:
     """Least squares on complete samples, optionally lambda-weighting censored ones.
 
-    Solved by ridge-stabilized normal equations; the ridge is a tiny
-    trace-scaled floor, 1e-8 * trace(H) / dim, so exactly fittable data is
-    interpolated to machine precision.
+    The minimum-norm solution of the normal equations (`solver._solve`,
+    the rule of fit_pgd's Newton steps): no weight along directions the data
+    does not span, and exactly fittable data interpolated.
     """
     block, weight = _augmented(design, lambda_, censored_mode)
     Z, Zc = block.X_complete, block.X_censored
     H = Z @ Z.T + weight * (Zc @ Zc.T)
-    rhs = Z @ block.y_complete + weight * (Zc @ block.y_censored)
-    eps = 1e-8 * float(np.trace(H)) / H.shape[0]
-    mu, V = np.linalg.eigh(H)
-    # floor small curvature at eps and drop the numerical null space so a
-    # consistent system is interpolated exactly (min-norm solution there)
-    inv = np.where(mu > 1e-12 * mu[-1], 1.0 / np.maximum(mu, eps), 0.0)
-    theta = (V * inv) @ V.T @ rhs
-    return ModelParams.unconstrained(theta, design, lambda_, "ols", {"censored_mode": censored_mode, "ridge": eps})
+    theta = _solve(H, Z @ block.y_complete + weight * (Zc @ block.y_censored))
+    return ModelParams.unconstrained(theta, design, lambda_, "ols", {"censored_mode": censored_mode})
 
 
 def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cenrank.cohort import Cohort, DesignSet, Windows
+from cenrank.cohort import Cohort, DesignSet, Windows, assemble_design
 
 
 def random_design(rng, T, P, n_complete, n_censored, noise=1.0):
@@ -15,6 +15,36 @@ def random_design(rng, T, P, n_complete, n_censored, noise=1.0):
     yc = Xc.T @ theta + b + noise * rng.standard_normal(n_complete)
     yz = Xz.T @ theta + b + noise * rng.standard_normal(n_censored)
     return DesignSet(Xc, yc, Xz, yz, T, P)
+
+
+def null_space_windows(rng, n, T, P=10, day_rank=3):
+    """n x T x P windows whose day rows all lie in one random day_rank-dimensional subspace S of R^P.
+
+    Also returns N = I_T (x) S_perp, an orthonormal basis of the weights no
+    window sees: N' vec(x) = 0 for every window, vec row by row as in
+    `vectorize`.
+    """
+    Q = np.linalg.qr(rng.standard_normal((P, P)))[0]
+    xs = rng.standard_normal((n, T, day_rank)) @ Q[:, :day_rank].T
+    return xs, np.kron(np.eye(T), Q[:, day_rank:])
+
+
+def null_space_problem(rng, T, n_train=150, n_test=20):
+    """A training design and test windows from `null_space_windows`, plus the test windows moved along N.
+
+    Labels are 20 + <x, w> + unit noise for a random w; every third
+    training window is censored two days before its label. The moved
+    windows are shifted along N by ten times a standard normal draw.
+    Returns (design, test, moved, N).
+    """
+    n = n_train + n_test
+    xs, N = null_space_windows(rng, n, T)
+    y = 20.0 + xs.reshape(n, -1) @ rng.standard_normal(N.shape[0]) + rng.standard_normal(n)
+    train, test = xs[:n_train], xs[n_train:]
+    censored = np.arange(n_train) % 3 == 0
+    design = assemble_design(make_windows(train, y[:n_train] - 2.0 * censored, censored))
+    shift = (10.0 * rng.standard_normal((n_test, N.shape[1])) @ N.T).reshape(test.shape)
+    return design, make_windows(test), make_windows(test + shift), N
 
 
 def make_windows(xs, y=1.0, censored=False, subject_ids=None):

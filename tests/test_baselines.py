@@ -10,8 +10,9 @@ from cenrank.baselines import ols_fit, svr_fit
 from cenrank.cli import dispatch
 from cenrank.cohort import DesignSet
 from cenrank.errors import DataError, NumericalError
+from cenrank.evaluation import predict_windows
 from cenrank.synthetic import oracle_ols
-from helpers import random_design
+from helpers import null_space_problem, random_design
 
 
 def svr_objective(design, w_vec, b, C, eps, lam, mode):
@@ -125,6 +126,15 @@ class TestOls:
             dw = rng.standard_normal(params.w_vec.size) * 1e-3
             db = rng.standard_normal() * 1e-3
             assert obj(params.w_vec + dw, params.b + db) >= base - 1e-10
+
+    @pytest.mark.parametrize("mode", ["weighted", "ignore"])
+    def test_no_component_in_the_null_space(self, mode):
+        design, test, moved, N = null_space_problem(np.random.default_rng(33), T=4)
+        params = ols_fit(design, 0.05, mode)
+        assert params.hyperparams == {"censored_mode": mode}
+        assert np.linalg.norm(N.T @ params.w_vec) <= 1e-8 * np.linalg.norm(params.w)
+        pred = predict_windows(params, test)
+        assert np.all(np.abs(predict_windows(params, moved) - pred) <= 1e-9 * np.abs(pred))
 
     def test_requires_complete_samples(self):
         design = DesignSet(np.zeros((4, 0)), np.zeros(0), np.ones((4, 2)), np.ones(2), 2, 2)

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cenrank.cohort import DesignSet
+from cenrank.cohort import DesignSet, assemble_design, extract_windows
 from cenrank.errors import DataError, NumericalError, UnimputedSampleError
-from cenrank.evaluation import predict_windows
+from cenrank.evaluation import impute_split, predict_windows
+from cenrank.imputation import MeanImputer
 from cenrank.solver import (
     ModelParams,
     SolverOptions,
@@ -16,8 +17,8 @@ from cenrank.solver import (
     objective,
     project_rank,
 )
-from cenrank.synthetic import generate_lowrank_matrix, oracle_ols
-from helpers import excess_sv_ratio, make_windows, random_design
+from cenrank.synthetic import SyntheticSpec, generate_cohort, generate_lowrank_matrix, oracle_ols
+from helpers import excess_sv_ratio, make_windows, null_space_problem, random_design
 
 
 def design_from(Xc, yc, Xz=None, yz=None, T=None, P=None):
@@ -312,6 +313,42 @@ class TestAlternatingSolver:
             G = g_w.reshape(T, P)
             norm = np.sqrt(np.sum((G @ v) ** 2) + np.sum((G.T @ u) ** 2) + g_b ** 2)
             assert norm <= tol * data_scale(design, lam) * (1 + 1e-6)
+
+
+class TestNullSpace:
+    """Windows whose day rows span 3 of P = 10 dimensions leave w a null space N the data never sees."""
+
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_fit_has_no_component_in_the_null_space(self, r):
+        design, test, moved, N = null_space_problem(np.random.default_rng(31), T=4)
+        params, report = fit_pgd(design, 0.05, r)
+        assert report.converged
+        assert np.linalg.norm(N.T @ params.w_vec) <= 1e-8 * np.linalg.norm(params.w)
+        pred = predict_windows(params, test)
+        assert np.all(np.abs(predict_windows(params, moved) - pred) <= 1e-9 * np.abs(pred))
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_start_with_zero_curvature_returns(self, r):
+        # no complete samples, and every censored margin is already met at w = 0, b = 0
+        Xz = np.random.default_rng(32).standard_normal((12, 5))
+        design = DesignSet(np.zeros((12, 0)), np.zeros(0), Xz, np.full(5, -1.0), 3, 4)
+        with np.errstate(all="raise"):
+            params, report = fit_pgd(design, 0.5, r)
+        assert report.converged and not params.w.any() and params.b == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_split_mean_imputed_rank2_fit_converges(seed):
+    # the mean-imputed rank-2 fit of criterion C9's planted split
+    spec = SyntheticSpec(n_subjects=800, days_per_subject=5, P=10, T_star=5, true_rank=2, noise_sigma=1.0,
+                         censor_horizon=21.0, missing_rate=0.10, latent_rank=8, seed=seed)
+    windows = extract_windows(generate_cohort(spec)[0], 5, horizon=21.0)
+    perm = np.random.default_rng(seed + 77).permutation(len(windows))
+    train, _, _ = impute_split(windows, np.sort(perm[:600]), np.sort(perm[600:800]), MeanImputer())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, report = fit_pgd(assemble_design(train), 0.05, 2, SolverOptions(tol=1e-9, max_iter=12000))
+    assert report.converged
 
 
 class TestPredict:

@@ -81,8 +81,10 @@ def commands():
 
     Two cohorts are drawn; every other command runs once per cohort, and
     `predict` scores the other cohort with the models trained on this one.
-    Last, a third cohort with whole-day onsets runs `train`, `predict` and
-    `cv` with strides above 1 and a non-default horizon.
+    Then a third cohort with whole-day onsets runs `train`, `predict` and
+    `cv` with strides above 1 and a non-default horizon, and a fourth, at
+    the default latent rank of 3 (so every design is rank-deficient), runs
+    `train` and a subject-split `cv`.
     """
     seeds = (0, 3)
     for seed in seeds:
@@ -113,6 +115,12 @@ def commands():
                                     "--imputer-model", "round_train_stride2/imputer_model.json"], None
     yield "round_cv_stride2", ["cv", *rounded, "--stride", "2", "--durations", "3",
                                "--methods", "censored_lowrank"], None
+    low = _cohort("synth_low")
+    yield "synth_low", ["synth", "--seed", "7", "--n-subjects", "120", "--days-per-subject", "10"], 0
+    yield "low_train", ["train", *low, "--T", "6", "--rank", "2"], None
+    yield "low_cv_subject", ["cv", *low, "--split-unit", "subject", "--imputer", "bmc",
+                             "--methods", "censored_lowrank,ols", "--durations", "6", "--ranks", "2",
+                             "--lambdas", "0.05"], None
     hand = _cohort("hand")
     for imputer in ("bmc", "mean"):
         yield f"hand_impute_{imputer}", ["impute", *hand, "--imputer", imputer], 0
