@@ -58,11 +58,12 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
 
     in r = Z'theta - y, solved by Mehrotra predictor-corrector steps from a
     strictly feasible start. Eliminating the diagonal blocks leaves one
-    Cholesky factorisation of diag(1, ..., 1, 0) + Z D Z' per iteration,
-    (d + 1) x (d + 1). The fit stops once the duality gap is at most `tol`
-    times 1 + |primal objective| and both residuals are at most `tol` times
-    their data scale; stopping after `max_iter` iterations instead emits a
-    RuntimeWarning.
+    system in K = diag(1, ..., 1, 0) + Z D Z', (d + 1) x (d + 1), solved
+    by LU twice per iteration (predictor and corrector); a non-finite or
+    singular K raises NumericalError. The fit stops once the duality gap is
+    at most `tol` times 1 + |primal objective| and both residuals are at
+    most `tol` times their data scale; stopping after `max_iter` iterations
+    instead emits a RuntimeWarning.
     `trace_out`, if given, records the best objective after each iteration
     (non-increasing). After the last iteration, b is set exactly for the
     final w; where a whole interval minimizes, b is its point nearest
@@ -80,13 +81,14 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
         Z, y = np.hstack([Z, block.X_censored]), np.concatenate([y, block.y_censored])
         c = np.concatenate([c, np.full(block.n_censored, C * weight)])
     eps = epsilon_tube
+    Zt = np.ascontiguousarray(Z.T)
     reg = np.ones(Z.shape[0])
     reg[-1] = 0.0  # the intercept is not regularized
     signs = np.array([[1.0], [-1.0]])
 
     def residuals(theta, dual, slack):
         # rows of slack: s, s*, xi, xi*; rows of dual: their multipliers
-        r = Z.T @ theta - y
+        r = Zt @ theta - y
         primal = slack[:2] - eps - slack[2:] + signs * r
         return r, primal, reg * theta + Z @ (dual[0] - dual[1]), c - dual[:2] - dual[2:]
 
@@ -94,7 +96,7 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
     # the tube excess, every multiplier at c / 2
     theta = np.zeros(Z.shape[0])
     theta[-1] = b_start
-    r = Z.T @ theta - y
+    r = Zt @ theta - y
     xi = np.maximum(signs * r - eps, 0.0) + max(1.0, float(np.std(y)))
     slack = np.vstack([eps + xi - signs * r, xi])
     dual = np.tile(c / 2, (4, 1))
@@ -103,24 +105,28 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
     dual_scale = 1.0 + float(c.max())
 
     def max_step(d_dual, d_slack):
-        v, dv = np.concatenate([dual, slack]), np.concatenate([d_dual, d_slack])
-        shrinking = dv < 0
-        return min(1.0, float(np.min(-v[shrinking] / dv[shrinking], initial=np.inf)))
+        steps = [1.0]
+        for v, dv in ((dual, d_dual), (slack, d_slack)):
+            shrinking = dv < 0
+            steps.append(float(np.min(-v[shrinking] / dv[shrinking], initial=np.inf)))
+        return min(steps)
 
     best = 0.5 * float(theta[:-1] @ theta[:-1]) + float(c @ np.maximum(np.abs(r) - eps, 0.0))
     converged = False
     for _ in range(max_iter):
         g = slack[:2] / dual[:2] + slack[2:] / dual[2:]
-        try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(np.diag(reg) + (Z * (1.0 / g).sum(axis=0)) @ Z.T))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("svr_fit: the Newton system is non-finite or not positive definite") from exc
+        K = np.diag(reg) + (Z * (1.0 / g).sum(axis=0)) @ Zt
 
         def newton(rc):
             # Newton step for the complementarity targets dual * slack = dual * slack - rc
             u = primal - rc[:2] / dual[:2] + (rc[2:] + slack[2:] * dual_box) / dual[2:]
-            d_theta = L_inv.T @ (L_inv @ (-stationarity - Z @ (signs * u / g).sum(axis=0)))
-            d_tube = (u + signs * (Z.T @ d_theta)) / g
+            try:
+                if not np.isfinite(K).all():
+                    raise np.linalg.LinAlgError
+                d_theta = np.linalg.solve(K, -stationarity - Z @ (signs * u / g).sum(axis=0))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError("svr_fit: the Newton system is non-finite or singular") from exc
+            d_tube = (u + signs * (Zt @ d_theta)) / g
             d_dual = np.vstack([d_tube, dual_box - d_tube])
             return d_theta, d_dual, -(rc + slack * d_dual) / dual
 

@@ -165,7 +165,8 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
     and lambda is checked before the first window is drawn, so an invalid
     grid value is a ValueError before any fit. Deterministic given the
     seed. censored_lowrank entries keep each fold's solver iterations
-    and converged flag.
+    and converged flag. The baselines read no rank, so each is fitted once
+    per (duration, lambda, fold), and its fold MAEs serve every rank.
     """
     methods = list(methods)
     for m in methods:
@@ -193,7 +194,12 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
             train_filled, test_filled, _ = impute_split(windows, train_idx, fold, imputer)
             prepared.append((assemble_design(train_filled), test_filled))
 
+        baseline_maes = {}  # (lambda, method) -> fold MAEs of a baseline
         for rank, lam, method in itertools.product(grid.ranks, grid.lambdas, methods):
+            if (lam, method) in baseline_maes:
+                fold_maes = baseline_maes[lam, method]
+                entries.append(CvEntry(T, rank, lam, method, fold_maes, float(np.mean(fold_maes))))
+                continue
             fold_maes, iterations, converged = [], [], []
             for design, test_filled in prepared:
                 try:
@@ -206,6 +212,8 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
                     iterations.append(report.iterations)
                     converged.append(report.converged)
             fold_maes = np.asarray(fold_maes)
+            if method != "censored_lowrank":
+                baseline_maes[lam, method] = fold_maes
             entries.append(CvEntry(T, rank, lam, method, fold_maes, float(np.mean(fold_maes)), iterations, converged))
 
     return CvReport(entries=entries, seed=seed, k=k, split_unit=split_unit)

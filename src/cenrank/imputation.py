@@ -5,7 +5,10 @@ truncation of the current matrix (one P x P Gram matrix, one `eigh` and one
 projection into reused buffers per iteration) with a box-constrained refill
 of the missing cells through their flat index, where each variable's box is
 the observed min/max of its column. Test-time rows are filled, all in one
-batch, by projecting onto the fitted daily basis under the same bounds.
+batch, by the exact bounded projection onto the fitted daily basis: each
+row's missing cells minimise its distance to the basis span within the
+same boxes, by one minimum-norm solve per row (rows whose solution leaves
+its box go on to a few rounds of a batched active-set method).
 Column-mean and KNN imputers are provided as benchmarks. Imputers take
 N x P day rows in which NaN, and only NaN, marks a missing cell:
 `fit_transform(X)` fits on the training rows and returns their
@@ -24,11 +27,11 @@ import numpy as np
 
 from .cohort import Windows
 from .errors import EmptyColumnError, NumericalError
+from .solver import EIG_CUT
 
 BMC_TOL = 1e-6
 BMC_MAX_ITER = 500
-IMPUTE_TOL = 1e-8
-IMPUTE_MAX_ITER = 200
+FILL_ROUNDS = 100
 
 
 @dataclass
@@ -138,16 +141,25 @@ def bmc_fit(
 
 
 def impute_rows(Z: np.ndarray, model: BmcModel, trace_out: list | None = None) -> np.ndarray:
-    """Fill the NaN entries of every row of Z by basis projection.
+    """Fill the NaN entries of every row of Z with the bounded projection onto the basis.
 
-    Missing entries are seeded with the clamped training column means, then
-    alpha = basis' z and z_j = clamp((basis alpha)_j) alternate on all rows
-    at once. A row stops, and stays frozen, once the relative decrease of
-    its ||z - basis alpha||^2 falls below IMPUTE_TOL or its previous value
-    is not positive, and after IMPUTE_MAX_ITER iterations at the latest.
+    Each row's missing cells z_m minimise the row objective ||z - U U'z||^2,
+    the squared distance to span(U), within their [lower, upper] boxes, the
+    limit of alternating between span(U) and the box. Missing cells start at
+    the clamped training column means z0, and a primal active-set method
+    runs on all rows at once. Each round takes, for every row not yet
+    settled, the minimum-norm step to the minimum over its free cells
+    (`_free_steps`); the first cell the step would push out of its box
+    stops it there and is fixed on its bound. A row whose step was not
+    stopped frees the fixed cell whose multiplier has the wrong sign, or
+    settles. So a row whose unbounded step stays inside its box settles
+    after one round, at z0_m - A_mm^+ (A z0)_m with A = I - U U'. Rows that
+    have not settled after FILL_ROUNDS rounds emit a RuntimeWarning.
     Observed entries are never modified, an infinite one is a
     NumericalError, and every imputed entry lies in its bounds.
-    `trace_out`, if given, collects the summed objective.
+    `trace_out`, if given, collects the summed objective of the rows with a
+    missing cell at the start and after each round that moved a row; it is
+    non-increasing.
     """
     Z = np.array(Z, dtype=float)
     if np.isinf(Z).any():
@@ -155,26 +167,73 @@ def impute_rows(Z: np.ndarray, model: BmcModel, trace_out: list | None = None) -
     U, lower, upper = model.basis, model.lower, model.upper
     missing = np.isnan(Z)
     Z[missing] = np.broadcast_to(np.clip(model.col_means, lower, upper), Z.shape)[missing]
-    live = np.flatnonzero(missing.any(axis=1))  # rows still iterating
-    obj = np.zeros(Z.shape[0])
-    z, missing, prev = Z[live], missing[live], np.full(live.size, np.inf)
-    fitted = (z @ U) @ U.T
-    for _ in range(IMPUTE_MAX_ITER):
-        if not live.size:
-            break
-        z = np.where(missing, np.clip(fitted, lower, upper), z)
-        fitted = (z @ U) @ U.T
-        obj[live] = cur = np.sum((z - fitted) ** 2, axis=1)
+    live = np.flatnonzero(missing.any(axis=1))
+    if not live.size:
+        return Z
+    z, missing = Z[live], missing[live]
+    A = np.eye(U.shape[0]) - U @ U.T
+    lo, hi = np.broadcast_to(lower, z.shape), np.broadcast_to(upper, z.shape)
+
+    def record():
         if trace_out is not None:
-            trace_out.append(float(obj.sum()))
-        with np.errstate(divide="ignore", invalid="ignore"):  # prev is inf on the first iteration
-            go = (prev > 0.0) & ~((prev - cur) / prev < IMPUTE_TOL)
-        prev = cur
-        if not go.all():
-            Z[live[~go]] = z[~go]
-            live, z, missing, fitted, prev = live[go], z[go], missing[go], fitted[go], prev[go]
+            trace_out.append(float(np.sum((z - (z @ U) @ U.T) ** 2)))
+
+    record()
+    free = missing.copy()  # missing cells not fixed on a bound
+    rows = np.arange(live.size)  # rows not settled: each steps in the next round
+    for _ in range(FILL_ROUNDS):
+        zs, fs, ls, hs = z[rows], free[rows], lo[rows], hi[rows]
+        p = _free_steps(A, zs, fs)
+        # the longest step t <= 1 that keeps the free cells in their boxes; the cell that stops a
+        # shorter one is fixed on its bound
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(fs & (p != 0.0), np.where(p > 0.0, hs - zs, ls - zs) / p, np.inf)
+        n, j = np.arange(rows.size), np.argmin(ratio, axis=1)
+        t = np.minimum(1.0, ratio[n, j])
+        zs = np.where(fs, np.clip(zs + t[:, None] * p, ls, hs), zs)
+        blocked = np.flatnonzero(t < 1.0)
+        jb = j[blocked]
+        zs[blocked, jb] = np.where(p[blocked, jb] > 0.0, hs[blocked, jb], ls[blocked, jb])
+        fs[blocked, jb] = False
+        # a row whose step was not stopped minimises over its free cells; a fixed cell that wants to
+        # leave its bound inward (gradient < 0 on the lower, > 0 on the upper bound) by more than a
+        # rounding margin is freed, the worst one first, and a row with none settles
+        g = zs @ A
+        movable = missing[rows] & ~fs & (ls < hs)
+        worst = np.where(movable & (zs == ls), -g, 0.0) + np.where(movable & (zs == hs), g, 0.0)
+        k = np.argmax(worst, axis=1)
+        release = (t == 1.0) & (worst[n, k] > 1e-12 * np.linalg.norm(zs, axis=1))
+        fs[release, k[release]] = True
+        z[rows], free[rows] = zs, fs
+        record()
+        rows = rows[(t < 1.0) | release]
+        if not rows.size:
+            break
+    else:
+        warnings.warn(f"impute_rows: {rows.size} rows did not settle within {FILL_ROUNDS} rounds",
+                      RuntimeWarning, stacklevel=2)
     Z[live] = z
     return Z
+
+
+def _free_steps(A, z, free):
+    """Per row, the minimum-norm step over its free cells to the minimum of z'A z (A = I - U U').
+
+    That is -A_ff^+ (A z)_f, zero outside the free cells f, by `solver._solve`'s
+    rule: one eigh of A restricted to each distinct free pattern, no
+    component along eigenvalues at most EIG_CUT times the largest, and one
+    refinement step.
+    """
+    packed = np.packbits(free, axis=1)  # one byte string per row names its pattern
+    _, first, which = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    patterns = free[first]
+    mu, V = np.linalg.eigh(A * (patterns[:, :, None] & patterns[:, None, :]))
+    inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > EIG_CUT * mu[:, -1:])
+    pinv = ((V * inv[:, None, :]) @ V.transpose(0, 2, 1))[which]
+    rhs = np.where(free, -(z @ A), 0.0)
+    p = np.einsum("nij,nj->ni", pinv, rhs)
+    p += np.einsum("nij,nj->ni", pinv, np.where(free, rhs - p @ A, 0.0))
+    return np.where(free, p, 0.0)
 
 
 def fill_windows(windows: Windows, fill) -> Windows:

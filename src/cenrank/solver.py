@@ -17,7 +17,10 @@ covers the complete samples plus the censored samples whose margin is
 below zero, and an Armijo backtracking search guards each step. The same
 routine solves the unconstrained problem over [vec(w); b], whose rank-r
 truncation is the starting point. Each step, like OLS, is a minimum-norm
-solve (`_solve`), so weights the windows do not span stay zero.
+solve (`_solve`), so weights the windows do not span stay zero. When one
+test per block solve (`_certified`) shows that no Hessian of the block can
+come near singular, each step has one solution, and LU finds it
+(`_lu_solve`) without an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -172,17 +175,45 @@ def _solve(H, rhs):
     return x + V @ ((V.T @ (rhs - H @ x)) / mu)
 
 
+def _lu_solve(H, rhs):
+    """The solution of H x = rhs for nonsingular H by LU, with `_solve`'s one refinement step."""
+    x = np.linalg.solve(H, rhs)
+    return x + np.linalg.solve(H, rhs - H @ x)
+
+
+def _certified(H_c, censored_weight):
+    """Whether every Newton Hessian H = H_c + lambda Z_A Z_A' of a block keeps all its directions under `_solve`.
+
+    censored_weight is lambda ||X_z||_F^2, the trace of lambda X_z X_z'.
+    Whatever the active set A, H's largest eigenvalue is at most its trace,
+    tr H_c + censored_weight at most, and its smallest at least H_c's; so
+    it suffices that H_c's smallest eigenvalue exceeds EIG_CUT times that
+    trace bound, which one Cholesky factorisation of H_c less that much
+    times the identity shows.
+    """
+    cut = EIG_CUT * (np.trace(H_c) + censored_weight)
+    try:
+        np.linalg.cholesky(H_c - cut * np.eye(H_c.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _newton(block: DesignSet, lambda_, theta):
     """Minimise the block objective over theta by finite Newton steps.
 
     The intercept is the last entry of theta, so the objective is taken at
     b = 0; a non-finite objective at the start raises NumericalError.
-    Each step is the minimum-norm solution of the Newton system (`_solve`).
+    Each step is the minimum-norm solution of the Newton system (`_solve`);
+    when `_certified` shows that no Hessian of the call has an eigenvalue at
+    `_solve`'s cut, that solution is the unique one, and an LU solve with
+    the same refinement step gives it (`_lu_solve`).
     Returns (theta, exact); exact means the last full step kept the active
     set of censored margins, so theta minimises the quadratic that agrees
     with the objective around it, or that no descent direction is left.
     """
     H_c = block.X_complete @ block.X_complete.T
+    solve = _lu_solve if _certified(H_c, lambda_ * float(np.sum(block.X_censored ** 2))) else _solve
     f, margins = _objective_vec(theta, 0.0, block, lambda_)
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting point")
@@ -190,7 +221,7 @@ def _newton(block: DesignSet, lambda_, theta):
         active = margins[1] < 0
         g = _gradient_vec(margins, block, lambda_)[0]
         Z = block.X_censored[:, active]
-        d = _solve(H_c + lambda_ * (Z @ Z.T), -g)
+        d = solve(H_c + lambda_ * (Z @ Z.T), -g)
         slope = float(g @ d)
         if not slope < 0:
             return theta, True
@@ -208,13 +239,11 @@ def _newton(block: DesignSet, lambda_, theta):
     return theta, False
 
 
-def _balance(U, V):
-    """Refactor U V' so that U and V have orthogonal columns of equal norms."""
-    Q_u, R_u = np.linalg.qr(U)
-    Q_v, R_v = np.linalg.qr(V)
-    A, s, Bt = np.linalg.svd(R_u @ R_v.T)
-    root = np.sqrt(s)
-    return Q_u @ (A * root), Q_v @ (Bt.T * root)
+def _split(w, r):
+    """The rank-r SVD factors (U, V) of w, U V' its truncation, with the singular values split evenly."""
+    A, s, Bt = np.linalg.svd(w, full_matrices=False)
+    root = np.sqrt(s[:r])
+    return A[:, :r] * root, Bt[:r].T * root
 
 
 def fit_pgd(design: DesignSet, lambda_: float, r: int,
@@ -232,8 +261,8 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     its gradient meets the bound below. Otherwise its rank-r SVD truncation
     w = U V' (U = U_r S_r^1/2, V = V_r S_r^1/2) starts a sequence of passes.
     Each pass solves for (U, b) with V fixed, then for (V, b) with U fixed,
-    then rebalances the factors (QR of each, SVD of R_U R_V') so that U
-    and V keep equal scale.
+    then rebalances the factors (the SVD of U V', its singular values split
+    evenly) so that U and V keep equal scale.
 
     converged=True means that, after the last pass (or at the start),
     ||(G V, G' U, g_b)|| <= tol * (||X_c y_c|| + lambda ||X_z y_z||), where
@@ -247,7 +276,7 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     `rank_w` is numerical_rank(w).
 
     Floating point sets a floor between tol 1e-9 and 1e-8: of the 30 random
-    designs of tools/solver_floor.py, 28 converge at 1e-8, 6 at 1e-9 and 1
+    designs of tools/solver_floor.py, 28 converge at 1e-8, 2 at 1e-9 and 1
     at 1e-10; the others stall.
     """
     opts = options or SolverOptions()
@@ -292,9 +321,7 @@ def _alternate(design, lambda_, r, w, b, bound, max_iter):
     passes ran out at max_iter.
     """
     T, P, n_c, n_z = design.T, design.P, design.n_complete, design.n_censored
-    Uw, s, Vt = np.linalg.svd(w, full_matrices=False)
-    root = np.sqrt(s[:r])
-    U, V = Uw[:, :r] * root, Vt[:r].T * root
+    U, V = _split(w, r)
     w = U @ V.T
     f, margins = _objective_vec(w.ravel(), b, design, lambda_)
     trace = [f]
@@ -317,7 +344,7 @@ def _alternate(design, lambda_, r, w, b, bound, max_iter):
         # (V, b) with U fixed: the features of a sample are X' U (P x r)
         block = _block((U_new.T @ Xt_c).reshape(P * r, n_c), (U_new.T @ Xt_z).reshape(P * r, n_z), design)
         theta = _newton(block, lambda_, np.append(V.ravel(), theta[-1]))[0]
-        U_new, V_new = _balance(U_new, theta[:-1].reshape(P, r))
+        U_new, V_new = _split(U_new @ theta[:-1].reshape(P, r).T, r)
         w_new, b_new = U_new @ V_new.T, float(theta[-1])
         f_new, new_margins = _objective_vec(w_new.ravel(), b_new, design, lambda_)
         if not f_new < f:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cenrank.cohort import extract_windows
+from cenrank import imputation
 from cenrank.errors import EmptyColumnError, NumericalError
 from cenrank.imputation import (
     BmcImputer,
@@ -61,23 +62,26 @@ def bmc_reference(X, r, tol=1e-6, max_iter=500, bounds=None):
     return X, truncate(M)[1], trace
 
 
-def impute_oracle(z, observed, model, tol=1e-8, max_iter=200):
-    """Straight transcription of the one-row projection loop, kept
-    independent of the library implementation."""
-    z = np.array(z, dtype=float)
+def impute_oracle(Z, model, sweeps):
+    """Straight transcription of the alternating projection loop the fill replaced, run on all rows for
+    a fixed number of sweeps with no stopping rule, kept independent of the library implementation."""
+    Z = np.array(Z, dtype=float)
     U = model.basis
-    missing = ~observed
-    if not missing.any():
-        return z
-    z[missing] = np.minimum(model.upper, np.maximum(model.lower, model.col_means))[missing]
-    prev = None
-    for _ in range(max_iter):
-        z[missing] = np.minimum(model.upper, np.maximum(model.lower, U @ (U.T @ z)))[missing]
-        obj = float(np.sum((z - U @ (U.T @ z)) ** 2))
-        if prev is not None and (prev <= 0.0 or (prev - obj) / prev < tol):
-            break
-        prev = obj
-    return z
+    missing = np.isnan(Z)
+    Z[missing] = np.broadcast_to(np.minimum(model.upper, np.maximum(model.lower, model.col_means)), Z.shape)[missing]
+    for _ in range(sweeps):
+        Z = np.where(missing, np.minimum(model.upper, np.maximum(model.lower, (Z @ U) @ U.T)), Z)
+    return Z
+
+
+def row_objective(Z, model):
+    """||z - U U'z||^2 of each row."""
+    return np.sum((Z - (Z @ model.basis) @ model.basis.T) ** 2, axis=1)
+
+
+def on_bound(out, missing, model):
+    """Rows with an imputed cell on its lower or upper bound."""
+    return (missing & ((out == model.lower) | (out == model.upper))).any(axis=1)
 
 
 class TestBounds:
@@ -312,11 +316,47 @@ class TestImputeRows:
         out = impute_rows(X, model, trace_out=trace)
         for i in range(X.shape[0]):
             assert np.max(np.abs(out[i] - impute_rows(X[i][None], model)[0])) <= 1e-12
-            assert np.max(np.abs(out[i] - impute_oracle(X[i], mask[i], model))) <= 1e-12
+        # against a long run of the loop the fill replaced: its limit where no bound is active, and an
+        # objective no lower where one is
+        limit = impute_oracle(X, model, sweeps=20_000)
+        bounded = on_bound(out, ~mask, model)
+        assert 0 < bounded.sum() < (~mask).any(axis=1).sum()
+        assert np.max(np.abs(out - limit)[~bounded]) <= 1e-9
+        assert np.all(row_objective(out[bounded], model) <= row_objective(limit[bounded], model) * (1 + 1e-12))
         assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
         full = mask.all(axis=1)
         assert np.array_equal(out[full], X[full])
         assert np.array_equal(out[mask], X[mask])
+
+    def test_bounded_rows_meet_their_kkt_conditions(self, fitted):
+        # the gradient 2 A z (A = I - U U') of the row objective, on its missing cells: zero on a cell
+        # inside its box, >= 0 on one at its lower bound and <= 0 on one at its upper bound
+        rng = np.random.default_rng(3)
+        tight = BmcModel(basis=np.linalg.qr(rng.standard_normal((8, 3)))[0], lower=np.full(8, -0.5),
+                         upper=np.full(8, 0.5), rank=3, col_means=np.zeros(8))
+        Z = np.where(rng.random((300, 8)) < 0.5, np.nan, 2.0 * rng.standard_normal((300, 8)))
+        for X, model in ((fitted[0], fitted[2]), (Z, tight)):
+            missing = np.isnan(X)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = impute_rows(X, model)
+            bounded = on_bound(out, missing, model)
+            g = (out - (out @ model.basis) @ model.basis.T)[bounded]
+            m, z = missing[bounded], out[bounded]
+            at_lo, at_hi = m & (z == model.lower), m & (z == model.upper)
+            slack = 1e-10 * np.linalg.norm(z, axis=1, keepdims=True)
+            assert bounded.sum() >= 3
+            assert np.all(np.abs(g[m & ~at_lo & ~at_hi]) <= np.broadcast_to(slack, g.shape)[m & ~at_lo & ~at_hi])
+            assert np.all((g >= -slack)[at_lo]) and np.all((g <= slack)[at_hi])
+
+    def test_unsettled_rows_warn(self, monkeypatch):
+        # one round moves the row [3, nan] to its box edge 2.0 and leaves it unsettled
+        monkeypatch.setattr(imputation, "FILL_ROUNDS", 1)
+        model = BmcModel(basis=self.unit.basis, lower=np.zeros(2), upper=np.array([10.0, 2.0]), rank=1,
+                         col_means=np.zeros(2))
+        with pytest.warns(RuntimeWarning, match="1 rows did not settle within 1 rounds"):
+            out = impute_rows(np.array([[3.0, np.nan]]), model)
+        assert out[0, 1] == 2.0
 
     def test_one_row_trace_is_the_row_trace(self):
         rows_trace, row_trace = [], []

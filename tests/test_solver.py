@@ -6,6 +6,7 @@ import pytest
 from cenrank.cohort import DesignSet, assemble_design, extract_windows
 from cenrank.errors import DataError, NumericalError, UnimputedSampleError
 from cenrank.evaluation import impute_split, predict_windows
+from cenrank import solver
 from cenrank.imputation import MeanImputer
 from cenrank.solver import (
     ModelParams,
@@ -335,6 +336,45 @@ class TestNullSpace:
         with np.errstate(all="raise"):
             params, report = fit_pgd(design, 0.5, r)
         assert report.converged and not params.w.any() and params.b == 0.0
+
+
+class TestCertifiedNewton:
+    """A block whose complete-sample Hessian is certified far from singular is solved by LU, not eigh."""
+
+    @staticmethod
+    def recorded(monkeypatch, name, log):
+        """Patch solver.<name> to append each call's result to log."""
+        fn = getattr(solver, name)
+
+        def wrapper(*args):
+            log.append(fn(*args))
+            return log[-1]
+        monkeypatch.setattr(solver, name, wrapper)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_certified_fit_matches_the_eigh_fit(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        T, P = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+        design = random_design(rng, T, P, int(rng.integers(T * P + 10, 100)), int(rng.integers(5, 30)))
+        lam, r = (0.05, 0.3)[seed % 2], int(rng.integers(1, min(T, P)))
+        certified = []
+        with monkeypatch.context() as patched:
+            self.recorded(patched, "_certified", certified)
+            params, report = fit_pgd(design, lam, r)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_certified", lambda *args: False)
+            want, want_report = fit_pgd(design, lam, r)
+        assert certified[0] and report.iterations == want_report.iterations > 0
+        assert np.linalg.norm(params.w - want.w) <= 1e-12 * np.linalg.norm(want.w)
+
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_null_space_design_takes_the_eigh_path(self, r, monkeypatch):
+        design = null_space_problem(np.random.default_rng(31), T=4)[0]
+        certified, solved = [], []
+        self.recorded(monkeypatch, "_certified", certified)
+        self.recorded(monkeypatch, "_solve", solved)
+        fit_pgd(design, 0.05, r)
+        assert certified[0] is False and solved and solved[0].shape == (design.T * design.P + 1,)
 
 
 @pytest.mark.parametrize("seed", range(4))
