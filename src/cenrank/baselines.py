@@ -19,14 +19,15 @@ from .errors import DataError, NumericalError
 from .solver import ModelParams, _block, _solve, check_lambda
 
 
-def _augmented(design: DesignSet, lambda_: float, censored_mode: str) -> tuple[DesignSet, float]:
-    """The intercept block of the design, and the weight of its censored samples."""
+def _augmented(design: DesignSet, lambda_: float, censored_mode: str) -> tuple[DesignSet, np.ndarray]:
+    """The intercept block of the design, and each sample's weight: 1 if complete, else lambda, or 0 if ignored."""
     if censored_mode not in ("ignore", "weighted"):
         raise ValueError(f"unknown censored_mode {censored_mode!r}")
     check_lambda(lambda_)
-    if design.n_complete == 0:
+    if design.censored.all():
         raise DataError("baseline fits require at least one complete sample")
-    return _block(design.X_complete, design.X_censored, design), lambda_ if censored_mode == "weighted" else 0.0
+    weight = lambda_ if censored_mode == "weighted" else 0.0
+    return _block(design.X, design), np.where(design.censored, weight, 1.0)
 
 
 def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weighted") -> ModelParams:
@@ -37,9 +38,8 @@ def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weigh
     does not span, and exactly fittable data interpolated.
     """
     block, weight = _augmented(design, lambda_, censored_mode)
-    Z, Zc = block.X_complete, block.X_censored
-    H = Z @ Z.T + weight * (Zc @ Zc.T)
-    theta = _solve(H, Z @ block.y_complete + weight * (Zc @ block.y_censored))
+    Zw = block.X * weight
+    theta = _solve(Zw @ block.X.T, Zw @ block.y)
     return ModelParams.unconstrained(theta, design, lambda_, "ols", {"censored_mode": censored_mode})
 
 
@@ -50,7 +50,8 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
 
     Minimizes 1/2 ||w||^2 + sum c_i max(0, |z_i'theta - y_i| - eps) over
     theta = (w, b), with c_i = C for complete samples and C * lambda for the
-    censored ones, which are stacked only when that weight is nonzero.
+    censored ones; a censored sample enters the QP only when its weight is
+    nonzero.
     This is the QP
 
         min 1/2 ||w||^2 + c'(xi + xi*)
@@ -66,20 +67,17 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
     instead emits a RuntimeWarning.
     `trace_out`, if given, records the best objective after each iteration
     (non-increasing). After the last iteration, b is set exactly for the
-    final w; where a whole interval minimizes, b is its point nearest
-    mean(y_complete). A non-finite iterate raises NumericalError.
+    final w; where a whole interval minimizes, b is its point nearest the
+    complete samples' mean label. A non-finite iterate raises NumericalError.
     """
     if C <= 0:
         raise ValueError("C must be positive")
     if epsilon_tube < 0:
         raise ValueError("epsilon_tube must be nonnegative")
     block, weight = _augmented(design, lambda_, censored_mode)
-    Z, y = block.X_complete, block.y_complete
-    b_start = float(y.mean())
-    c = np.full(y.size, C)
-    if weight:
-        Z, y = np.hstack([Z, block.X_censored]), np.concatenate([y, block.y_censored])
-        c = np.concatenate([c, np.full(block.n_censored, C * weight)])
+    keep = weight > 0
+    Z, y, c = block.X[:, keep], block.y[keep], C * weight[keep]
+    b_start = float(block.y[~block.censored].mean())
     eps = epsilon_tube
     Zt = np.ascontiguousarray(Z.T)
     reg = np.ones(Z.shape[0])

@@ -236,7 +236,8 @@ def _cmd_train(cfg, out_dir: Path):
         print(f"fit converged={report.converged} iterations={report.iterations} "
               f"objective={report.final_objective:.6g} rank_w={report.rank_w}")
     else:
-        print(f"fit {method} on {design.n_complete} complete / {design.n_censored} censored samples")
+        censored = int(design.censored.sum())
+        print(f"fit {method} on {design.y.size - censored} complete / {censored} censored samples")
     modelio.save_model(out_dir / "model.json", model, cohort.variables, report)
     modelio.save_imputer(out_dir / "imputer_model.json", imputer, cohort.variables)
     ranked = evaluation.coefficient_report(model, cohort.variables, top_n=model.w.size)

@@ -177,26 +177,17 @@ class Windows:
 
 @dataclass
 class DesignSet:
-    """Vectorized design matrices for the complete and censored groups.
+    """The samples of one fit: column i of X (T*P x n) is sample i's vectorized window.
 
-    Columns of X_complete / X_censored are vectorized windows (length T*P),
-    in the order the samples were supplied.
+    y holds the labels and censored marks the censored samples, both in
+    the order of X's columns.
     """
 
-    X_complete: np.ndarray
-    y_complete: np.ndarray
-    X_censored: np.ndarray
-    y_censored: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+    censored: np.ndarray
     T: int
     P: int
-
-    @property
-    def n_complete(self) -> int:
-        return self.X_complete.shape[1]
-
-    @property
-    def n_censored(self) -> int:
-        return self.X_censored.shape[1]
 
 
 def load_variable_dictionary(path) -> list[str]:
@@ -449,18 +440,10 @@ def unvectorize(v: np.ndarray, T: int, P: int) -> np.ndarray:
 
 
 def assemble_design(windows: Windows) -> DesignSet:
-    """Stack fully imputed windows into complete/censored design matrices."""
+    """The design of fully imputed windows: column i, label i and mark i are window i's."""
     if not len(windows):
         raise DataError("cannot assemble a design from zero samples")
-    X, censored = windows.columns(), windows.censored
-    return DesignSet(
-        X_complete=np.compress(~censored, X, axis=1),
-        y_complete=windows.y[~censored],
-        X_censored=np.compress(censored, X, axis=1),
-        y_censored=windows.y[censored],
-        T=windows.T,
-        P=windows.days.shape[1],
-    )
+    return DesignSet(windows.columns(), windows.y.copy(), windows.censored.copy(), windows.T, windows.days.shape[1])
 
 
 def split_folds(windows: Windows, k: int, unit: str = "sample", seed: int = 0) -> list[np.ndarray]:

@@ -42,7 +42,6 @@ class BmcModel:
     basis: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    rank: int
     col_means: np.ndarray
 
 
@@ -136,7 +135,7 @@ def bmc_fit(
                       RuntimeWarning, stacklevel=2)
 
     basis = _top_basis(M, r)
-    model = BmcModel(basis=basis, lower=lower, upper=upper, rank=r, col_means=col_means)
+    model = BmcModel(basis=basis, lower=lower, upper=upper, col_means=col_means)
     return X, model
 
 

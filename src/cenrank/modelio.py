@@ -108,7 +108,7 @@ def save_imputer(path, imputer, variables=None):
         model = imputer.model
         doc = {
             "kind": "bmc",
-            "rank": model.rank,
+            "rank": int(model.basis.shape[1]),
             "P": int(model.basis.shape[0]),
             "lower": _floats(model.lower),
             "upper": _floats(model.upper),
@@ -142,7 +142,7 @@ def load_imputer(path, variables=None):
             P, r = int(doc["P"]), int(doc["rank"])
             imp = BmcImputer(rank=r)
             imp.model = BmcModel(basis=_array(doc, "basis", P, r), lower=_array(doc, "lower", P),
-                                 upper=_array(doc, "upper", P), rank=r, col_means=_array(doc, "col_means", P))
+                                 upper=_array(doc, "upper", P), col_means=_array(doc, "col_means", P))
             return imp
         if kind == "mean":
             imp = MeanImputer()

@@ -108,22 +108,25 @@ def _check_design(w, design):
 
 
 def _margins(w_vec, b, design):
-    r = design.X_complete.T @ w_vec + b - design.y_complete
-    m = np.minimum(0.0, design.X_censored.T @ w_vec + b - design.y_censored)
-    return r, m
+    """Each sample's margin: its residual <x, w> + b - y, or min(0, residual) if it is censored."""
+    m = design.X.T @ w_vec + b - design.y
+    return np.minimum(m, 0.0, out=m, where=design.censored)
+
+
+def _weights(design, lambda_):
+    """Each sample's weight in the objective: 1 if complete, lambda if censored."""
+    return np.where(design.censored, lambda_, 1.0)
 
 
 def _objective_vec(w_vec, b, design, lambda_):
     """Objective at (w_vec, b), with the margins it was computed from."""
-    r, m = _margins(w_vec, b, design)
-    return 0.5 * float(r @ r) + 0.5 * lambda_ * float(m @ m), (r, m)
+    m = _margins(w_vec, b, design)
+    return 0.5 * float((_weights(design, lambda_) * m) @ m), m
 
 
 def _gradient_vec(margins, design, lambda_):
-    r, m = margins
-    g_w = design.X_complete @ r + lambda_ * (design.X_censored @ m)
-    g_b = float(r.sum()) + lambda_ * float(m.sum())
-    return g_w, g_b
+    weighted = _weights(design, lambda_) * margins
+    return design.X @ weighted, float(weighted.sum())
 
 
 def objective(params: ModelParams, design: DesignSet) -> float:
@@ -154,11 +157,13 @@ def numerical_rank(w: np.ndarray, rel_tol: float = RANK_TOL) -> int:
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def _block(F_c, F_z, design) -> DesignSet:
-    """The least-squares block over theta = [coefficients; b]: features F plus a row of ones."""
-    def ones_row(F):
-        return np.vstack([F, np.ones((1, F.shape[1]))])
-    return DesignSet(ones_row(F_c), design.y_complete, ones_row(F_z), design.y_censored, 1, F_c.shape[0] + 1)
+def _block(F, design) -> DesignSet:
+    """The least-squares block over theta = [coefficients; b]: features F over a row of ones.
+
+    Column i of F holds the features of the design's sample i, whose label
+    and censored mark the block keeps.
+    """
+    return DesignSet(np.vstack([F, np.ones((1, F.shape[1]))]), design.y, design.censored, 1, F.shape[0] + 1)
 
 
 def _solve(H, rhs):
@@ -184,7 +189,9 @@ def _lu_solve(H, rhs):
 def _certified(H_c, censored_weight):
     """Whether every Newton Hessian H = H_c + lambda Z_A Z_A' of a block keeps all its directions under `_solve`.
 
-    censored_weight is lambda ||X_z||_F^2, the trace of lambda X_z X_z'.
+    H_c is X_c X_c' over the block's complete columns X_c, and Z_A holds the
+    censored columns whose margin is active. censored_weight is
+    lambda ||X_z||_F^2 over all censored columns X_z, the trace of lambda X_z X_z'.
     Whatever the active set A, H's largest eigenvalue is at most its trace,
     tr H_c + censored_weight at most, and its smallest at least H_c's; so
     it suffices that H_c's smallest eigenvalue exceeds EIG_CUT times that
@@ -212,15 +219,17 @@ def _newton(block: DesignSet, lambda_, theta):
     set of censored margins, so theta minimises the quadratic that agrees
     with the objective around it, or that no descent direction is left.
     """
-    H_c = block.X_complete @ block.X_complete.T
-    solve = _lu_solve if _certified(H_c, lambda_ * float(np.sum(block.X_censored ** 2))) else _solve
+    censored = block.censored
+    X_c = block.X[:, ~censored]
+    H_c = X_c @ X_c.T
+    solve = _lu_solve if _certified(H_c, lambda_ * float(np.sum(block.X[:, censored] ** 2))) else _solve
     f, margins = _objective_vec(theta, 0.0, block, lambda_)
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting point")
     for _ in range(NEWTON_STEPS):
-        active = margins[1] < 0
+        active = censored & (margins < 0)
         g = _gradient_vec(margins, block, lambda_)[0]
-        Z = block.X_censored[:, active]
+        Z = block.X[:, active]
         d = solve(H_c + lambda_ * (Z @ Z.T), -g)
         slope = float(g @ d)
         if not slope < 0:
@@ -234,7 +243,7 @@ def _newton(block: DesignSet, lambda_, theta):
         else:
             return theta, False
         theta, f, margins = theta + t * d, f_new, new_margins
-        if t == 1.0 and np.array_equal(margins[1] < 0, active):
+        if t == 1.0 and np.array_equal(censored & (margins < 0), active):
             return theta, True
     return theta, False
 
@@ -266,8 +275,10 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
 
     converged=True means that, after the last pass (or at the start),
     ||(G V, G' U, g_b)|| <= tol * (||X_c y_c|| + lambda ||X_z y_z||), where
-    (G, g_b) is `gradient` at (w, b) and U, V are the balanced factors,
-    that is the SVD factors of w with the singular values split evenly.
+    X_c, y_c are the complete samples' columns and labels and X_z, y_z the
+    censored samples', (G, g_b) is `gradient` at (w, b) and U, V are the
+    balanced factors, that is the SVD factors of w with the singular values
+    split evenly.
     A pass that does not lower the objective ends the fit and is not
     recorded, so objective_trace is strictly decreasing after its first
     entry, the objective at the start. `iterations` counts the recorded
@@ -276,22 +287,20 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     `rank_w` is numerical_rank(w).
 
     Floating point sets a floor between tol 1e-9 and 1e-8: of the 30 random
-    designs of tools/solver_floor.py, 28 converge at 1e-8, 2 at 1e-9 and 1
+    designs of tools/solver_floor.py, 28 converge at 1e-8, 6 at 1e-9 and 1
     at 1e-10; the others stall.
     """
     opts = options or SolverOptions()
     if r < 1:
         raise ValueError("rank must be >= 1")
     check_lambda(lambda_)
-    T, P = design.T, design.P
-    n_c, n_z = design.n_complete, design.n_censored
-    if n_c == 0 and n_z == 0:
+    T, P, X, y, censored = design.T, design.P, design.X, design.y, design.censored
+    if not y.size:
         raise DataError("design has no samples")
-    b0 = float(design.y_complete.mean()) if n_c else 0.0
-    full = _block(design.X_complete, design.X_censored, design)
-    theta, exact = _newton(full, lambda_, np.append(np.zeros(T * P), b0))
-    bound = opts.tol * (np.linalg.norm(design.X_complete @ design.y_complete)
-                        + lambda_ * np.linalg.norm(design.X_censored @ design.y_censored))
+    b0 = float(y[~censored].mean()) if not censored.all() else 0.0
+    theta, exact = _newton(_block(X, design), lambda_, np.append(np.zeros(T * P), b0))
+    bound = opts.tol * (np.linalg.norm(X[:, ~censored] @ y[~censored])
+                        + lambda_ * np.linalg.norm(X[:, censored] @ y[censored]))
     w, b = theta[:-1].reshape(T, P), float(theta[-1])
     if r >= min(T, P):
         f, margins = _objective_vec(w.ravel(), b, design, lambda_)
@@ -320,14 +329,14 @@ def _alternate(design, lambda_, r, w, b, bound, max_iter):
     Returns (w, b, objective trace, converged, capped); capped means the
     passes ran out at max_iter.
     """
-    T, P, n_c, n_z = design.T, design.P, design.n_complete, design.n_censored
+    T, P = design.T, design.P
     U, V = _split(w, r)
     w = U @ V.T
     f, margins = _objective_vec(w.ravel(), b, design, lambda_)
     trace = [f]
     # each sample's window as T x P (for the U block) and P x T (for the V block)
-    X_c, X_z = design.X_complete.reshape(T, P, n_c), design.X_censored.reshape(T, P, n_z)
-    Xt_c, Xt_z = X_c.transpose(1, 0, 2), X_z.transpose(1, 0, 2)
+    X = design.X.reshape(T, P, -1)
+    Xt = X.transpose(1, 0, 2)
 
     def stationary(U, V, margins):
         g_w, g_b = _gradient_vec(margins, design, lambda_)
@@ -338,11 +347,11 @@ def _alternate(design, lambda_, r, w, b, bound, max_iter):
         if len(trace) - 1 == max_iter:
             return w, b, trace, False, True
         # (U, b) with V fixed: the features of a sample are X V (T x r)
-        block = _block((V.T @ X_c).reshape(T * r, n_c), (V.T @ X_z).reshape(T * r, n_z), design)
+        block = _block((V.T @ X).reshape(T * r, -1), design)
         theta = _newton(block, lambda_, np.append(U.ravel(), b))[0]
         U_new = theta[:-1].reshape(T, r)
         # (V, b) with U fixed: the features of a sample are X' U (P x r)
-        block = _block((U_new.T @ Xt_c).reshape(P * r, n_c), (U_new.T @ Xt_z).reshape(P * r, n_z), design)
+        block = _block((U_new.T @ Xt).reshape(P * r, -1), design)
         theta = _newton(block, lambda_, np.append(V.ravel(), theta[-1]))[0]
         U_new, V_new = _split(U_new @ theta[:-1].reshape(P, r).T, r)
         w_new, b_new = U_new @ V_new.T, float(theta[-1])

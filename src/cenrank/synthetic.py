@@ -114,9 +114,10 @@ def oracle_ols(design: DesignSet, ridge: float = 1e-10) -> ModelParams:
     Solves (Z Z' + ridge I) theta = Z y directly, where Z stacks the
     complete design columns over a row of ones. Used as the test oracle.
     """
-    if design.n_complete == 0:
+    complete = ~design.censored
+    if not complete.any():
         raise DataError("oracle requires at least one complete sample")
-    Z = np.vstack([design.X_complete, np.ones((1, design.n_complete))])
+    Z = np.vstack([design.X[:, complete], np.ones((1, int(complete.sum())))])
     H = Z @ Z.T + ridge * np.eye(Z.shape[0])
-    theta = np.linalg.solve(H, Z @ design.y_complete)
+    theta = np.linalg.solve(H, Z @ design.y[complete])
     return ModelParams.unconstrained(theta, design, 0.0, "ols", {"ridge": ridge})

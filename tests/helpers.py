@@ -5,16 +5,28 @@ import numpy as np
 from cenrank.cohort import Cohort, DesignSet, Windows, assemble_design
 
 
-def random_design(rng, T, P, n_complete, n_censored, noise=1.0):
-    """A random design with labels from a planted full-rank linear model."""
+def stacked_design(Xc, yc, Xz, yz, T, P):
+    """The design of the complete columns Xc (labels yc) followed by the censored columns Xz (labels yz)."""
+    return DesignSet(np.hstack([Xc, Xz]), np.concatenate([np.asarray(yc, float), np.asarray(yz, float)]),
+                     np.arange(Xc.shape[1] + Xz.shape[1]) >= Xc.shape[1], T, P)
+
+
+def halves(design):
+    """(X_c, y_c, X_z, y_z): the design's complete and censored columns and labels, read through its mask."""
+    c = design.censored
+    return design.X[:, ~c], design.y[~c], design.X[:, c], design.y[c]
+
+
+def random_design(rng, T, P, n_c, n_z, noise=1.0):
+    """A random design with labels from a planted full-rank linear model, its complete samples first."""
     d = T * P
-    Xc = rng.standard_normal((d, n_complete))
-    Xz = rng.standard_normal((d, n_censored))
+    Xc = rng.standard_normal((d, n_c))
+    Xz = rng.standard_normal((d, n_z))
     theta = rng.standard_normal(d)
     b = rng.standard_normal()
-    yc = Xc.T @ theta + b + noise * rng.standard_normal(n_complete)
-    yz = Xz.T @ theta + b + noise * rng.standard_normal(n_censored)
-    return DesignSet(Xc, yc, Xz, yz, T, P)
+    yc = Xc.T @ theta + b + noise * rng.standard_normal(n_c)
+    yz = Xz.T @ theta + b + noise * rng.standard_normal(n_z)
+    return stacked_design(Xc, yc, Xz, yz, T, P)
 
 
 def null_space_windows(rng, n, T, P=10, day_rank=3):

@@ -24,7 +24,7 @@ from cenrank.solver import (
     project_rank,
 )
 from cenrank.synthetic import SyntheticSpec, generate_cohort, generate_lowrank_matrix, oracle_ols
-from helpers import excess_sv_ratio
+from helpers import excess_sv_ratio, halves, stacked_design
 
 
 def report(criterion, passed, detail=""):
@@ -38,7 +38,7 @@ def random_instance(rng, T=4, P=6, n_c=20, n_z=10):
     Xz = rng.standard_normal((d, n_z))
     yc = 3.0 * rng.standard_normal(n_c)
     yz = 3.0 * rng.standard_normal(n_z)
-    return DesignSet(Xc, yc, Xz, yz, T, P)
+    return stacked_design(Xc, yc, Xz, yz, T, P)
 
 
 def test_c01_gradient_certification():
@@ -52,7 +52,8 @@ def test_c01_gradient_certification():
         lam = float(rng.uniform(0.01, 1.0))
         w = rng.standard_normal((4, 6))
         b = float(rng.standard_normal())
-        margins = design.X_censored.T @ w.ravel() + b - design.y_censored
+        _, _, Xz, yz = halves(design)
+        margins = Xz.T @ w.ravel() + b - yz
         if np.any(np.abs(margins) < 1e-4):  # too close to a hinge kink for h=1e-5
             continue
         checked += 1
@@ -90,7 +91,7 @@ def test_c02_ols_oracle_equivalence():
         X = rng.standard_normal((T * P, n))
         theta = rng.standard_normal(T * P)
         y = X.T @ theta + rng.standard_normal() + rng.standard_normal(n)
-        design = DesignSet(X, y, np.zeros((T * P, 0)), np.zeros(0), T, P)
+        design = DesignSet(X, y, np.zeros(n, dtype=bool), T, P)
         oracle = oracle_ols(design, ridge=1e-12)
         obj_star = 0.5 * float(np.sum((X.T @ oracle.w_vec + oracle.b - y) ** 2))
         params, _ = fit_pgd(design, 0.0, min(T, P), SolverOptions(tol=1e-16, max_iter=30000))
@@ -192,10 +193,10 @@ def test_c05_bmc_recovery():
 
 def test_c06_projection_fixed_point():
     model = BmcModel(basis=np.array([[0.6], [0.8]]), lower=np.array([0.0, 0.0]),
-                     upper=np.array([10.0, 10.0]), rank=1, col_means=np.array([0.0, 0.0]))
+                     upper=np.array([10.0, 10.0]), col_means=np.array([0.0, 0.0]))
     free = impute_rows(np.array([[3.0, np.nan]]), model)[0]
     bounded_model = BmcModel(basis=model.basis, lower=model.lower,
-                             upper=np.array([10.0, 2.0]), rank=1, col_means=model.col_means)
+                             upper=np.array([10.0, 2.0]), col_means=model.col_means)
     clamped = impute_rows(np.array([[3.0, np.nan]]), bounded_model)[0]
     report("C6 basis-projection-fixed-point",
            abs(free[1] - 4.0) < 1e-6 and clamped[1] == 2.0,

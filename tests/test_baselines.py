@@ -12,15 +12,16 @@ from cenrank.cohort import DesignSet
 from cenrank.errors import DataError, NumericalError
 from cenrank.evaluation import predict_windows
 from cenrank.synthetic import oracle_ols
-from helpers import null_space_problem, random_design
+from helpers import halves, null_space_problem, random_design
 
 
 def svr_objective(design, w_vec, b, C, eps, lam, mode):
+    Xc, yc, Xz, yz = halves(design)
     obj = 0.5 * float(w_vec @ w_vec)
-    res = design.X_complete.T @ w_vec + b - design.y_complete
+    res = Xc.T @ w_vec + b - yc
     obj += C * float(np.maximum(0.0, np.abs(res) - eps).sum())
-    if mode == "weighted" and design.n_censored:
-        res_c = design.X_censored.T @ w_vec + b - design.y_censored
+    if mode == "weighted" and yz.size:
+        res_c = Xz.T @ w_vec + b - yz
         obj += C * lam * float(np.maximum(0.0, np.abs(res_c) - eps).sum())
     return obj
 
@@ -33,11 +34,11 @@ def reference_svr_fit(design, C, eps, lam, mode, trace_out, tol=1e-8, max_iter=5
     without a relative improvement of tol; `trace_out` gets the best
     objective per step. Complete and censored samples are held apart.
     """
-    Z = np.vstack([design.X_complete, np.ones((1, design.n_complete))])
-    y = design.y_complete
-    if mode == "weighted" and design.n_censored:
-        Zc = np.vstack([design.X_censored, np.ones((1, design.n_censored))])
-        yc = design.y_censored
+    Xc, y, Xz, yz = halves(design)
+    Z = np.vstack([Xc, np.ones((1, y.size))])
+    if mode == "weighted" and yz.size:
+        Zc = np.vstack([Xz, np.ones((1, yz.size))])
+        yc = yz
     else:
         Zc, yc = np.zeros((Z.shape[0], 0)), np.zeros(0)
 
@@ -91,7 +92,8 @@ class TestOls:
         rng = np.random.default_rng(0)
         design = random_design(rng, 2, 2, 4, 0, noise=0.0)
         params = ols_fit(design, 0.0, censored_mode="ignore")
-        res = design.X_complete.T @ params.w_vec + params.b - design.y_complete
+        Xc, yc, _, _ = halves(design)
+        res = Xc.T @ params.w_vec + params.b - yc
         assert np.max(np.abs(res)) < 1e-8
 
     def test_ignore_equals_weighted_at_lambda_zero(self):
@@ -115,10 +117,11 @@ class TestOls:
         design = random_design(rng, 2, 3, 15, 10)
         lam = 0.7
         params = ols_fit(design, lam, censored_mode="weighted")
+        Xc, yc, Xz, yz = halves(design)
 
         def obj(w_vec, b):
-            rc = design.X_complete.T @ w_vec + b - design.y_complete
-            rz = design.X_censored.T @ w_vec + b - design.y_censored
+            rc = Xc.T @ w_vec + b - yc
+            rz = Xz.T @ w_vec + b - yz
             return 0.5 * rc @ rc + 0.5 * lam * rz @ rz
 
         base = obj(params.w_vec, params.b)
@@ -137,7 +140,7 @@ class TestOls:
         assert np.all(np.abs(predict_windows(params, moved) - pred) <= 1e-9 * np.abs(pred))
 
     def test_requires_complete_samples(self):
-        design = DesignSet(np.zeros((4, 0)), np.zeros(0), np.ones((4, 2)), np.ones(2), 2, 2)
+        design = DesignSet(np.ones((4, 2)), np.ones(2), np.ones(2, dtype=bool), 2, 2)
         with pytest.raises(DataError):
             ols_fit(design, 0.0)
 
@@ -146,7 +149,7 @@ class TestSvr:
     def test_constant_targets(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((6, 12))
-        design = DesignSet(X, np.full(12, 3.0), np.zeros((6, 0)), np.zeros(0), 2, 3)
+        design = DesignSet(X, np.full(12, 3.0), np.zeros(12, dtype=bool), 2, 3)
         params = svr_fit(design, C=100.0, epsilon_tube=0.1)
         assert abs(params.b - 3.0) < 1e-3
         assert np.linalg.norm(params.w_vec) < 1e-3
@@ -155,7 +158,7 @@ class TestSvr:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((4, 8))
         y = 2.0 + rng.uniform(-0.05, 0.05, 8)  # all inside the default tube at b = mean(y)
-        design = DesignSet(X, y, np.zeros((4, 0)), np.zeros(0), 2, 2)
+        design = DesignSet(X, y, np.zeros(8, dtype=bool), 2, 2)
         params = svr_fit(design, C=1.0, epsilon_tube=0.2)
         assert np.allclose(params.w_vec, 0.0)
         assert params.b == pytest.approx(float(y.mean()))
@@ -165,7 +168,7 @@ class TestSvr:
         # on a fine grid as an independent reference
         x = np.array([[0.0, 1.0, 2.0, 3.0, 4.0]])
         y = np.array([0.2, 1.1, 1.9, 3.2, 3.8])
-        design = DesignSet(x, y, np.zeros((1, 0)), np.zeros(0), 1, 1)
+        design = DesignSet(x, y, np.zeros(5, dtype=bool), 1, 1)
         C, eps = 1.0, 0.1
         params = svr_fit(design, C=C, epsilon_tube=eps, max_iter=20000, tol=1e-10)
 
@@ -280,26 +283,16 @@ def test_svr_cv_fold_designs_converge_at_or_below_the_reference(tmp_path, monkey
 def test_svr_non_finite_iterate_is_numerical_error():
     rng = np.random.default_rng(11)
     design = random_design(rng, 2, 3, 20, 6)
-    design.y_complete[0] = 1e200
+    design.y[0] = 1e200  # a complete sample's label
     with pytest.raises(NumericalError, match="non-finite"):
         svr_fit(design, lambda_=0.3)
 
 
 def stacked_augmented(design, lambda_, censored_mode):
-    """`_augmented` as it was when it stacked its own [X; 1] blocks, as the (block, weight) pair.
-
-    Ignored or absent censored samples give an empty censored block; the
-    weight is always lambda, so svr_fit stacks whenever lambda is nonzero.
-    """
-    Z = np.vstack([design.X_complete, np.ones((1, design.n_complete))])
-    y = design.y_complete
-    if censored_mode == "weighted" and design.n_censored:
-        Zc = np.vstack([design.X_censored, np.ones((1, design.n_censored))])
-        yc = design.y_censored
-    else:
-        Zc = np.zeros((Z.shape[0], 0))
-        yc = np.zeros(0)
-    return DesignSet(Z, y, Zc, yc, 1, Z.shape[0]), lambda_
+    """`_augmented` written out on its own: the [X; 1] block, and each sample's weight 1, lambda or 0."""
+    Z = np.vstack([design.X, np.ones((1, design.y.size))])
+    weight = np.where(design.censored, lambda_ if censored_mode == "weighted" else 0.0, 1.0)
+    return DesignSet(Z, design.y, design.censored, 1, Z.shape[0]), weight
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -308,8 +301,8 @@ def test_fits_match_the_stacked_blocks_bit_for_bit(seed, monkeypatch):
     # every third design has no censored samples; "ignore" is reached by no CLI command
     rng = np.random.default_rng(seed)
     T, P = rng.integers(1, 4, size=2)
-    n_censored = 0 if seed % 3 == 0 else int(rng.integers(1, 20))
-    design = random_design(rng, T, P, int(rng.integers(5, 40)), n_censored)
+    n_z = 0 if seed % 3 == 0 else int(rng.integers(1, 20))
+    design = random_design(rng, T, P, int(rng.integers(5, 40)), n_z)
     for lam, mode in itertools.product((0.0, 0.05, 0.3), ("weighted", "ignore")):
         got = [ols_fit(design, lam, mode), svr_fit(design, lambda_=lam, censored_mode=mode)]
         with monkeypatch.context() as patched:

@@ -631,20 +631,28 @@ class TestVectorize:
 
 
 class TestAssembleDesign:
-    def _windows(self, n_complete, n_censored, T=2, P=2):
-        n = n_complete + n_censored
+    def _windows(self, n_c, n_z, T=2, P=2):
+        n = n_c + n_z
         return make_windows(np.random.default_rng(0).standard_normal((n, T, P)), y=np.arange(1.0, n + 1),
-                            censored=np.arange(n) >= n_complete)
+                            censored=np.arange(n) >= n_c)
 
     def test_shapes(self):
         design = assemble_design(self._windows(3, 2))
-        assert design.X_complete.shape == (4, 3)
-        assert design.X_censored.shape == (4, 2)
-        assert design.y_complete.tolist() == [1.0, 2.0, 3.0]
+        assert design.X.shape == (4, 5) and (design.T, design.P) == (2, 2)
+        assert design.X[:, ~design.censored].shape == (4, 3)
+        assert design.X[:, design.censored].shape == (4, 2)
+        assert design.y[~design.censored].tolist() == [1.0, 2.0, 3.0]
 
-    def test_empty_censored_side(self):
+    def test_no_censored_samples(self):
         design = assemble_design(self._windows(3, 0))
-        assert design.X_censored.shape == (4, 0)
+        assert design.X[:, design.censored].shape == (4, 0)
+
+    def test_keeps_window_order(self):
+        windows = make_windows(np.random.default_rng(1).standard_normal((6, 3, 2)), y=np.arange(6.0),
+                               censored=[True, False, False, True, False, True])
+        design = assemble_design(windows)
+        assert np.array_equal(design.y, windows.y) and np.array_equal(design.censored, windows.censored)
+        assert all(np.array_equal(design.X[:, i], windows[i].x.ravel()) for i in range(6))
 
     def test_unimputed_rejected(self):
         windows = self._windows(2, 0)

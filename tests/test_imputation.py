@@ -252,7 +252,6 @@ class TestImputeNew:
             basis=np.array([[0.6], [0.8]]),
             lower=np.array([0.0, 0.0]),
             upper=np.array([10.0, upper2]),
-            rank=1,
             col_means=np.array([0.0, 0.0]),
         )
 
@@ -275,7 +274,7 @@ class TestImputeNew:
         rng = np.random.default_rng(5)
         basis, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         model = BmcModel(basis=basis, lower=np.full(8, -9.0), upper=np.full(8, 9.0),
-                         rank=3, col_means=np.zeros(8))
+                         col_means=np.zeros(8))
         for seed in range(5):
             rng = np.random.default_rng(seed)
             z = rng.standard_normal(8) * 2
@@ -289,14 +288,14 @@ class TestImputeNew:
     def test_all_missing_fills_from_means(self):
         model = self._model()
         model = BmcModel(basis=model.basis, lower=model.lower, upper=model.upper,
-                         rank=1, col_means=np.array([1.0, 2.0]))
+                         col_means=np.array([1.0, 2.0]))
         out = impute_rows(np.array([[np.nan, np.nan]]), model)[0]
         assert np.all(np.isfinite(out))
 
 
 class TestImputeRows:
     unit = BmcModel(basis=np.array([[0.6], [0.8]]), lower=np.zeros(2), upper=np.full(2, 10.0),
-                    rank=1, col_means=np.zeros(2))
+                    col_means=np.zeros(2))
 
     @pytest.fixture(scope="class")
     def fitted(self):
@@ -333,7 +332,7 @@ class TestImputeRows:
         # inside its box, >= 0 on one at its lower bound and <= 0 on one at its upper bound
         rng = np.random.default_rng(3)
         tight = BmcModel(basis=np.linalg.qr(rng.standard_normal((8, 3)))[0], lower=np.full(8, -0.5),
-                         upper=np.full(8, 0.5), rank=3, col_means=np.zeros(8))
+                         upper=np.full(8, 0.5), col_means=np.zeros(8))
         Z = np.where(rng.random((300, 8)) < 0.5, np.nan, 2.0 * rng.standard_normal((300, 8)))
         for X, model in ((fitted[0], fitted[2]), (Z, tight)):
             missing = np.isnan(X)
@@ -352,7 +351,7 @@ class TestImputeRows:
     def test_unsettled_rows_warn(self, monkeypatch):
         # one round moves the row [3, nan] to its box edge 2.0 and leaves it unsettled
         monkeypatch.setattr(imputation, "FILL_ROUNDS", 1)
-        model = BmcModel(basis=self.unit.basis, lower=np.zeros(2), upper=np.array([10.0, 2.0]), rank=1,
+        model = BmcModel(basis=self.unit.basis, lower=np.zeros(2), upper=np.array([10.0, 2.0]),
                          col_means=np.zeros(2))
         with pytest.warns(RuntimeWarning, match="1 rows did not settle within 1 rounds"):
             out = impute_rows(np.array([[3.0, np.nan]]), model)
@@ -564,9 +563,10 @@ class TestBmcPersistence:
         model = imputer.model
         path = tmp_path / "bmc.json"
         save_imputer(path, imputer, [f"v{i}" for i in range(5)])
-        loaded = load_imputer(path).model
+        loaded_imputer = load_imputer(path)
+        loaded = loaded_imputer.model
         assert np.array_equal(loaded.basis, model.basis)
         assert np.array_equal(loaded.lower, model.lower)
         assert np.array_equal(loaded.upper, model.upper)
         assert np.array_equal(loaded.col_means, model.col_means)
-        assert loaded.rank == model.rank
+        assert loaded_imputer.rank == imputer.rank

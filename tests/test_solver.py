@@ -19,14 +19,14 @@ from cenrank.solver import (
     project_rank,
 )
 from cenrank.synthetic import SyntheticSpec, generate_cohort, generate_lowrank_matrix, oracle_ols
-from helpers import excess_sv_ratio, make_windows, null_space_problem, random_design
+from helpers import excess_sv_ratio, halves, make_windows, null_space_problem, random_design, stacked_design
 
 
 def design_from(Xc, yc, Xz=None, yz=None, T=None, P=None):
     d = Xc.shape[0]
     if Xz is None:
         Xz, yz = np.zeros((d, 0)), np.zeros(0)
-    return DesignSet(Xc, np.asarray(yc, float), Xz, np.asarray(yz, float), T, P)
+    return stacked_design(Xc, yc, Xz, yz, T, P)
 
 
 def finite_difference(params, design, h=1e-5):
@@ -100,7 +100,8 @@ class TestGradient:
         for _ in range(5):
             design = random_design(rng, 4, 6, 20, 10)
             params = ModelParams(rng.standard_normal((4, 6)), rng.standard_normal(), 4, 0.3)
-            margins = design.X_censored.T @ params.w.ravel() + params.b - design.y_censored
+            _, _, Xz, yz = halves(design)
+            margins = Xz.T @ params.w.ravel() + params.b - yz
             if np.any(np.abs(margins) < 1e-4):
                 continue
             g_w, g_b = gradient(params, design)
@@ -144,12 +145,13 @@ class TestFitPgd:
         for _ in range(3):
             design = random_design(rng, 3, 4, 40, 0)
             oracle = oracle_ols(design, ridge=1e-12)
-            obj_oracle = 0.5 * np.sum((design.X_complete.T @ oracle.w_vec + oracle.b - design.y_complete) ** 2)
+            Xc, yc, _, _ = halves(design)
+            obj_oracle = 0.5 * np.sum((Xc.T @ oracle.w_vec + oracle.b - yc) ** 2)
             params, report = fit_pgd(design, 0.0, 3, SolverOptions(tol=1e-16, max_iter=30000))
             assert report.converged
             assert abs(objective(params, design) - obj_oracle) / obj_oracle < 1e-8
-            pred_pgd = design.X_complete.T @ params.w.ravel() + params.b
-            pred_orc = design.X_complete.T @ oracle.w_vec + oracle.b
+            pred_pgd = Xc.T @ params.w.ravel() + params.b
+            pred_orc = Xc.T @ oracle.w_vec + oracle.b
             assert np.max(np.abs(pred_pgd - pred_orc)) < 1e-6
 
     def test_single_sample_interpolates(self):
@@ -169,7 +171,7 @@ class TestFitPgd:
     def test_design_without_complete_samples_fits(self):
         rng = np.random.default_rng(12)
         Xz = rng.standard_normal((6, 4))
-        design = DesignSet(np.zeros((6, 0)), np.zeros(0), Xz, np.ones(4), 2, 3)
+        design = DesignSet(Xz, np.ones(4), np.ones(4, dtype=bool), 2, 3)
         params, report = fit_pgd(design, 1.0, 1, SolverOptions(max_iter=50))
         assert params.w.shape == (2, 3)
         assert numerical_rank(params.w) <= 1 and np.all(np.diff(report.objective_trace) <= 0)
@@ -222,39 +224,39 @@ class TestFitPgd:
 
     def test_non_finite_objective_is_numerical_error(self):
         design = random_design(np.random.default_rng(16), 3, 4, 20, 5)
-        design.y_complete[0] = 1e200
+        design.y[0] = 1e200  # a complete sample's label
         with pytest.raises(NumericalError):
             fit_pgd(design, 0.05, 2)
 
 
 def data_scale(design, lambda_):
     """The scale of fit_pgd's stopping bound: ||X_c y_c|| + lambda ||X_z y_z||."""
-    return (np.linalg.norm(design.X_complete @ design.y_complete)
-            + lambda_ * np.linalg.norm(design.X_censored @ design.y_censored))
+    Xc, yc, Xz, yz = halves(design)
+    return np.linalg.norm(Xc @ yc) + lambda_ * np.linalg.norm(Xz @ yz)
 
 
-def planted_design(rng, T, P, r, n_complete, n_censored):
+def planted_design(rng, T, P, r, n_c, n_z):
     """A random design with labels from a planted rank-r model plus unit noise."""
     w = generate_lowrank_matrix(T, P, r, seed=int(rng.integers(1 << 31)))
     w *= 3.0 / np.linalg.norm(w)
     b = rng.standard_normal()
-    Xc = rng.standard_normal((T * P, n_complete))
-    Xz = rng.standard_normal((T * P, n_censored))
-    yc = Xc.T @ w.ravel() + b + rng.standard_normal(n_complete)
-    yz = Xz.T @ w.ravel() + b + rng.standard_normal(n_censored)
-    return DesignSet(Xc, yc, Xz, yz, T, P)
+    Xc = rng.standard_normal((T * P, n_c))
+    Xz = rng.standard_normal((T * P, n_z))
+    yc = Xc.T @ w.ravel() + b + rng.standard_normal(n_c)
+    yz = Xz.T @ w.ravel() + b + rng.standard_normal(n_z)
+    return stacked_design(Xc, yc, Xz, yz, T, P)
 
 
 def reference_pgd(design, lambda_, r, tol=1e-12, max_iter=100_000):
     """Unpreconditioned projected gradient descent, written out independently of the solver.
 
-    Starts at w = 0, b = mean(y_complete); each step starts at 1/L (L the
+    Starts at w = 0, b = the mean complete label; each step starts at 1/L (L the
     squared spectral norms of the designs with their intercept rows) and is
     halved until the objective decreases; stops when the relative decrease
     falls below tol. Returns the final objective.
     """
     T, P = design.T, design.P
-    Xc, yc, Xz, yz = design.X_complete, design.y_complete, design.X_censored, design.y_censored
+    Xc, yc, Xz, yz = halves(design)
 
     def evaluate(w, b):
         res = Xc.T @ w + b - yc
@@ -316,6 +318,54 @@ class TestAlternatingSolver:
             assert norm <= tol * data_scale(design, lam) * (1 + 1e-6)
 
 
+def two_half_terms(design, lambda_, theta):
+    """Objective, gradient and Newton Hessian at theta = [vec(w); b], from the complete and censored halves.
+
+    The formulas of the solver that held the halves apart: residuals r of
+    the complete columns, margins m = min(0, residual) of the censored ones,
+    f = 1/2 r'r + lambda/2 m'm, g = Z_c r + lambda Z_z m and
+    H = Z_c Z_c' + lambda Z_A Z_A', Z = [X; 1] and A the censored samples with m < 0.
+    """
+    Xc, yc, Xz, yz = halves(design)
+    Zc, Zz = np.vstack([Xc, np.ones((1, yc.size))]), np.vstack([Xz, np.ones((1, yz.size))])
+    r, m = Zc.T @ theta - yc, np.minimum(0.0, Zz.T @ theta - yz)
+    Za = Zz[:, m < 0]
+    return (0.5 * float(r @ r) + 0.5 * lambda_ * float(m @ m), Zc @ r + lambda_ * (Zz @ m),
+            Zc @ Zc.T + lambda_ * (Za @ Za.T))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_matrix_terms_match_the_two_half_formulas(seed, monkeypatch):
+    # every fourth design has no censored samples, and every fourth from the second none complete;
+    # the columns are shuffled, so complete and censored samples interleave
+    rng = np.random.default_rng(seed)
+    T, P = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    n_c = 0 if seed % 4 == 1 else int(rng.integers(1, 40))
+    n_z = 0 if seed % 4 == 0 else int(rng.integers(1, 30))
+    stacked = random_design(rng, T, P, n_c, n_z)
+    perm = rng.permutation(n_c + n_z)
+    design = DesignSet(stacked.X[:, perm], stacked.y[perm], stacked.censored[perm], T, P)
+    lam = (0.05, 0.3, 1.0)[seed % 3]
+    theta = rng.standard_normal(T * P + 1)
+    f, g, H = two_half_terms(design, lam, theta)
+    params = ModelParams(theta[:-1].reshape(T, P), float(theta[-1]), min(T, P), lam)
+    g_w, g_b = gradient(params, design)
+    hessians = []
+
+    def recorded(H, rhs):
+        hessians.append(H)
+        return np.zeros_like(rhs)  # no descent direction: _newton returns after its first system
+    monkeypatch.setattr(solver, "_certified", lambda *args: False)
+    monkeypatch.setattr(solver, "_solve", recorded)
+    solver._newton(solver._block(design.X, design), lam, theta)
+
+    def close(got, want):
+        return np.linalg.norm(np.asarray(got) - want) <= 1e-12 * np.linalg.norm(want)
+    assert close(objective(params, design), f)
+    assert close(np.append(g_w, g_b), g)
+    assert len(hessians) == 1 and close(hessians[0], H)
+
+
 class TestNullSpace:
     """Windows whose day rows span 3 of P = 10 dimensions leave w a null space N the data never sees."""
 
@@ -332,7 +382,7 @@ class TestNullSpace:
     def test_start_with_zero_curvature_returns(self, r):
         # no complete samples, and every censored margin is already met at w = 0, b = 0
         Xz = np.random.default_rng(32).standard_normal((12, 5))
-        design = DesignSet(np.zeros((12, 0)), np.zeros(0), Xz, np.full(5, -1.0), 3, 4)
+        design = DesignSet(Xz, np.full(5, -1.0), np.ones(5, dtype=bool), 3, 4)
         with np.errstate(all="raise"):
             params, report = fit_pgd(design, 0.5, r)
         assert report.converged and not params.w.any() and params.b == 0.0

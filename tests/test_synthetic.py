@@ -112,7 +112,7 @@ class TestOracleOls:
     def test_single_point_interpolation(self):
         from cenrank.cohort import DesignSet
 
-        design = DesignSet(np.array([[2.0]]), np.array([6.0]), np.zeros((1, 0)), np.zeros(0), 1, 1)
+        design = DesignSet(np.array([[2.0]]), np.array([6.0]), np.array([False]), 1, 1)
         params = oracle_ols(design, ridge=1e-14)
         assert abs(2.0 * params.w_vec[0] + params.b - 6.0) < 1e-10
 

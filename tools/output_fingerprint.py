@@ -13,8 +13,9 @@ rows after onset and ids that need quoting, and runs `impute`, `train`,
 `predict` and `cv` on it. The `synth` commands, the hand-made cohort's
 commands and the `predict` without an imputer model (which must exit 2)
 are checked against their expected exit codes; the script exits 1 when
-one differs. Two checkouts produce the same outputs
-when their printouts are equal:
+one differs. Each command's exit code and standard output are also kept
+in <workdir>/runs.json, for tools/output_diff.py. Two checkouts produce
+the same outputs when their printouts are equal:
 
     python tools/output_fingerprint.py old/ /tmp/fp-old > old.txt
     python tools/output_fingerprint.py new/ /tmp/fp-new > new.txt
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -142,10 +144,11 @@ def main(argv) -> int:
     work.mkdir(parents=True)
     write_hand_cohort(work / "hand")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    unexpected = 0
+    unexpected, runs = 0, {}
     for out, args, expected in commands():
         run = subprocess.run([sys.executable, "-m", "cenrank.cli", *args, "--out", out],
                              cwd=work, env=env, capture_output=True, check=False)
+        runs[out] = {"exit": run.returncode, "stdout": run.stdout.decode("utf-8", errors="replace")}
         print(f"{out}: exit {run.returncode} stdout {_sha256(run.stdout)}")
         if expected is not None and run.returncode != expected:
             print(f"  expected exit {expected}: {run.stderr.decode(errors='replace').strip()}", file=sys.stderr)
@@ -153,6 +156,7 @@ def main(argv) -> int:
         for path in sorted((work / out).rglob("*")):
             if path.is_file() and path.name not in SKIPPED:
                 print(f"  {_sha256(path.read_bytes())}  {path.relative_to(work).as_posix()}")
+    (work / "runs.json").write_text(json.dumps(runs, indent=1, sort_keys=True), encoding="utf-8")
     return 1 if unexpected else 0
 
 

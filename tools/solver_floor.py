@@ -32,8 +32,8 @@ def designs():
     for i in range(30):
         T, P = int(rng.integers(3, 7)), int(rng.integers(3, 11))
         r = int(rng.integers(1, min(T, P)))
-        n_complete, n_censored = int(rng.integers(20, 120)), int(rng.integers(5, 40))
-        yield f"T{T} P{P} r{r} n{n_complete}", random_design(rng, T, P, n_complete, n_censored), (0.05, 0.3)[i % 2], r
+        n_c, n_z = int(rng.integers(20, 120)), int(rng.integers(5, 40))
+        yield f"T{T} P{P} r{r} n{n_c}", random_design(rng, T, P, n_c, n_z), (0.05, 0.3)[i % 2], r
 
 
 def main() -> int:
