@@ -35,11 +35,13 @@ def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weigh
 
     The minimum-norm solution of the normal equations (`solver._solve`,
     the rule of fit_pgd's Newton steps): no weight along directions the data
-    does not span, and exactly fittable data interpolated.
+    does not span, and exactly fittable data interpolated. The normal matrix
+    is formed as (Z sqrt(c)) (Z sqrt(c))', a product numpy computes exactly
+    symmetric.
     """
     block, weight = _augmented(design, lambda_, censored_mode)
-    Zw = block.X * weight
-    theta = _solve(Zw @ block.X.T, Zw @ block.y)
+    Zs = block.X * np.sqrt(weight)
+    theta = _solve(Zs @ Zs.T, block.X @ (weight * block.y))
     return ModelParams.unconstrained(theta, design, lambda_, "ols", {"censored_mode": censored_mode})
 
 

@@ -1,14 +1,17 @@
 """Missing-value imputation for stacked daily observation vectors.
 
 The main method is bounded low-rank matrix completion: alternate a rank-r
-truncation of the current matrix (one P x P Gram matrix, one `eigh` and one
-projection into reused buffers per iteration) with a box-constrained refill
-of the missing cells through their flat index, where each variable's box is
-the observed min/max of its column. Test-time rows are filled, all in one
-batch, by the exact bounded projection onto the fitted daily basis: each
-row's missing cells minimise its distance to the basis span within the
-same boxes, by one minimum-norm solve per row (rows whose solution leaves
-its box go on to a few rounds of a batched active-set method).
+truncation of the current matrix with a box-constrained refill of the
+missing cells through their flat index, where each variable's box is the
+observed min/max of its column. Only the rows with a missing cell change,
+so each iteration is done in residual form: one P x P Gram matrix over
+those rows plus a fixed one over the rest, one `eigh`, one product with the
+P - r bottom eigenvectors, and the truncation at the missing cells only.
+Test-time rows are filled, all in one batch, by the exact bounded
+projection onto the fitted daily basis: each row's missing cells minimise
+its distance to the basis span within the same boxes, by one minimum-norm
+solve per row (rows whose solution leaves its box go on to a few rounds of
+a batched active-set method).
 Column-mean and KNN imputers are provided as benchmarks. Imputers take
 N x P day rows in which NaN, and only NaN, marks a missing cell:
 `fit_transform(X)` fits on the training rows and returns their
@@ -85,8 +88,14 @@ def bmc_fit(
     NumericalError. The missing cells are found once, as a flat index with
     a [lower, upper] box per cell, and start at the clamped column means.
     Each iteration takes the top r eigenvectors V_r of the Gram matrix X'X,
-    projects M = (X V_r) V_r' into a reused buffer, and refills the missing
-    cells of X with their entries of M, clamped to their boxes. The fit
+    forms the truncation M = (X V_r) V_r', and refills the missing cells of
+    X with their entries of M, clamped to their boxes. This runs in
+    residual form. Rows with no missing cell never change, so their Gram
+    matrix is formed once and each iteration adds that of the other rows.
+    With W the P - r bottom eigenvectors, X - M = R W' for R = X W, so M is
+    needed only at the missing cells x, as m = x - (R W') there, and the
+    objective after the refill is ||R||^2 - ||x - m||^2 + ||clip(m) - m||^2
+    over those cells; no full M is formed until the loop ends. The fit
     objective ||X - M||_F^2 is non-increasing; iteration stops when its
     relative decrease drops below tol, or when it falls to tol^2 times the
     sum of squares of the observed entries (a residual norm of tol times
@@ -108,20 +117,30 @@ def bmc_fit(
         upper = np.asarray(bounds[1], dtype=float)
     col_means = _column_means(X)
 
-    N, P = X.shape
+    P = X.shape[1]
     floor = tol * tol * float(np.nansum(np.square(X)))
-    missing = np.flatnonzero(np.isnan(X))  # flat index of the missing cells
+    gaps = np.isnan(X)
+    live = gaps.any(axis=1)
+    n = int(np.count_nonzero(live))
+    Xw = np.concatenate([X[live], X[~live]])  # the rows with a missing cell first: only they change
+    L, C = Xw[:n], Xw[n:]
+    G_C = np.dot(C.T, C)
+    missing = np.flatnonzero(gaps[live])  # flat index of the missing cells in L
     col = missing % P
     lo, hi = lower[col], upper[col]
-    np.put(X, missing, np.clip(col_means[col], lo, hi))
+    x = np.clip(col_means[col], lo, hi)
+    L.put(missing, x)
 
-    prev_obj = None
-    M, XV, D = X.copy(), np.empty((N, r)), np.empty_like(X)  # M stays X if max_iter is 0
+    prev_obj, M = None, X  # M stays X, filled below, if max_iter is 0
     for _ in range(max_iter):
-        V_r = _top_basis(X, r)
-        np.matmul(np.matmul(X, V_r, out=XV), V_r.T, out=M)
-        np.put(X, missing, np.clip(np.take(M, missing), lo, hi))
-        obj = float(np.square(np.subtract(X, M, out=D), out=D).sum())
+        W = np.linalg.eigh(np.dot(L.T, L) + G_C)[1][:, :P - r]  # X - M = (X W) W'
+        R = Xw.dot(W)
+        d = R[:n].dot(W.T).take(missing)
+        m = x - d  # M at the missing cells
+        x = m.clip(lo, hi)
+        L.put(missing, x)
+        e = x - m
+        obj = float(np.vdot(R, R) - d.dot(d) + e.dot(e))
         if trace_out is not None:
             trace_out.append(obj)
         if obj <= floor:
@@ -133,7 +152,11 @@ def bmc_fit(
     else:
         warnings.warn(f"bmc_fit stopped at max_iter={max_iter} before reaching tol={tol:g}",
                       RuntimeWarning, stacklevel=2)
+    if max_iter > 0:  # the last iteration's M: X - R W' off the missing cells, m on them
+        M = Xw - R.dot(W.T)
+        M[:n].put(missing, m)
 
+    X[live] = L
     basis = _top_basis(M, r)
     model = BmcModel(basis=basis, lower=lower, upper=upper, col_means=col_means)
     return X, model

@@ -139,6 +139,30 @@ class TestOls:
         pred = predict_windows(params, test)
         assert np.all(np.abs(predict_windows(params, moved) - pred) <= 1e-9 * np.abs(pred))
 
+    @pytest.mark.parametrize("mode", ["weighted", "ignore"])
+    def test_normal_matrix_is_exactly_symmetric(self, mode, monkeypatch):
+        # a general product (Z c) Z' leaves hundreds of entries of this block unequal to their transpose
+        design = random_design(np.random.default_rng(34), 5, 10, 200, 80)
+        seen = []
+        solve = baselines._solve
+        monkeypatch.setattr(baselines, "_solve", lambda H, rhs: seen.append(H) or solve(H, rhs))
+        ols_fit(design, 0.05, mode)
+        assert len(seen) == 1 and np.array_equal(seen[0], seen[0].T)
+
+    def test_matches_the_general_normal_matrix(self):
+        """The symmetric product gives the coefficients of the normal equations (Z c) Z' theta = (Z c) y."""
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            T, P = rng.integers(1, 6, size=2)
+            design = random_design(rng, T, P, int(rng.integers(5, 120)), int(rng.integers(0, 60)))
+            lam = float(rng.choice([0.0, 0.05, 0.3, 1.0]))
+            block, weight = baselines._augmented(design, lam, "weighted")
+            Zw = block.X * weight
+            want = baselines._solve(Zw @ block.X.T, Zw @ block.y)
+            got = ols_fit(design, lam)
+            theta = np.append(got.w_vec, got.b)
+            assert np.max(np.abs(theta - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_requires_complete_samples(self):
         design = DesignSet(np.ones((4, 2)), np.ones(2), np.ones(2, dtype=bool), 2, 2)
         with pytest.raises(DataError):

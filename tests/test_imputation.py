@@ -37,13 +37,57 @@ def bmc_oracle(X, mask, r, n_iter=200):
 
 
 def bmc_reference(X, r, tol=1e-6, max_iter=500, bounds=None):
-    """The completion loop written with a boolean mask and fresh arrays.
+    """The residual-form completion loop written with boolean masks and fresh arrays.
 
-    It does the arithmetic of `bmc_fit` in the same order (Gram matrix,
-    `eigh`, (X V_r) V_r', clamp, refill, sum of squares), so the two must
-    agree bit for bit. Returns the completion, the basis and the trace.
+    It does the arithmetic of `bmc_fit` in the same order (rows with a
+    missing cell first, the other rows' Gram matrix once, then per iteration
+    `eigh` of the Gram matrix, R = X W over the P - r bottom eigenvectors W,
+    M = X - R W' at the missing cells, clamp, refill, and the objective
+    ||R||^2 - ||X - M||^2 + ||clamped - M||^2 over the missing cells), so
+    the two must agree bit for bit. Returns the completion, the basis and
+    the trace.
     """
     X = np.array(X, dtype=float)
+    P = X.shape[1]
+    floor = tol * tol * float(np.nansum(np.square(X)))
+    lower, upper = (np.nanmin(X, axis=0), np.nanmax(X, axis=0)) if bounds is None else bounds
+    means = np.nanmean(X, axis=0)
+    live = np.isnan(X).any(axis=1)
+    order = np.concatenate([np.flatnonzero(live), np.flatnonzero(~live)])
+    X, live = X[order], live[order]
+    missing = np.isnan(X)
+    lo, hi = np.broadcast_to(lower, X.shape)[missing], np.broadcast_to(upper, X.shape)[missing]
+    X[missing] = np.clip(np.broadcast_to(means, X.shape)[missing], lo, hi)
+    complete = X[~live]
+    G_C = np.dot(complete.T, complete)
+
+    trace, M = [], None
+    for _ in range(max_iter):
+        L = X[live]
+        W = np.linalg.eigh(np.dot(L.T, L) + G_C)[1][:, :P - r]
+        R = np.dot(X, W)
+        d = np.dot(R[live], W.T)[missing[live]]
+        m = X[missing] - d
+        X[missing] = np.clip(m, lo, hi)
+        e = X[missing] - m
+        trace.append(float(np.vdot(R, R) - np.dot(d, d) + np.dot(e, e)))
+        M = X - np.dot(R, W.T)
+        M[missing] = m
+        if trace[-1] <= floor or len(trace) > 1 and (trace[-2] <= 0.0 or (trace[-2] - trace[-1]) / trace[-2] < tol):
+            break
+    done = np.empty_like(X)
+    done[order] = X
+    if M is None:
+        M = done
+    return done, np.linalg.eigh(M.T @ M)[1][:, ::-1][:, :r], trace
+
+
+def bmc_old_order(X, r, tol=1e-6, max_iter=500, bounds=None):
+    """The completion loop in the order `bmc_fit` used before its residual form: each iteration
+    projects the whole matrix, M = (X V_r) V_r', refills the missing cells and sums (X - M)^2 over all
+    cells. Returns the completion, the basis and the trace."""
+    X = np.array(X, dtype=float)
+    floor = tol * tol * float(np.nansum(np.square(X)))
     missing = np.isnan(X)
     lower, upper = (np.nanmin(X, axis=0), np.nanmax(X, axis=0)) if bounds is None else bounds
     X[missing] = np.broadcast_to(np.clip(np.nanmean(X, axis=0), lower, upper), X.shape)[missing]
@@ -57,9 +101,34 @@ def bmc_reference(X, r, tol=1e-6, max_iter=500, bounds=None):
         M, _ = truncate(X)
         X[missing] = np.clip(M, lower, upper)[missing]
         trace.append(float(np.sum((X - M) ** 2)))
-        if len(trace) > 1 and (trace[-2] <= 0.0 or (trace[-2] - trace[-1]) / trace[-2] < tol):
+        if trace[-1] <= floor or len(trace) > 1 and (trace[-2] <= 0.0 or (trace[-2] - trace[-1]) / trace[-2] < tol):
             break
     return X, truncate(M)[1], trace
+
+
+def bmc_case(case):
+    """Rows and `bmc_fit` arguments of one completion case."""
+    if case == "planted_capped":  # the planted experiment's training rows, cut to 60 iterations
+        spec = SyntheticSpec(n_subjects=600, days_per_subject=5, P=10, T_star=5, true_rank=2,
+                             noise_sigma=1.0, missing_rate=0.10, latent_rank=8, seed=5)
+        return generate_cohort(spec)[0].days, dict(r=8, max_iter=60)
+    rng = np.random.default_rng(9)
+    X = generate_lowrank_matrix(200, 10, 3, seed=9) + 0.05 * rng.standard_normal((200, 10))
+    if case == "no_missing_cell":
+        return X, dict(r=3)
+    if case == "no_complete_row":  # one missing cell per row, each column observed elsewhere
+        X[np.arange(200), rng.integers(0, 10, size=200)] = np.nan
+        return X, dict(r=3)
+    X[rng.random(X.shape) < 0.2] = np.nan
+    X[0] = np.nan_to_num(X[0])  # every column observed
+    kwargs = dict(r=3)
+    if case == "explicit_bounds":
+        kwargs["bounds"] = (np.full(10, -0.2), np.full(10, 0.3))
+    elif case == "full_rank":
+        kwargs["r"] = 10
+    elif case == "no_iterations":
+        kwargs["max_iter"] = 0
+    return X, kwargs
 
 
 def impute_oracle(Z, model, sweeps):
@@ -203,19 +272,7 @@ class TestBmcFit:
 
     @pytest.mark.parametrize("case", ["planted_capped", "rank3_tol_stop", "explicit_bounds"])
     def test_iterates_match_reference_bit_for_bit(self, case):
-        if case == "planted_capped":  # the planted experiment's training rows, cut to 60 iterations
-            spec = SyntheticSpec(n_subjects=600, days_per_subject=5, P=10, T_star=5, true_rank=2,
-                                 noise_sigma=1.0, missing_rate=0.10, latent_rank=8, seed=5)
-            X = generate_cohort(spec)[0].days
-            kwargs = dict(r=8, max_iter=60)
-        else:
-            rng = np.random.default_rng(9)
-            X = generate_lowrank_matrix(200, 10, 3, seed=9) + 0.05 * rng.standard_normal((200, 10))
-            X[rng.random(X.shape) < 0.2] = np.nan
-            X[0] = np.nan_to_num(X[0])  # every column observed
-            kwargs = dict(r=3)
-            if case == "explicit_bounds":
-                kwargs["bounds"] = (np.full(10, -0.2), np.full(10, 0.3))
+        X, kwargs = bmc_case(case)
         X_in = X.copy()
         trace = []
         with warnings.catch_warnings():
@@ -231,6 +288,36 @@ class TestBmcFit:
             assert len(trace) == 60
         else:
             assert len(trace) < 500
+
+    @pytest.mark.parametrize("case", ["planted_capped", "rank3_tol_stop", "explicit_bounds", "no_missing_cell",
+                                      "no_complete_row", "full_rank", "no_iterations"])
+    def test_iterates_match_the_old_order(self, case):
+        """The residual form takes the iterates of the whole-matrix projection it replaced: the same
+        iteration count, and the completion, basis and trace to rounding."""
+        X, kwargs = bmc_case(case)
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            done, model = bmc_fit(X, trace_out=trace, **kwargs)
+            old_done, old_basis, old_trace = bmc_old_order(X, **kwargs)
+        assert len(trace) == len(old_trace)
+        assert np.max(np.abs(done - old_done)) <= 1e-12 * np.nanmax(np.abs(X))
+        assert np.max(np.abs(model.basis @ model.basis.T - old_basis @ old_basis.T)) <= 1e-12
+        if case == "full_rank":  # no complement: the objective is 0 and the scale floor stops the fit at once
+            assert trace == [0.0] and old_trace[0] <= 1e-12 * np.nansum(X ** 2)
+        else:
+            assert np.allclose(trace, old_trace, rtol=1e-9, atol=0.0)
+        missing = np.isnan(X)
+        assert np.array_equal(done[~missing], X[~missing])
+        if case == "no_missing_cell":
+            assert len(trace) == 2  # nothing moves, so the second objective equals the first
+        if case == "no_iterations":  # the basis of the mean-filled rows
+            assert trace == [] and np.array_equal(model.basis, old_basis)
+            assert np.array_equal(done, np.where(missing, np.nanmean(X, axis=0), X))
+        if case == "explicit_bounds":  # the narrow boxes clamp, and observed cells outside them stay
+            assert np.all((done[missing] >= -0.2) & (done[missing] <= 0.3))
+            assert np.any(done[missing] == -0.2) and np.any(done[missing] == 0.3)
+            assert np.any(np.abs(X[~missing]) > 0.3)
 
     def test_empty_column_raises(self):
         X = np.array([[1.0, np.nan], [2.0, np.nan]])
