@@ -9,7 +9,10 @@ regression samples; a window from an event subject is labeled with the
 remaining days to onset, a window from an event-free subject with the
 remaining days to the censoring horizon.
 
-`load_cohort` reads each CSV file once with `csv.reader` and works on its
+`load_cohort` reads each CSV file's text once. Text with a `"`, a CR, a
+NUL, a blank line or a line over the csv module's field size limit goes to
+`csv.reader`; any other text is split with `str` methods, which read it
+the same way with no list per record. The loader works on the
 columns: subject ids and variables are coded once per distinct string, days
 go through `int` and values through `float` in bulk, and every check is a
 fault mask over the records. When a mask is set, the earliest faulty record
@@ -33,7 +36,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -45,6 +48,9 @@ from .errors import (
     UnimputedSampleError,
     UnknownVariableError,
 )
+
+# A subject's first to last observed day may span at most this many days per observation record of the subject.
+MAX_DAYS_PER_RECORD = 100
 
 
 @dataclass(frozen=True)
@@ -213,32 +219,52 @@ def load_variable_dictionary(path) -> list[str]:
 
 
 def _read_columns(path, names):
-    """The `names` columns of a CSV file with a header line, each a tuple over the nonblank records.
+    """The `names` columns of a CSV file with a header line, each a list over the nonblank records.
 
-    A UTF-8 byte-order mark is skipped. A file that cannot be opened,
-    decoded as UTF-8 or parsed as CSV (a field over the csv module's size
-    limit) is a DataError naming it, and so is a record whose field count
-    differs from the header's, naming its line too.
+    The file's text is read once. Text with a `"`, a CR, a NUL, a blank
+    line or a line longer than `csv.field_size_limit()` goes to
+    `csv.reader`, one record at a time. csv.reader reads any other text as
+    `str.split` does (lines at LF, fields at commas), so that text is split
+    with `str` methods and no list per record: one field-count check per
+    line, then the fields of all lines in one list, each column a stride
+    slice of it. A UTF-8 byte-order mark is skipped. A file that cannot be
+    opened, decoded as UTF-8 or parsed as CSV (a field over the csv
+    module's size limit) is a DataError naming it, and so is a record whose
+    field count differs from the header's, naming its line too.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            missing = [c for c in names if c not in header]
-            if missing:
-                raise DataError(f"{path}: missing columns {missing}")
-            records = list(reader)
+            text = fh.read()
+        lines = text.split("\n")
+        if len(lines) > 1 and not lines[-1]:
+            lines.pop()  # the empty text after the last line end
+        reader = None
+        if ('"' in text or "\r" in text or "\0" in text or "" in lines
+                or max(map(len, lines)) > csv.field_size_limit()):
+            reader, lines = csv.reader(io.StringIO(text, newline="")), None
+        del text
+        header = next(reader, []) if reader else lines.pop(0).split(",")
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        if reader:
+            fields, commas = [], []
+            for record in filter(None, reader):  # each record's list is freed before the next is read
+                fields += record
+                commas.append(len(record) - 1)
+        else:
+            commas = list(map(str.count, lines, repeat(",")))
+            joined = ",".join(lines)
+            del lines  # the fields can reuse the lines' memory
+            fields = joined.split(",") if commas else []
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     width = len(header)
-    if set(map(len, records)) - {width}:
-        records = [fields for fields in records if fields]
-        for k, fields in enumerate(records):
-            if len(fields) != width:
-                raise DataError(f"{path} line {_line_of(path, k)}: {len(fields)} fields, the header has {width}")
+    if set(commas) - {width - 1}:
+        k = next(k for k, count in enumerate(commas) if count != width - 1)
+        raise DataError(f"{path} line {_line_of(path, k)}: {commas[k] + 1} fields, the header has {width}")
     position = {name: i for i, name in enumerate(header)}
-    columns = list(zip(*records)) or [()] * width
-    return [columns[position[c]] for c in names]
+    return [fields[position[c]::width] for c in names]
 
 
 def _line_of(path, k):
@@ -315,8 +341,11 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     record: variable known, day an integer, day >= 1, day not after an
     event-free subject's last_obs_day, value a number, finite, cell not
     repeated; last, per subject in order of first appearance: an outcome
-    row present, and an onset after the first observed day. An event
-    subject may have observations after onset.
+    row present, an onset after the first observed day, and at most
+    MAX_DAYS_PER_RECORD days from the first to the last observed day per
+    observation record of the subject (naming the line of the last
+    observed day), so a file's day-row array has at most that many rows
+    per record. An event subject may have observations after onset.
     Unrecorded (subject, day, variable) cells are NaN; days with
     no rows between a subject's first and last recorded day become fully
     missing rows so windows stay contiguous.
@@ -391,10 +420,15 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     _raise_first_fault(checks, observations_path)
 
     subject_id = np.array(list(codes), dtype=object)
+    span, records = np.diff(start), np.bincount(code, minlength=m)
     _raise_first_fault([
         (outcome < 0, MissingOutcomeError, lambda c: f"subject {subject_id[c]!r} has observations but no outcome row"),
         (subject_event & (outcome_day <= first), InvalidOnsetError,
          lambda c: f"subject {subject_id[c]!r}: onset_day {outcome_day[c]} is not after first observed day {first[c]}"),
+        (span > MAX_DAYS_PER_RECORD * records, DataError,
+         lambda c: f"{observations_path} line {_line_of(observations_path, np.argmax((code == c) & (days == last[c])))}"
+                   f": subject {subject_id[c]!r} spans {span[c]} days, {first[c]} to {last[c]}, with {records[c]} "
+                   f"observation rows; at most {MAX_DAYS_PER_RECORD} days per row are allowed"),
     ])
     values = np.full((start[-1], P), np.nan)
     values.reshape(-1)[cell] = observed

@@ -473,6 +473,7 @@ class TestErrors:
         ("variables.txt", "undecodable byte"),
         ("variables.txt", "missing file"),
         ("observations.csv", "field over the csv size limit"),
+        ("observations.csv", "field over the csv size limit mid-file"),
     ])
     def test_unreadable_input_file_is_data_error_naming_it(self, cohort_dir, tmp_path, capsys, name, fault):
         inputs = tmp_path / "inputs"
@@ -485,10 +486,21 @@ class TestErrors:
         elif fault == "undecodable byte":
             bad.write_bytes(bad.read_bytes() + b"\xff\n")
         else:
-            bad.write_text(bad.read_text() + "x" * 131_073 + ",1,v01,1.0\n")
+            lines = bad.read_text().splitlines(keepends=True)
+            at = len(lines) // 2 if fault.endswith("mid-file") else len(lines)
+            bad.write_text("".join([*lines[:at], "x" * 131_073 + ",1,v01,1.0\n", *lines[at:]]))
         code = dispatch(["impute", *cohort_args(inputs), "--out", str(tmp_path / "x")])
         assert code == 2
         assert f"data error: cannot read {bad}" in capsys.readouterr().err
+
+    def test_day_span_over_the_bound_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        """Days 1 and 1,000,000 of one event subject would make a 1,000,000-row day array; the file is rejected."""
+        obs, out, dic = write_cohort_files(tmp_path, ["A,1,hr,60", "A,1000000,hr,61"], ["A,1,5,"], ["hr"])
+        code = dispatch(["impute", "--observations", str(obs), "--outcomes", str(out), "--dictionary", str(dic),
+                         "--imputer", "mean", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert (f"data error: {obs} line 3: subject 'A' spans 1000000 days, 1 to 1000000, with 2 observation rows"
+                in capsys.readouterr().err)
 
     def test_unknown_config_key_is_usage_error(self, cohort_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

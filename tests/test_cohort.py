@@ -1,12 +1,14 @@
 import csv
 import itertools
 import math
+import sys
 from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from cenrank.cohort import (
+    MAX_DAYS_PER_RECORD,
     Cohort,
     WindowSample,
     Windows,
@@ -132,6 +134,19 @@ class TestLoadCohort:
         (a,) = load_cohort(obs, out, dic).subjects
         assert a.last_day == 9 and (a.event, a.outcome_day) == (True, 5)
 
+    @pytest.mark.parametrize("ssi", ["1,5,", "0,,900"], ids=["event", "event_free"])
+    def test_day_span_is_bounded_per_record(self, tmp_path, ssi):
+        """A subject's days span at most MAX_DAYS_PER_RECORD per record; one day more is a DataError naming the line."""
+        def files(last_day):
+            return write_cohort_files(tmp_path, ["B,3,hr,1", f"A,{last_day},hr,60", "A,1,temp,61"],
+                                      [f"A,{ssi}", "B,0,,21"], ["hr", "temp"])
+
+        last = 2 * MAX_DAYS_PER_RECORD
+        assert load_cohort(*files(last)).subjects[1].values.shape == (last, 2)
+        with pytest.raises(DataError, match=rf"observations.csv line 3: subject 'A' spans {last + 1} days, "
+                                            rf"1 to {last + 1}, with 2 observation rows; at most "):
+            load_cohort(*files(last + 1))
+
     def test_write_load_roundtrip_is_exact(self, tmp_path):
         cohort, _ = generate_cohort(
             SyntheticSpec(n_subjects=12, days_per_subject=7, P=4, T_star=3,
@@ -189,19 +204,23 @@ def load_reference(observations_path, outcomes_path, dictionary):
             raise DataError(f"cannot read {path}: {exc}") from exc
         with fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
-            missing = [c for c in required_cols if c not in header]
-            if missing:
-                raise DataError(f"{path}: missing columns {missing}")
-            position = {name: i for i, name in enumerate(header)}
-            pick = itemgetter(*(position[c] for c in required_cols))
-            out = []
-            for fields in reader:
-                if not fields:
-                    continue
-                if len(fields) != len(header):
-                    raise DataError(f"{path} line {reader.line_num}: {len(fields)} fields, the header has {len(header)}")
-                out.append((reader.line_num, pick(fields)))
+            try:
+                header = next(reader, [])
+                missing = [c for c in required_cols if c not in header]
+                if missing:
+                    raise DataError(f"{path}: missing columns {missing}")
+                position = {name: i for i, name in enumerate(header)}
+                pick = itemgetter(*(position[c] for c in required_cols))
+                out = []
+                for fields in reader:
+                    if not fields:
+                        continue
+                    if len(fields) != len(header):
+                        raise DataError(
+                            f"{path} line {reader.line_num}: {len(fields)} fields, the header has {len(header)}")
+                    out.append((reader.line_num, pick(fields)))
+            except csv.Error as exc:  # a field over the size limit, or a NUL where the csv module rejects one
+                raise DataError(f"cannot read {path}: {exc}") from exc
         return out
 
     variables = load_variable_dictionary(dictionary)
@@ -232,6 +251,7 @@ def load_reference(observations_path, outcomes_path, dictionary):
 
     codes = {}
     cells = {}
+    cell_lines = {}
     for line, (sid, day_text, var, value_text) in rows(observations_path, ["subject_id", "day", "variable", "value"]):
         sid = sid.strip()
         var = var.strip()
@@ -258,18 +278,25 @@ def load_reference(observations_path, outcomes_path, dictionary):
             raise DuplicateRecordError(
                 f"{observations_path} line {line}: duplicate record for ({sid!r}, day {day}, {var!r})")
         cells[cell] = value
+        cell_lines[cell] = line
 
     subjects = []
     for sid, c in codes.items():
         if sid not in outcomes:
             raise MissingOutcomeError(f"subject {sid!r} has observations but no outcome row")
         days = {d: v for (code, d, _), v in cells.items() if code == c}
-        first_day = min(days)
+        first_day, last_day = min(days), max(days)
         event, when = outcomes[sid]
         if event and when <= first_day:
             raise InvalidOnsetError(
                 f"subject {sid!r}: onset_day {when} is not after first observed day {first_day}")
-        values = np.full((max(days) - first_day + 1, len(variables)), np.nan)
+        records = sum(code == c for code, _, _ in cells)
+        if last_day - first_day + 1 > MAX_DAYS_PER_RECORD * records:
+            line = min(n for (code, d, _), n in cell_lines.items() if code == c and d == last_day)
+            raise DataError(f"{observations_path} line {line}: subject {sid!r} spans {last_day - first_day + 1} days, "
+                            f"{first_day} to {last_day}, with {records} observation rows; "
+                            f"at most {MAX_DAYS_PER_RECORD} days per row are allowed")
+        values = np.full((last_day - first_day + 1, len(variables)), np.nan)
         for (code, d, j), v in cells.items():
             if code == c:
                 values[d - first_day, j] = v
@@ -311,10 +338,10 @@ def assert_loaders_agree(tmp_path, observations, outcomes, variables=("v01", "v0
     return want
 
 
-def synthetic_lines(tmp_path, seed, shuffle=False):
+def synthetic_lines(tmp_path, seed, shuffle=False, n_subjects=12):
     """Observation and outcome data lines of a small synthetic cohort, the observations shuffled if asked."""
     cohort, _ = generate_cohort(
-        SyntheticSpec(n_subjects=12, days_per_subject=7, P=4, T_star=3, true_rank=2,
+        SyntheticSpec(n_subjects=n_subjects, days_per_subject=7, P=4, T_star=3, true_rank=2,
                       noise_sigma=1.0, missing_rate=0.2, seed=seed)
     )
     write_cohort(cohort, tmp_path / "o.csv", tmp_path / "y.csv", tmp_path / "v.txt")
@@ -398,10 +425,29 @@ class TestLoaderMatchesRowLoop:
         ([" 2,1_0 ,v01, 7.5 ", "A,١,v02,1E3", "A,+3,v03,-0", "A,0_4,v04,1_000.25"], ["A,0,,21", "2,0,,11"], {}),
         ([], [], {}),
         ([], ["A,0,,21"], {}),
+        (["A\0,1,v01,60", "B,1,v01,6", "A\0,2,v02,61"], ["A\0,0,,21", "B,1,2,"], {}),
+        ([f"{'A' * 70_000},1,v01,{' ' * 70_000}60"], [f"{'A' * 70_000},0,,21"], {}),
     ], ids=["crlf", "quoted_id_with_comma", "reordered_header_extra_column", "blank_lines",
-            "whitespace_padded", "number_spellings", "header_only", "no_observations"])
+            "whitespace_padded", "number_spellings", "header_only", "no_observations", "nul_in_field",
+            "long_line_short_fields"])
     def test_format_cases(self, tmp_path, observations, outcomes, options):
-        assert isinstance(assert_loaders_agree(tmp_path, observations, outcomes, **options), Cohort)
+        want = assert_loaders_agree(tmp_path, observations, outcomes, **options)
+        # the csv module reads a NUL as a character from Python 3.11 on; before, it rejects the file
+        assert isinstance(want, Cohort) or (sys.version_info < (3, 11) and "line contains NUL" in want[1])
+
+    def test_same_records_through_either_tokenizer(self, tmp_path, monkeypatch):
+        """Thousands of plain records, then the same with the last record's id quoted, which only csv.reader reads."""
+        observations, outcomes = synthetic_lines(tmp_path, 19, shuffle=True, n_subjects=150)
+        assert len(observations) > 2_000
+        plain = assert_loaders_agree(tmp_path, observations, outcomes)
+        assert isinstance(plain, Cohort)
+        with monkeypatch.context() as patch:
+            patch.setattr(csv, "reader", None)  # plain text is split without it
+            got = load_cohort(tmp_path / "observations.csv", tmp_path / "outcomes.csv", tmp_path / "variables.txt")
+        assert_same_cohort(got, plain)
+        sid, rest = observations[-1].split(",", 1)
+        quoted = assert_loaders_agree(tmp_path, [*observations[:-1], f'"{sid}",{rest}'], outcomes)
+        assert_same_cohort(quoted, plain)
 
     @pytest.mark.parametrize("blank_lines", [False, True], ids=["dense", "blank_lines"])
     @pytest.mark.parametrize("name", [*OBSERVATION_FAULTS, *OUTCOME_FAULTS])
@@ -462,6 +508,10 @@ class TestLoaderMatchesRowLoop:
         early = [set_field(set_field(line, 1, "1"), 2, "1") if line.startswith(("S05,", "S07,")) else line
                  for line in outcomes]
         assert assert_loaders_agree(tmp_path, observations, early)[0] is InvalidOnsetError
+        event_id = next(line.split(",")[0] for line in outcomes if line.split(",")[1] == "1")
+        far = [*observations[:5], f"{event_id},1000000,v01,1", *observations[5:]]
+        want = assert_loaders_agree(tmp_path, far, outcomes)
+        assert want[0] is DataError and "days per row are allowed" in want[1]
 
 
 def write_reference(cohort, observations_path, outcomes_path, dictionary_path):
