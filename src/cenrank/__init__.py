@@ -18,7 +18,6 @@ from .cohort import (
 from .evaluation import (
     CvEntry,
     CvReport,
-    Grid,
     coefficient_report,
     cross_validate,
     mae,

@@ -25,7 +25,7 @@ import numpy as np
 from . import evaluation, modelio, solver
 from .cohort import assemble_design, extract_windows, load_cohort, write_cohort
 from .errors import DataError, EmptyColumnError, NumericalError, UnimputedSampleError
-from .evaluation import Grid, cross_validate, fit_method, write_csv, write_report_csvs
+from .evaluation import cross_validate, fit_method, write_csv, write_report_csvs
 from .imputation import BmcImputer, KnnImputer, MeanImputer, fill_windows
 from .synthetic import SyntheticSpec, generate_cohort
 
@@ -178,14 +178,13 @@ def _load_inputs(cfg):
 
 
 def _new_imputer(cfg):
+    """The unfitted imputer cfg names; flag choices and the config check leave only bmc, knn and mean."""
     name = cfg["imputer"]
     if name == "bmc":
         return BmcImputer(rank=cfg["imputer_rank"])
     if name == "knn":
         return KnnImputer(k=cfg["knn_k"])
-    if name == "mean":
-        return MeanImputer()
-    raise UsageError(f"unknown imputer {name!r}")
+    return MeanImputer()
 
 
 def _solver_options(cfg) -> solver.SolverOptions:
@@ -240,9 +239,9 @@ def _cmd_train(cfg, out_dir: Path):
         print(f"fit {method} on {design.y.size - censored} complete / {censored} censored samples")
     modelio.save_model(out_dir / "model.json", model, cohort.variables, report)
     modelio.save_imputer(out_dir / "imputer_model.json", imputer, cohort.variables)
-    ranked = evaluation.coefficient_report(model, cohort.variables, top_n=model.w.size)
+    ranked = evaluation.coefficient_report(model, cohort.variables)
     evaluation.write_coefficients_csv(out_dir / "coefficients.csv", ranked)
-    edges, comp, cen = evaluation.onset_distribution(evaluation.predict_windows(model, filled), filled, bins=20)
+    edges, comp, cen = evaluation.onset_distribution(evaluation.predict_windows(model, filled), filled)
     evaluation.write_onset_hist_csv(out_dir / "onset_hist.csv", edges, comp, cen)
 
 
@@ -261,20 +260,16 @@ def _cmd_predict(cfg, out_dir: Path):
     rows = zip(windows.subject_id, windows.end_day.tolist(), windows.censored.astype(int).tolist(),
                ["%.17g" % y for y in windows.y.tolist()], ["%.17g" % p for p in preds.tolist()])
     write_csv(out_dir / "predictions.csv", ["subject_id", "window_end_day", "censored", "y", "prediction"], rows)
-    edges, comp, cen = evaluation.onset_distribution(preds, windows, bins=20)
+    edges, comp, cen = evaluation.onset_distribution(preds, windows)
     evaluation.write_onset_hist_csv(out_dir / "onset_hist.csv", edges, comp, cen)
     print(f"wrote {len(windows)} predictions")
 
 
 def _cmd_cv(cfg, out_dir: Path):
     cohort = _load_inputs(cfg)
-    grid = Grid(
-        durations=_list(cfg["durations"], "durations", int),
-        ranks=_list(cfg["ranks"], "ranks", int),
-        lambdas=_list(cfg["lambdas"], "lambdas", float),
-    )
     report = cross_validate(
-        cohort, grid, _list(cfg["methods"], "methods", str.strip), _new_imputer(cfg),
+        cohort, _list(cfg["durations"], "durations", int), _list(cfg["ranks"], "ranks", int),
+        _list(cfg["lambdas"], "lambdas", float), _list(cfg["methods"], "methods", str.strip), _new_imputer(cfg),
         k=cfg["k"], split_unit=cfg["split_unit"], seed=cfg["seed"],
         stride=cfg["stride"], horizon=cfg["horizon"],
         solver_options=_solver_options(cfg),

@@ -52,6 +52,8 @@ from .errors import (
 # A subject's first to last observed day may span at most this many days per observation record of the subject.
 MAX_DAYS_PER_RECORD = 100
 
+INT64 = np.iinfo(np.int64)
+
 
 @dataclass(frozen=True)
 class SubjectSeries:
@@ -285,16 +287,19 @@ def _parse_one(text, kind):
 
 
 def _parse(column, kind):
-    """kind(text) of each string of `column` as an int64 or float64 array, and the mask of the strings kind rejects.
+    """kind(text) of each string of `column` as an int64 or float64 array, and the mask of the strings rejected.
 
     kind is int or float, so exactly what int() or float() accepts is
-    accepted (whitespace, `1_0`, `nan`, `inf`); a rejected string reads 0.
+    accepted (whitespace, `1_0`, `nan`, `inf`), except an integer that
+    int64 cannot hold; a rejected string reads 0.
     """
     dtype = np.int64 if kind is int else np.float64
     try:
         return np.fromiter(map(kind, column), dtype, len(column)), np.zeros(len(column), dtype=bool)
-    except ValueError:
+    except (ValueError, OverflowError):
         parsed = [_parse_one(text, kind) for text in column]
+    if kind is int:
+        parsed = [None if p is None or not INT64.min <= p <= INT64.max else p for p in parsed]
     return (np.array([0 if p is None else p for p in parsed], dtype=dtype),
             np.array([p is None for p in parsed], dtype=bool))
 
@@ -390,7 +395,8 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     horizon = np.where(subject_event, np.inf, outcome_day)
     checks = [
         (col < 0, UnknownVariableError, lambda k: f"unknown variable {var_text[k].strip()!r}"),
-        (not_integer, DataError, lambda k: "day must be an integer"),
+        (not_integer, DataError, lambda k: "day must be an integer" if _parse_one(day_text[k], int) is None
+         else f"day must be from 1 to {INT64.max}, got {day_text[k].strip()}"),
         (days < 1, DataError, lambda k: f"day must be >= 1, got {days[k]}"),
         (days > horizon[code], DataError,
          lambda k: f"day {days[k]} is after last_obs_day {horizon[code[k]]:g} of event-free subject "
@@ -406,7 +412,7 @@ def load_cohort(observations_path, outcomes_path, dictionary) -> Cohort:
     stop = fault[0] if fault else n
     kept_code, kept_day = code[:stop], days[:stop]
     m = int(kept_code.max(initial=-1)) + 1
-    first = np.full(m, np.iinfo(np.int64).max)
+    first = np.full(m, INT64.max)
     last = np.zeros(m, dtype=np.int64)
     np.minimum.at(first, kept_code, kept_day)
     np.maximum.at(last, kept_code, kept_day)

@@ -33,13 +33,6 @@ def _fmt(x) -> str:
 
 
 @dataclass
-class Grid:
-    durations: list[int]
-    ranks: list[int]
-    lambdas: list[float]
-
-
-@dataclass
 class CvEntry:
     """One grid cell; `iterations` and `converged` hold the solver's per-fold report (empty for baselines)."""
 
@@ -82,9 +75,11 @@ class CvReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CvReport":
-        """Rebuild a report from to_dict's output; an entry whose fold count is not k is a ValueError.
+        """Rebuild a report from to_dict's output.
 
-        Reports written before the per-fold solver fields existed load with empty lists.
+        Every entry needs all of to_dict's keys, `iterations` and `converged`
+        included (a missing one is a KeyError), and an entry whose fold count
+        is not k is a ValueError.
         """
         k = int(d["k"])
         entries = [
@@ -95,8 +90,8 @@ class CvReport:
                 method=str(e["method"]),
                 fold_maes=np.asarray(e["fold_maes"], dtype=float),
                 mean_mae=float(e["mean_mae"]),
-                iterations=[int(v) for v in e.get("iterations", [])],
-                converged=[bool(v) for v in e.get("converged", [])],
+                iterations=[int(v) for v in e["iterations"]],
+                converged=[bool(v) for v in e["converged"]],
             )
             for e in d["entries"]
         ]
@@ -154,10 +149,10 @@ def predict_windows(model: solver.ModelParams, windows: Windows) -> np.ndarray:
     return windows.columns().T @ model.w_vec + model.b
 
 
-def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
+def cross_validate(cohort: Cohort, durations, ranks, lambdas, methods, imputer, k: int = 5,
                    split_unit: str = "sample", seed: int = 0, stride: int = 1,
                    horizon: float = 21, solver_options=None) -> CvReport:
-    """k-fold grid search over duration x rank x lambda for each method.
+    """k-fold grid search over `durations` x `ranks` x `lambdas` for each method.
 
     Every fold serves as the test set once. Fold partitions, imputations
     and designs are computed once per duration and shared across all grid
@@ -166,23 +161,24 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
     grid value is a ValueError before any fit. Deterministic given the
     seed. censored_lowrank entries keep each fold's solver iterations
     and converged flag. The baselines read no rank, so each is fitted once
-    per (duration, lambda, fold), and its fold MAEs serve every rank.
+    per (duration, lambda, fold), and its fold MAEs serve every rank. A
+    fit that raises has its message prefixed with the grid point and method.
     """
     methods = list(methods)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
-    if not (grid.durations and grid.ranks and grid.lambdas and methods):
+    if not (durations and ranks and lambdas and methods):
         raise ValueError("grid and methods must be nonempty")
-    for name, values in (("duration", grid.durations), ("rank", grid.ranks)):
+    for name, values in (("duration", durations), ("rank", ranks)):
         for v in values:
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-    for lam in grid.lambdas:
+    for lam in lambdas:
         solver.check_lambda(lam)
 
     entries = []
-    for T in grid.durations:
+    for T in durations:
         windows = extract_windows(cohort, T, stride=stride, horizon=horizon)
         if len(windows) < k:
             raise DataError(f"duration {T} yields {len(windows)} windows, fewer than k={k}")
@@ -195,7 +191,7 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
             prepared.append((assemble_design(train_filled), test_filled))
 
         baseline_maes = {}  # (lambda, method) -> fold MAEs of a baseline
-        for rank, lam, method in itertools.product(grid.ranks, grid.lambdas, methods):
+        for rank, lam, method in itertools.product(ranks, lambdas, methods):
             if (lam, method) in baseline_maes:
                 fold_maes = baseline_maes[lam, method]
                 entries.append(CvEntry(T, rank, lam, method, fold_maes, float(np.mean(fold_maes))))
@@ -219,31 +215,31 @@ def cross_validate(cohort: Cohort, grid: Grid, methods, imputer, k: int = 5,
     return CvReport(entries=entries, seed=seed, k=k, split_unit=split_unit)
 
 
-def coefficient_report(params, variable_names, top_n: int = 20):
-    """Entries of w ranked by decreasing coefficient value.
+def coefficient_report(params, variable_names):
+    """Every entry of w, ranked by decreasing coefficient value.
 
-    Returns (variable, day_offset, coefficient) tuples; day_offset counts
-    from the start of the window. Ties keep row-major order.
+    Returns one (variable, day_offset, coefficient) tuple per entry;
+    day_offset counts from the start of the window. Ties keep row-major
+    order.
     """
     w = np.asarray(params.w)
     T, P = w.shape
     if len(variable_names) != P:
         raise DataError(f"{len(variable_names)} variable names for {P} columns")
     flat = [(variable_names[p], t, float(w[t, p])) for t in range(T) for p in range(P)]
-    ranked = sorted(flat, key=lambda item: -item[2])
-    return ranked[:top_n]
+    return sorted(flat, key=lambda item: -item[2])
 
 
-def onset_distribution(predictions: np.ndarray, windows: Windows, bins=20):
+def onset_distribution(predictions: np.ndarray, windows: Windows):
     """Histogram the predicted values of the complete and censored groups.
 
-    `predictions` holds one value per window, in order. Shared bin edges
-    span all predictions; returns (edges, complete_counts,
+    `predictions` holds one value per window, in order. 20 shared bins of
+    equal width span all predictions; returns (edges, complete_counts,
     censored_counts). Group counts always sum to the group sizes.
     """
     preds = np.asarray(predictions, dtype=float)
     censored = windows.censored
-    edges = np.histogram_bin_edges(preds, bins=bins)
+    edges = np.histogram_bin_edges(preds, bins=20)
     complete_counts, _ = np.histogram(preds[~censored], bins=edges)
     censored_counts, _ = np.histogram(preds[censored], bins=edges)
     return edges, complete_counts, censored_counts

@@ -43,17 +43,16 @@ def write_json(path, doc):
 def _read(path, variables=None):
     """Yield the JSON object in a file; any failure to parse it is a DataError naming the file.
 
-    When `variables` is given and the file records its variables, the two
-    lists must be equal, order included.
+    When `variables` is given, the file's `variables` list must equal it,
+    order included; a file without that list fails the check.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise DataError(f"{path}: file must hold a JSON object")
-        stored = doc.get("variables")
-        if variables is not None and stored is not None and list(stored) != list(variables):
-            raise DataError(f"{path}: fitted on variables {stored}, but the dictionary lists {list(variables)}")
+        if variables is not None and doc["variables"] != list(variables):
+            raise DataError(f"{path}: fitted on variables {doc['variables']}, but the dictionary lists {variables}")
         yield doc
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
@@ -61,8 +60,11 @@ def _read(path, variables=None):
         raise DataError(f"{path}: cannot read file: {exc}") from exc
 
 
-def save_model(path, model: ModelParams, variables=None, report: SolveReport | None = None):
-    """Write a linear model; every kind has the same keys, plus `solve_report` when one is given."""
+def save_model(path, model: ModelParams, variables, report: SolveReport | None = None):
+    """Write a linear model fitted on the columns named by `variables`.
+
+    Every kind has the same keys, plus `solve_report` when one is given.
+    """
     T, P = model.w.shape
     doc = {
         "kind": model.kind,
@@ -73,7 +75,7 @@ def save_model(path, model: ModelParams, variables=None, report: SolveReport | N
         "b": model.b,
         "w": _floats(model.w),
         "hyperparams": model.hyperparams,
-        "variables": list(variables) if variables is not None else None,
+        "variables": list(variables),
     }
     if report is not None:
         doc["solve_report"] = {
@@ -102,8 +104,8 @@ def load_model(path, variables=None) -> ModelParams:
         )
 
 
-def save_imputer(path, imputer, variables=None):
-    """Persist a fitted imputer so new rows can be filled at predict time."""
+def save_imputer(path, imputer, variables):
+    """Persist a fitted imputer, with the names of the columns it fills, so new rows can be filled at predict time."""
     if isinstance(imputer, BmcImputer):
         model = imputer.model
         doc = {
@@ -130,7 +132,7 @@ def save_imputer(path, imputer, variables=None):
         }
     else:
         raise TypeError(f"cannot save imputer of type {type(imputer).__name__}")
-    doc["variables"] = list(variables) if variables is not None else None
+    doc["variables"] = list(variables)
     write_json(path, doc)
 
 
@@ -146,8 +148,7 @@ def load_imputer(path, variables=None):
             return imp
         if kind == "mean":
             imp = MeanImputer()
-            stored = doc.get("variables")
-            imp.col_means = _array(doc, "col_means", -1 if stored is None else len(stored))
+            imp.col_means = _array(doc, "col_means", len(doc["variables"]))
             return imp
         if kind == "knn":
             imp = KnnImputer(k=int(doc["k"]))

@@ -72,7 +72,7 @@ class SolveReport:
     objective_trace: np.ndarray
     iterations: int
     converged: bool
-    rank_w: int = 0
+    rank_w: int
 
     @property
     def final_objective(self) -> float:
@@ -150,11 +150,11 @@ def project_rank(w_hat: np.ndarray, r: int) -> np.ndarray:
     return (U[:, :k] * s[:k]) @ Vt[:k]
 
 
-def numerical_rank(w: np.ndarray, rel_tol: float = RANK_TOL) -> int:
+def numerical_rank(w: np.ndarray) -> int:
     s = np.linalg.svd(w, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def _block(F, design) -> DesignSet:

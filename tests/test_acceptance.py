@@ -11,7 +11,7 @@ import pytest
 
 from cenrank.baselines import ols_fit
 from cenrank.cohort import DesignSet, assemble_design, extract_windows, split_folds
-from cenrank.evaluation import Grid, cross_validate, fit_method, impute_split, mae, predict_windows
+from cenrank.evaluation import cross_validate, fit_method, impute_split, mae, predict_windows
 from cenrank.imputation import BmcImputer, BmcModel, MeanImputer, bmc_fit, impute_rows
 from cenrank.modelio import load_model, save_cv_report, save_model
 from cenrank.solver import (
@@ -294,11 +294,10 @@ def test_c11_determinism_and_persistence(tmp_path):
     spec = SyntheticSpec(n_subjects=50, days_per_subject=7, P=5, T_star=4, true_rank=2,
                          noise_sigma=1.0, missing_rate=0.15, latent_rank=3, seed=21)
     cohort, _ = generate_cohort(spec)
-    grid = Grid(durations=[3, 4], ranks=[2], lambdas=[0.05])
     opts = SolverOptions(max_iter=200)
 
     def run_cv(path):
-        rep = cross_validate(cohort, grid, ["censored_lowrank", "ols"], BmcImputer(rank=3),
+        rep = cross_validate(cohort, [3, 4], [2], [0.05], ["censored_lowrank", "ols"], BmcImputer(rank=3),
                              k=3, seed=4, solver_options=opts)
         save_cv_report(rep, path)
         return path.read_bytes()

@@ -38,6 +38,13 @@ def cohort_args(d):
     return ["--observations", str(obs), "--outcomes", str(out), "--dictionary", str(dic)]
 
 
+def reversed_dictionary(cohort_dir, tmp_path):
+    """Path of the cohort's variable dictionary written in reverse order."""
+    path = tmp_path / "reversed.txt"
+    path.write_text("".join(f"{v}\n" for v in reversed((cohort_dir / "variables.txt").read_text().split())))
+    return path
+
+
 def mean_imputer(cohort_dir, tmp_path):
     """Path of a mean imputer fitted and saved by `cenrank impute`."""
     assert dispatch(["impute", *cohort_args(cohort_dir), "--out", str(tmp_path / "imp"), "--imputer", "mean"]) == 0
@@ -53,7 +60,7 @@ def filled_windows(cohort_dir, imputer_path, T=4):
 def cv_report_text(fold_maes):
     """A one-entry cv_report.json with k = 3 whose entry holds `fold_maes`."""
     entry = {"duration": 3, "rank": 2, "lambda": 0.05, "method": "ols",
-             "fold_maes": fold_maes, "mean_mae": float(np.mean(fold_maes))}
+             "fold_maes": fold_maes, "mean_mae": float(np.mean(fold_maes)), "iterations": [], "converged": []}
     return json.dumps({"seed": 0, "k": 3, "split_unit": "sample", "entries": [entry]}) + "\n"
 
 
@@ -158,12 +165,10 @@ class TestTrainPredict:
         assert dispatch([
             "train", *cohort_args(cohort_dir), "--out", str(run), "--T", "4", "--max-iter", "100",
         ]) == 0
-        reversed_dic = tmp_path / "reversed.txt"
-        names = (cohort_dir / "variables.txt").read_text().split()
-        reversed_dic.write_text("".join(f"{v}\n" for v in reversed(names)))
         pred = tmp_path / "p3"
         code = dispatch([
-            "predict", *cohort_args(cohort_dir)[:4], "--dictionary", str(reversed_dic), "--out", str(pred),
+            "predict", *cohort_args(cohort_dir)[:4], "--dictionary", str(reversed_dictionary(cohort_dir, tmp_path)),
+            "--out", str(pred),
             "--model", str(run / "model.json"), "--imputer-model", str(run / "imputer_model.json"),
         ])
         assert code == 2
@@ -211,8 +216,9 @@ class TestTrainPredict:
         assert np.array_equal(read_predictions(pred), predict_windows(model, filled))
 
     def test_model_of_the_wrong_width_is_data_error(self, cohort_dir, tmp_path, capsys):
-        # the cohort has 6 variables; with no stored variables only the shape check can catch it
-        save_model(tmp_path / "model.json", ModelParams(np.ones((4, 5)), 0.0, 2, 0.05), variables=None)
+        # the cohort has 6 variables; the file names them, so only the shape check can catch its 5 columns
+        variables = load_cohort(*cohort_files(cohort_dir)).variables
+        save_model(tmp_path / "model.json", ModelParams(np.ones((4, 5)), 0.0, 2, 0.05), variables)
         pred = tmp_path / "pred"
         code = dispatch([
             "predict", *cohort_args(cohort_dir), "--out", str(pred), "--model", str(tmp_path / "model.json"),
@@ -295,6 +301,28 @@ class TestBrokenModelFiles:
         err = capsys.readouterr().err
         assert str(path) in err and message in err
         assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("edit", [lambda doc: doc.update(variables=None), lambda doc: doc.pop("variables")],
+                             ids=["null", "missing"])
+    @pytest.mark.parametrize("which", ["model.json", "imputer_model.json"])
+    def test_file_without_variables_is_data_error(self, cohort_dir, trained, tmp_path, capsys, edit, which):
+        """A reversed dictionary reorders the cohort's columns; a file that does not name its columns is rejected."""
+        reversed_dic = reversed_dictionary(cohort_dir, tmp_path)
+        for name in ("model.json", "imputer_model.json"):
+            doc = json.loads((trained / name).read_text())
+            if name == which:
+                edit(doc)
+            else:  # the other file names the reversed columns, so it passes its check
+                doc["variables"] = reversed_dic.read_text().split()
+            (tmp_path / name).write_text(json.dumps(doc))
+        pred = tmp_path / "pred"
+        code = dispatch([
+            "predict", *cohort_args(cohort_dir)[:4], "--dictionary", str(reversed_dic), "--out", str(pred),
+            "--model", str(tmp_path / "model.json"), "--imputer-model", str(tmp_path / "imputer_model.json"),
+        ])
+        assert code == 2
+        assert f"data error: {tmp_path / which}" in capsys.readouterr().err
+        assert not (pred / "predictions.csv").exists()
 
     @pytest.mark.parametrize("which", ["model", "imputer"])
     def test_non_json_file_is_data_error(self, cohort_dir, trained, tmp_path, capsys, which):
@@ -403,7 +431,8 @@ class TestCv:
         ('{"seed": 0, "k": 3, "split_unit": "sample"}\n', "missing key 'entries'"),
         (cv_report_text([0.5, 0.7]), "entry 0 holds 2 fold MAEs, but k is 3"),
         (cv_report_text([0.5, 0.7, 0.6, 0.9]), "entry 0 holds 4 fold MAEs, but k is 3"),
-    ], ids=["missing_file", "not_json", "no_entries", "too_few_folds", "too_many_folds"])
+        (cv_report_text([0.5, 0.7, 0.6]).replace(', "converged": []', ""), "missing key 'converged'"),
+    ], ids=["missing_file", "not_json", "no_entries", "too_few_folds", "too_many_folds", "no_solver_fields"])
     def test_bad_cv_report_is_data_error(self, tmp_path, capsys, content, message):
         path = tmp_path / "cv_report.json"
         if content is not None:
@@ -474,6 +503,7 @@ class TestErrors:
         ("variables.txt", "missing file"),
         ("observations.csv", "field over the csv size limit"),
         ("observations.csv", "field over the csv size limit mid-file"),
+        ("observations.csv", "day outside int64"),
     ])
     def test_unreadable_input_file_is_data_error_naming_it(self, cohort_dir, tmp_path, capsys, name, fault):
         inputs = tmp_path / "inputs"
@@ -485,13 +515,21 @@ class TestErrors:
             bad.unlink()
         elif fault == "undecodable byte":
             bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        elif fault == "day outside int64":
+            lines = bad.read_text().splitlines()
+            sid, _, var, _ = lines[1].split(",")
+            bad.write_text("\n".join([*lines, f"{sid},99999999999999999999,{var},1.0"]) + "\n")
         else:
             lines = bad.read_text().splitlines(keepends=True)
             at = len(lines) // 2 if fault.endswith("mid-file") else len(lines)
             bad.write_text("".join([*lines[:at], "x" * 131_073 + ",1,v01,1.0\n", *lines[at:]]))
         code = dispatch(["impute", *cohort_args(inputs), "--out", str(tmp_path / "x")])
         assert code == 2
-        assert f"data error: cannot read {bad}" in capsys.readouterr().err
+        if fault == "day outside int64":
+            want = f"data error: {bad} line {len(lines) + 1}: day must be from 1 to {2**63 - 1}, got {10**20 - 1}"
+        else:
+            want = f"data error: cannot read {bad}"
+        assert want in capsys.readouterr().err
 
     def test_day_span_over_the_bound_is_data_error_naming_file_and_line(self, tmp_path, capsys):
         """Days 1 and 1,000,000 of one event subject would make a 1,000,000-row day array; the file is rejected."""
@@ -501,6 +539,45 @@ class TestErrors:
         assert code == 2
         assert (f"data error: {obs} line 3: subject 'A' spans 1000000 days, 1 to 1000000, with 2 observation rows"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("content, code", [(None, 2), ("not json\n", 1), ("[1, 2]\n", 1)],
+                             ids=["missing_file", "not_json", "not_an_object"])
+    def test_unusable_config_file_exit_code(self, cohort_dir, tmp_path, capsys, content, code):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        out = tmp_path / "x"
+        assert dispatch(["cv", *cohort_args(cohort_dir), "--out", str(out), "--config", str(cfg)]) == code
+        assert str(cfg) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_subcommand_is_usage_error(self, capsys):
+        assert dispatch([]) == 1
+        assert "a subcommand is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_duration_longer_than_every_subject_is_data_error(self, cohort_dir, tmp_path, capsys, command):
+        # no subject of cohort_dir has more than 8 days
+        out = tmp_path / "x"
+        if command == "train":
+            flags = ["--T", "9", "--imputer", "mean"]
+        else:
+            variables = load_cohort(*cohort_files(cohort_dir)).variables
+            save_model(tmp_path / "model.json", ModelParams(np.zeros((9, len(variables))), 0.0, 1, 0.05), variables)
+            flags = ["--model", str(tmp_path / "model.json")]
+        assert dispatch([command, *cohort_args(cohort_dir), "--out", str(out), *flags]) == 2
+        assert "data error: no windows of length 9 could be extracted" in capsys.readouterr().err
+        assert {p.name for p in out.iterdir()} == {"effective_config.json"}
+
+    def test_observations_with_only_a_header_is_data_error(self, cohort_dir, tmp_path, capsys):
+        obs = tmp_path / "observations.csv"
+        obs.write_text("subject_id,day,variable,value\n")
+        _, outcomes, dic = cohort_files(cohort_dir)
+        out = tmp_path / "x"
+        assert dispatch(["impute", "--observations", str(obs), "--outcomes", str(outcomes), "--dictionary", str(dic),
+                         "--out", str(out), "--imputer", "mean"]) == 2
+        assert "data error: cohort has no observation rows" in capsys.readouterr().err
+        assert not (out / "completed_matrix.csv").exists()
 
     def test_unknown_config_key_is_usage_error(self, cohort_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -122,8 +122,12 @@ class TestLoadCohort:
         (["A,0,hr,60"], DataError, "line 2: day must be >= 1, got 0"),
         (["A,1,hr,60", "A,22,hr,61", "A,2,hr,fast"], DataError,
          "line 3: day 22 is after last_obs_day 21 of event-free subject 'A'"),
+        (["A,1,hr,60", "A,99999999999999999999,hr,61", "A,2,hr,fast"], DataError,
+         "line 3: day must be from 1 to 9223372036854775807, got 99999999999999999999"),
+        (["A,1,hr,fast", "A,-99999999999999999999,hr,61"], DataError, "line 2: value must be a number"),
     ], ids=["earlier_of_two_bad_lines", "duplicate_before_bad_value", "unknown_variable_before_value",
-            "day_before_value", "duplicate_names_second_line", "day_zero", "day_after_last_obs_day"])
+            "day_before_value", "duplicate_names_second_line", "day_zero", "day_after_last_obs_day",
+            "day_outside_int64_before_value", "value_before_day_outside_int64"])
     def test_first_error_in_file_order_is_reported(self, tmp_path, observations, error, message):
         obs, out, dic = write_cohort_files(tmp_path, observations, ["A,0,,21", "B,0,,21"], ["hr"])
         with pytest.raises(error, match=rf"observations.csv {message}"):

@@ -1,14 +1,13 @@
 import csv
-import json
+import dataclasses
 
 import numpy as np
 import pytest
 
 from cenrank.cohort import extract_windows, split_folds
-from cenrank.errors import UndefinedMetricError
+from cenrank.errors import DataError, UndefinedMetricError
 from cenrank.evaluation import (
     CvReport,
-    Grid,
     coefficient_report,
     cross_validate,
     fit_method,
@@ -71,8 +70,7 @@ class TestFitMethod:
 class TestCrossValidate:
     def test_grid_entries_and_fold_counts(self):
         cohort = small_cohort()
-        grid = Grid(durations=[3, 4], ranks=[2], lambdas=[0.05, 0.1])
-        report = cross_validate(cohort, grid, ["censored_lowrank", "ols"], MeanImputer(),
+        report = cross_validate(cohort, [3, 4], [2], [0.05, 0.1], ["censored_lowrank", "ols"], MeanImputer(),
                                 k=3, seed=0, solver_options=FAST)
         assert len(report.entries) == 2 * 1 * 2 * 2
         keys = {(e.duration, e.rank, e.lambda_, e.method) for e in report.entries}
@@ -83,10 +81,9 @@ class TestCrossValidate:
 
     def test_deterministic_given_seed(self, tmp_path):
         cohort = small_cohort()
-        grid = Grid(durations=[3], ranks=[2], lambdas=[0.05])
-        a = cross_validate(cohort, grid, ["censored_lowrank"], MeanImputer(), k=3, seed=5,
+        a = cross_validate(cohort, [3], [2], [0.05], ["censored_lowrank"], MeanImputer(), k=3, seed=5,
                            solver_options=FAST)
-        b = cross_validate(cohort, grid, ["censored_lowrank"], MeanImputer(), k=3, seed=5,
+        b = cross_validate(cohort, [3], [2], [0.05], ["censored_lowrank"], MeanImputer(), k=3, seed=5,
                            solver_options=FAST)
         save_cv_report(a, tmp_path / "a.json")
         save_cv_report(b, tmp_path / "b.json")
@@ -94,39 +91,32 @@ class TestCrossValidate:
 
     def test_report_json_roundtrip(self, tmp_path):
         cohort = small_cohort()
-        grid = Grid(durations=[3], ranks=[2], lambdas=[0.05])
-        report = cross_validate(cohort, grid, ["ols"], MeanImputer(), k=3, seed=2)
+        report = cross_validate(cohort, [3], [2], [0.05], ["ols"], MeanImputer(), k=3, seed=2)
         save_cv_report(report, tmp_path / "r.json")
         loaded = load_cv_report(tmp_path / "r.json")
         assert loaded.to_dict() == report.to_dict()
 
-    def test_report_without_solver_fields_still_loads(self, tmp_path):
+    def test_report_without_solver_fields_is_rejected(self):
         cohort = small_cohort()
-        grid = Grid(durations=[3], ranks=[2], lambdas=[0.05])
-        report = cross_validate(cohort, grid, ["censored_lowrank", "ols"], MeanImputer(), k=3, seed=2,
+        report = cross_validate(cohort, [3], [2], [0.05], ["censored_lowrank", "ols"], MeanImputer(), k=3, seed=2,
                                 solver_options=FAST)
         lowrank, ols = report.entries
         assert len(lowrank.iterations) == len(lowrank.converged) == 3
         assert ols.iterations == [] and ols.converged == []
-        doc = report.to_dict()
-        for e in doc["entries"]:
-            del e["iterations"], e["converged"]
-        older = CvReport.from_dict(doc)
-        assert all(e.iterations == [] and e.converged == [] for e in older.entries)
-        write_report_csvs(report, tmp_path)
-        (tmp_path / "older").mkdir()
-        write_report_csvs(older, tmp_path / "older")
-        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "older" / "grid.csv").read_bytes()
+        for key in ("iterations", "converged"):
+            doc = report.to_dict()
+            del doc["entries"][1][key]
+            with pytest.raises(KeyError, match=key):
+                CvReport.from_dict(doc)
 
     def test_true_rank_beats_full_rank_on_majority_of_seeds(self):
-        grid = Grid(durations=[4], ranks=[2, 4], lambdas=[0.05])
         opts = SolverOptions(tol=1e-8, max_iter=2500)
         rank_wins = 0
         for seed in range(10):
             spec = SyntheticSpec(n_subjects=130, days_per_subject=4, P=8, T_star=4, true_rank=2,
                                  noise_sigma=1.0, missing_rate=0.1, latent_rank=6, seed=seed)
             cohort, _ = generate_cohort(spec)
-            report = cross_validate(cohort, grid, ["censored_lowrank"], BmcImputer(rank=6),
+            report = cross_validate(cohort, [4], [2, 4], [0.05], ["censored_lowrank"], BmcImputer(rank=6),
                                     k=3, seed=seed, solver_options=opts)
             by_rank = {e.rank: e.mean_mae for e in report.entries}
             rank_wins += by_rank[2] <= by_rank[4]
@@ -153,10 +143,18 @@ class TestCrossValidate:
 
         imputer = RecordingImputer()
         with pytest.raises(ValueError, match=message):
-            cross_validate(small_cohort(), Grid(durations, ranks, lambdas), ["ols"], imputer, k=3)
+            cross_validate(small_cohort(), durations, ranks, lambdas, ["ols"], imputer, k=3)
         assert imputer.calls == []
-        assert cross_validate(small_cohort(), Grid([3], [2], [0.05]), ["ols"], imputer, k=3).entries
+        assert cross_validate(small_cohort(), [3], [2], [0.05], ["ols"], imputer, k=3).entries
         assert imputer.calls  # the same imputer records the fits of a valid grid
+
+    def test_failing_fit_names_its_grid_point(self):
+        cohort = small_cohort()
+        event_free = dataclasses.replace(cohort, event=np.zeros_like(cohort.event),
+                                         outcome_day=np.full(len(cohort), 21.0))
+        with pytest.raises(DataError, match=r"^grid point \(duration=3, rank=2, lambda=0.05, method=ols\): "
+                                            r"baseline fits require at least one complete sample$"):
+            cross_validate(event_free, [3], [2], [0.05], ["ols"], MeanImputer(), k=3)
 
     def test_imputer_fitted_on_training_windows_only(self):
         cohort = small_cohort(seed=4)
@@ -245,14 +243,14 @@ class TestGridReport:
 class TestCoefficientReport:
     def test_zero_matrix_keeps_order(self):
         params = ModelParams(np.zeros((2, 2)), 0.0, 1, 0.0)
-        ranked = coefficient_report(params, ["a", "b"], top_n=4)
+        ranked = coefficient_report(params, ["a", "b"])
         assert [(v, t) for v, t, _ in ranked] == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
 
     def test_single_nonzero_first(self):
         w = np.zeros((2, 3))
         w[1, 2] = 5.0
         params = ModelParams(w, 0.0, 1, 0.0)
-        ranked = coefficient_report(params, ["a", "b", "c"], top_n=1)
+        ranked = coefficient_report(params, ["a", "b", "c"])
         assert ranked[0] == ("c", 1, 5.0)
 
     def test_matches_sort_oracle(self):
@@ -260,7 +258,7 @@ class TestCoefficientReport:
         w = rng.standard_normal((3, 4))
         params = ModelParams(w, 0.0, 3, 0.0)
         names = ["a", "b", "c", "d"]
-        ranked = coefficient_report(params, names, top_n=12)
+        ranked = coefficient_report(params, names)
         values = [v for _, _, v in ranked]
         assert values == sorted(values, reverse=True)
         assert sorted(values) == sorted(w.ravel().tolist())
@@ -270,7 +268,7 @@ class TestOnsetDistribution:
     def test_identical_predictions_occupy_single_bin(self):
         params = ModelParams(np.zeros((1, 1)), 2.0, 1, 0.0)
         windows = make_windows(np.zeros((3, 1, 1)), y=[1.0, 2.0, 3.0], censored=[False, True, True])
-        edges, comp, cen = onset_distribution(predict_windows(params, windows), windows, bins=5)
+        edges, comp, cen = onset_distribution(predict_windows(params, windows), windows)
         assert comp.sum() == 1 and cen.sum() == 2
         assert (comp > 0).sum() == 1 and (cen > 0).sum() == 1
 
@@ -278,7 +276,7 @@ class TestOnsetDistribution:
         rng = np.random.default_rng(6)
         params = ModelParams(rng.standard_normal((2, 2)), 0.5, 2, 0.0)
         windows = make_windows(rng.standard_normal((40, 2, 2)), y=np.arange(40.0), censored=np.arange(40) % 3 == 0)
-        edges, comp, cen = onset_distribution(predict_windows(params, windows), windows, bins=8)
+        edges, comp, cen = onset_distribution(predict_windows(params, windows), windows)
         n_cen = int(windows.censored.sum())
         assert cen.sum() == n_cen and comp.sum() == 40 - n_cen
-        assert len(edges) == 9
+        assert len(edges) == 21
