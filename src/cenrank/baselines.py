@@ -60,13 +60,17 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
         s.t. s = eps + xi - r >= 0,  s* = eps + xi* + r >= 0,  xi, xi* >= 0
 
     in r = Z'theta - y, solved by Mehrotra predictor-corrector steps from a
-    strictly feasible start. Eliminating the diagonal blocks leaves one
-    system in K = diag(1, ..., 1, 0) + Z D Z', (d + 1) x (d + 1), solved
-    by LU twice per iteration (predictor and corrector); a non-finite or
-    singular K raises NumericalError. The fit stops once the duality gap is
-    at most `tol` times 1 + |primal objective| and both residuals are at
-    most `tol` times their data scale; stopping after `max_iter` iterations
-    instead emits a RuntimeWarning.
+    strictly feasible start. The four multiplier rows and the four slack
+    rows (s, s*, xi, xi*) are one 8 x n array, so each step's length (the
+    longest that keeps all eight rows nonnegative, at most 1) is one ratio
+    over it. Eliminating the diagonal blocks leaves one system in
+    K = diag(1, ..., 1, 0) + (Z D^1/2)(Z D^1/2)', (d + 1) x (d + 1) and
+    exactly symmetric, solved by LU twice per iteration (predictor and
+    corrector); a non-finite or singular K raises NumericalError. The fit
+    stops once the duality gap is at most `tol` times 1 + |primal
+    objective| and both residuals are at most `tol` times their data
+    scale; stopping after `max_iter` iterations instead emits a
+    RuntimeWarning.
     `trace_out`, if given, records the best objective after each iteration
     (non-increasing). After the last iteration, b is set exactly for the
     final w; where a whole interval minimizes, b is its point nearest the
@@ -84,10 +88,14 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
     Zt = np.ascontiguousarray(Z.T)
     reg = np.ones(Z.shape[0])
     reg[-1] = 0.0  # the intercept is not regularized
+    diag = np.diag(reg)
     signs = np.array([[1.0], [-1.0]])
+    # the state z: rows 0-3 the multipliers of s, s*, xi, xi*, rows 4-7 those slacks; dz a step in it, and
+    # ratio the work array of its length
+    z, dz, ratio = np.empty((3, 8, y.size))
+    dual, slack = z[:4], z[4:]
 
-    def residuals(theta, dual, slack):
-        # rows of slack: s, s*, xi, xi*; rows of dual: their multipliers
+    def residuals(theta):
         r = Zt @ theta - y
         primal = slack[:2] - eps - slack[2:] + signs * r
         return r, primal, reg * theta + Z @ (dual[0] - dual[1]), c - dual[:2] - dual[2:]
@@ -98,54 +106,72 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
     theta[-1] = b_start
     r = Zt @ theta - y
     xi = np.maximum(signs * r - eps, 0.0) + max(1.0, float(np.std(y)))
-    slack = np.vstack([eps + xi - signs * r, xi])
-    dual = np.tile(c / 2, (4, 1))
-    r, primal, stationarity, dual_box = residuals(theta, dual, slack)
+    slack[:2] = eps + xi - signs * r
+    slack[2:] = xi
+    dual[:] = c / 2
+    r, primal, stationarity, dual_box = residuals(theta)
     primal_scale = 1.0 + float(np.abs(y).max()) + eps
     dual_scale = 1.0 + float(c.max())
 
-    def max_step(d_dual, d_slack):
-        steps = [1.0]
-        for v, dv in ((dual, d_dual), (slack, d_slack)):
-            shrinking = dv < 0
-            steps.append(float(np.min(-v[shrinking] / dv[shrinking], initial=np.inf)))
-        return min(steps)
+    def max_step():
+        # the longest step t <= 1 along dz that keeps z nonnegative
+        ratio.fill(-np.inf)
+        np.divide(z, dz, out=ratio, where=dz < 0)
+        return min(1.0, -float(ratio.max()))
+
+    def newton(rc):
+        # Newton step, in the iteration's K and g, for the complementarity targets dual * slack = dual * slack - rc;
+        # returns d_theta and writes (d_dual, d_slack) to dz
+        v = rc.copy()
+        v[2:] += slack[2:] * dual_box
+        v /= dual
+        u = primal - v[:2] + v[2:]
+        ug = u / g
+        try:
+            d_theta = np.linalg.solve(K, -stationarity - Z @ (ug[0] - ug[1]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("svr_fit: the Newton system is non-finite or singular") from exc
+        d_tube = (u + signs * (Zt @ d_theta)) / g
+        dz[:2] = d_tube
+        np.subtract(dual_box, d_tube, out=dz[2:4])
+        d_slack = dz[4:]
+        np.multiply(slack, dz[:4], out=d_slack)
+        d_slack += rc
+        d_slack /= dual
+        np.negative(d_slack, out=d_slack)
+        return d_theta
 
     best = 0.5 * float(theta[:-1] @ theta[:-1]) + float(c @ np.maximum(np.abs(r) - eps, 0.0))
+    complementarity = dual * slack
+    gap = float(complementarity.sum())
     converged = False
     for _ in range(max_iter):
-        g = slack[:2] / dual[:2] + slack[2:] / dual[2:]
-        K = np.diag(reg) + (Z * (1.0 / g).sum(axis=0)) @ Zt
-
-        def newton(rc):
-            # Newton step for the complementarity targets dual * slack = dual * slack - rc
-            u = primal - rc[:2] / dual[:2] + (rc[2:] + slack[2:] * dual_box) / dual[2:]
-            try:
-                if not np.isfinite(K).all():
-                    raise np.linalg.LinAlgError
-                d_theta = np.linalg.solve(K, -stationarity - Z @ (signs * u / g).sum(axis=0))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("svr_fit: the Newton system is non-finite or singular") from exc
-            d_tube = (u + signs * (Zt @ d_theta)) / g
-            d_dual = np.vstack([d_tube, dual_box - d_tube])
-            return d_theta, d_dual, -(rc + slack * d_dual) / dual
-
-        gap = float(np.sum(dual * slack))
-        _, aff_dual, aff_slack = newton(dual * slack)
-        t = max_step(aff_dual, aff_slack)
-        gap_aff = float(np.sum((dual + t * aff_dual) * (slack + t * aff_slack)))
+        q = slack / dual
+        g = q[:2] + q[2:]
+        Zs = Z * np.sqrt((1.0 / g).sum(axis=0))
+        K = Zs @ Zs.T
+        K += diag
+        if not np.isfinite(K).all():
+            raise NumericalError("svr_fit: the Newton system is non-finite or singular")
+        newton(complementarity)
+        t = max_step()
+        step = z + t * dz
+        gap_aff = float((step[:4] * step[4:]).sum())
         target = (gap_aff / gap) ** 3 * gap / dual.size
-        d_theta, d_dual, d_slack = newton(dual * slack + aff_dual * aff_slack - target)
-        t = min(1.0, 0.99 * max_step(d_dual, d_slack))
-        theta, dual, slack = theta + t * d_theta, dual + t * d_dual, slack + t * d_slack
+        d_theta = newton(complementarity + dz[:4] * dz[4:] - target)
+        t = min(1.0, 0.99 * max_step())
+        theta = theta + t * d_theta
+        z += t * dz
         if not np.isfinite(theta).all():
             raise NumericalError("svr_fit produced a non-finite iterate")
-        r, primal, stationarity, dual_box = residuals(theta, dual, slack)
+        r, primal, stationarity, dual_box = residuals(theta)
         half_ww = 0.5 * float(theta[:-1] @ theta[:-1])
-        best = min(best, half_ww + float(c @ np.maximum(np.abs(r) - eps, 0.0)))
-        if trace_out is not None:
+        if trace_out is not None:  # the objective is read by nothing else
+            best = min(best, half_ww + float(c @ np.maximum(np.abs(r) - eps, 0.0)))
             trace_out.append(best)
-        if (float(np.sum(dual * slack)) <= tol * (1.0 + abs(half_ww + float(c @ slack[2:].sum(axis=0))))
+        complementarity = dual * slack
+        gap = float(complementarity.sum())
+        if (gap <= tol * (1.0 + abs(half_ww + float(c @ slack[2:].sum(axis=0))))
                 and np.abs(primal).max() <= tol * primal_scale
                 and max(np.abs(stationarity).max(), np.abs(dual_box).max()) <= tol * dual_scale):
             converged = True

@@ -98,15 +98,18 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _build_parser() -> _Parser:
-    """One subcommand per DEFAULTS entry and one flag per key, typed like its default.
+def _build_parser(commands=tuple(DEFAULTS)) -> _Parser:
+    """One subcommand per name in `commands` (all of DEFAULTS) and one flag per key, typed like its default.
 
     A boolean key defaults to False and `--key` turns it on. Unset flags
-    parse to None, so config file keys and defaults show through.
+    parse to None, so config file keys and defaults show through. A
+    subcommand's flags, help text and errors are the same whichever others
+    are built with it.
     """
     parser = _Parser(prog="cenrank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    for command, defaults in DEFAULTS.items():
+    for command in commands:
+        defaults = DEFAULTS[command]
         p = sub.add_parser(command, help=HELP[command])
         p.error = parser.error
         p.add_argument("--config", help="JSON config file; flags override its keys")
@@ -301,7 +304,8 @@ COMMANDS = {
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
+    # a known subcommand gets its own parser only, a quarter of the cost of all six; anything else gets all
+    parser = _build_parser(argv[:1] if argv[:1] and argv[0] in DEFAULTS else tuple(DEFAULTS))
     try:
         args = parser.parse_args(argv)
         if not args.command:

@@ -39,6 +39,7 @@ EIG_CUT = 1e-10
 MAX_HALVINGS = 50
 NEWTON_STEPS = 50
 ARMIJO = 1e-4
+ROUNDING = np.finfo(float).eps
 
 
 @dataclass
@@ -118,27 +119,27 @@ def _weights(design, lambda_):
     return np.where(design.censored, lambda_, 1.0)
 
 
-def _objective_vec(w_vec, b, design, lambda_):
-    """Objective at (w_vec, b), with the margins it was computed from."""
+def _objective_vec(w_vec, b, design, weight):
+    """Objective at (w_vec, b) under the sample weights `weight` (`_weights`), with the margins it was computed from."""
     m = _margins(w_vec, b, design)
-    return 0.5 * float((_weights(design, lambda_) * m) @ m), m
+    return 0.5 * float((weight * m) @ m), m
 
 
-def _gradient_vec(margins, design, lambda_):
-    weighted = _weights(design, lambda_) * margins
+def _gradient_vec(margins, design, weight):
+    weighted = weight * margins
     return design.X @ weighted, float(weighted.sum())
 
 
 def objective(params: ModelParams, design: DesignSet) -> float:
     """Censored least-squares / squared-hinge objective value."""
     _check_design(params.w, design)
-    return _objective_vec(vectorize(params.w), params.b, design, params.lambda_)[0]
+    return _objective_vec(vectorize(params.w), params.b, design, _weights(design, params.lambda_))[0]
 
 
 def gradient(params: ModelParams, design: DesignSet) -> tuple[np.ndarray, float]:
     """Analytic gradient (d/d vec(w), d/db) of the objective."""
     _check_design(params.w, design)
-    return _gradient_vec(_margins(vectorize(params.w), params.b, design), design, params.lambda_)
+    return _gradient_vec(_margins(vectorize(params.w), params.b, design), design, _weights(design, params.lambda_))
 
 
 def project_rank(w_hat: np.ndarray, r: int) -> np.ndarray:
@@ -163,7 +164,10 @@ def _block(F, design) -> DesignSet:
     Column i of F holds the features of the design's sample i, whose label
     and censored mark the block keeps.
     """
-    return DesignSet(np.vstack([F, np.ones((1, F.shape[1]))]), design.y, design.censored, 1, F.shape[0] + 1)
+    Z = np.empty((F.shape[0] + 1, F.shape[1]))
+    Z[:-1] = F
+    Z[-1] = 1.0
+    return DesignSet(Z, design.y, design.censored, 1, Z.shape[0])
 
 
 def _solve(H, rhs):
@@ -198,9 +202,10 @@ def _certified(H_c, censored_weight):
     trace bound, which one Cholesky factorisation of H_c less that much
     times the identity shows.
     """
-    cut = EIG_CUT * (np.trace(H_c) + censored_weight)
+    shifted = H_c.copy()
+    shifted.flat[::shifted.shape[0] + 1] -= EIG_CUT * (H_c.trace() + censored_weight)
     try:
-        np.linalg.cholesky(H_c - cut * np.eye(H_c.shape[0]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -214,35 +219,46 @@ def _newton(block: DesignSet, lambda_, theta):
     Each step is the minimum-norm solution of the Newton system (`_solve`);
     when `_certified` shows that no Hessian of the call has an eigenvalue at
     `_solve`'s cut, that solution is the unique one, and an LU solve with
-    the same refinement step gives it (`_lu_solve`).
+    the same refinement step gives it (`_lu_solve`). A step is halved
+    until it meets the Armijo condition, except once its predicted decrease
+    -g'd is at most ROUNDING |f|: there no step length can be told better
+    than another in floating point, so the full step is taken and the call
+    ends.
     Returns (theta, exact); exact means the last full step kept the active
     set of censored margins, so theta minimises the quadratic that agrees
     with the objective around it, or that no descent direction is left.
     """
     censored = block.censored
+    weight = _weights(block, lambda_)
     X_c = block.X[:, ~censored]
     H_c = X_c @ X_c.T
-    solve = _lu_solve if _certified(H_c, lambda_ * float(np.sum(block.X[:, censored] ** 2))) else _solve
-    f, margins = _objective_vec(theta, 0.0, block, lambda_)
+    solve = _lu_solve if _certified(H_c, lambda_ * float((block.X[:, censored] ** 2).sum())) else _solve
+    f, margins = _objective_vec(theta, 0.0, block, weight)
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting point")
     for _ in range(NEWTON_STEPS):
         active = censored & (margins < 0)
-        g = _gradient_vec(margins, block, lambda_)[0]
+        g = block.X @ (weight * margins)
         Z = block.X[:, active]
         d = solve(H_c + lambda_ * (Z @ Z.T), -g)
         slope = float(g @ d)
         if not slope < 0:
             return theta, True
+        if -slope <= ROUNDING * abs(f):
+            # below f's rounding no step length can be told better than another: take the whole step and stop
+            theta = theta + d
+            margins = _objective_vec(theta, 0.0, block, weight)[1]
+            return theta, np.array_equal(censored & (margins < 0), active)
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            f_new, new_margins = _objective_vec(theta + t * d, 0.0, block, lambda_)
+            trial = theta + t * d
+            f_new, new_margins = _objective_vec(trial, 0.0, block, weight)
             if f_new <= f + ARMIJO * t * slope:
                 break
             t *= 0.5
         else:
             return theta, False
-        theta, f, margins = theta + t * d, f_new, new_margins
+        theta, f, margins = trial, f_new, new_margins
         if t == 1.0 and np.array_equal(censored & (margins < 0), active):
             return theta, True
     return theta, False
@@ -279,15 +295,19 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     censored samples', (G, g_b) is `gradient` at (w, b) and U, V are the
     balanced factors, that is the SVD factors of w with the singular values
     split evenly.
-    A pass that does not lower the objective ends the fit and is not
-    recorded, so objective_trace is strictly decreasing after its first
-    entry, the objective at the start. `iterations` counts the recorded
-    passes, at most options.max_iter; a fit that stops before the bound is
-    met emits a RuntimeWarning. rank(w) <= r by construction, and
-    `rank_w` is numerical_rank(w).
+    A pass that does not lower the objective ends the fit. If its objective
+    is level with the last one and its new point meets the bound, the fit
+    ends converged at that point, and the pass is recorded with that
+    point's objective; otherwise the fit ends "stalled" at the last point,
+    and the pass is not recorded. So objective_trace, whose first entry is
+    the objective at the start, is non-increasing, and strictly decreasing
+    except that its last entry may equal the one before it. `iterations`
+    counts the recorded passes, at most options.max_iter; a fit that stops
+    before the bound is met emits a RuntimeWarning. rank(w) <= r by
+    construction, and `rank_w` is numerical_rank(w).
 
     Floating point sets a floor between tol 1e-9 and 1e-8: of the 30 random
-    designs of tools/solver_floor.py, 28 converge at 1e-8, 6 at 1e-9 and 1
+    designs of tools/solver_floor.py, 29 converge at 1e-8, 7 at 1e-9 and 1
     at 1e-10; the others stall.
     """
     opts = options or SolverOptions()
@@ -303,8 +323,9 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
                         + lambda_ * np.linalg.norm(X[:, censored] @ y[censored]))
     w, b = theta[:-1].reshape(T, P), float(theta[-1])
     if r >= min(T, P):
-        f, margins = _objective_vec(w.ravel(), b, design, lambda_)
-        g_w, g_b = _gradient_vec(margins, design, lambda_)
+        weight = _weights(design, lambda_)
+        f, margins = _objective_vec(w.ravel(), b, design, weight)
+        g_w, g_b = _gradient_vec(margins, design, weight)
         trace, capped = [f], False
         converged = exact or math.hypot(np.linalg.norm(g_w), g_b) <= bound
     else:
@@ -330,18 +351,19 @@ def _alternate(design, lambda_, r, w, b, bound, max_iter):
     passes ran out at max_iter.
     """
     T, P = design.T, design.P
+    weight = _weights(design, lambda_)
     U, V = _split(w, r)
     w = U @ V.T
-    f, margins = _objective_vec(w.ravel(), b, design, lambda_)
+    f, margins = _objective_vec(w.ravel(), b, design, weight)
     trace = [f]
     # each sample's window as T x P (for the U block) and P x T (for the V block)
     X = design.X.reshape(T, P, -1)
     Xt = X.transpose(1, 0, 2)
 
     def stationary(U, V, margins):
-        g_w, g_b = _gradient_vec(margins, design, lambda_)
+        g_w, g_b = _gradient_vec(margins, design, weight)
         G = g_w.reshape(T, P)
-        return math.sqrt(np.sum((G @ V) ** 2) + np.sum((G.T @ U) ** 2) + g_b * g_b) <= bound
+        return math.sqrt(((G @ V) ** 2).sum() + ((G.T @ U) ** 2).sum() + g_b * g_b) <= bound
 
     while not stationary(U, V, margins):
         if len(trace) - 1 == max_iter:
@@ -355,8 +377,11 @@ def _alternate(design, lambda_, r, w, b, bound, max_iter):
         theta = _newton(block, lambda_, np.append(V.ravel(), theta[-1]))[0]
         U_new, V_new = _split(U_new @ theta[:-1].reshape(P, r).T, r)
         w_new, b_new = U_new @ V_new.T, float(theta[-1])
-        f_new, new_margins = _objective_vec(w_new.ravel(), b_new, design, lambda_)
+        f_new, new_margins = _objective_vec(w_new.ravel(), b_new, design, weight)
         if not f_new < f:
+            # no lower in floating point: the fit ends, at the new point if that one is stationary
+            if f_new == f and stationary(U_new, V_new, new_margins):
+                return w_new, b_new, trace + [f_new], True, False
             return w, b, trace, False, False
         U, V, w, b, f, margins = U_new, V_new, w_new, b_new, f_new, new_margins
         trace.append(f)

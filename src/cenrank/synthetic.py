@@ -53,8 +53,13 @@ def _validate(spec: SyntheticSpec):
         raise DataError("missing_rate must lie in [0, 1)")
     if spec.days_per_subject < spec.T_star:
         raise DataError(f"days_per_subject {spec.days_per_subject} is shorter than T_star {spec.T_star}")
-    if spec.n_subjects < 1 or spec.noise_sigma < 0:
-        raise DataError("n_subjects must be >= 1 and noise_sigma >= 0")
+    if spec.n_subjects < 1:
+        raise DataError(f"n_subjects {spec.n_subjects} must be >= 1")
+    if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):
+        raise DataError(f"noise_sigma {spec.noise_sigma} must be finite and >= 0")
+    # a subject is observed through day floor(censor_horizon) at most, so below 1 no subject has a row
+    if not spec.censor_horizon >= 1:
+        raise DataError(f"censor_horizon {spec.censor_horizon} must be >= 1")
 
 
 def generate_lowrank_matrix(n: int, p: int, r: int, seed: int = 0) -> np.ndarray:

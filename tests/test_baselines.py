@@ -271,10 +271,13 @@ def test_svr_no_small_step_lowers_the_objective(seed):
         assert svr_objective(design, params.w_vec + dw, params.b + db, C, eps, lam, "weighted") >= base * (1 - 1e-9)
 
 
-def test_svr_cv_fold_designs_converge_at_or_below_the_reference(tmp_path, monkeypatch):
-    # the 10 SVR fits of one `cenrank cv` run shaped like the cv_grid benchmark
-    # (40 subjects x 10 days, latent rank 8, BMC, T in {4, 5}, 5 folds,
-    # defaults C = 1, eps = 0.1, lambda = 0.05 weighted)
+@pytest.fixture(scope="module")
+def cv_fold_fits(tmp_path_factory):
+    """The 10 SVR fits of one `cenrank cv` run shaped like the cv_grid benchmark, as (design, kwargs, params).
+
+    40 subjects x 10 days, latent rank 8, BMC, T in {4, 5}, 5 folds,
+    defaults C = 1, eps = 0.1, lambda = 0.05 weighted; a warning in a fit is an error.
+    """
     fits = []
 
     def recorded(design, **kwargs):
@@ -284,15 +287,22 @@ def test_svr_cv_fold_designs_converge_at_or_below_the_reference(tmp_path, monkey
         fits.append((design, kwargs, params))
         return params
 
-    monkeypatch.setattr(baselines, "svr_fit", recorded)
+    tmp_path = tmp_path_factory.mktemp("cv_fold_fits")
     data = tmp_path / "data"
-    assert dispatch(["synth", "--out", str(data), "--seed", "0", "--n-subjects", "40", "--days-per-subject", "10",
-                     "--latent-rank", "8"]) == 0
-    assert dispatch(["cv", "--observations", str(data / "observations.csv"), "--outcomes",
-                     str(data / "outcomes.csv"), "--dictionary", str(data / "variables.txt"), "--out",
-                     str(tmp_path / "cv"), "--methods", "svr", "--imputer", "bmc", "--durations", "4,5",
-                     "--ranks", "2", "--lambdas", "0.05", "--k", "5", "--seed", "0"]) == 0
-    assert len(fits) == 10
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(baselines, "svr_fit", recorded)
+        codes = [dispatch(["synth", "--out", str(data), "--seed", "0", "--n-subjects", "40", "--days-per-subject",
+                           "10", "--latent-rank", "8"]),
+                 dispatch(["cv", "--observations", str(data / "observations.csv"), "--outcomes",
+                           str(data / "outcomes.csv"), "--dictionary", str(data / "variables.txt"), "--out",
+                           str(tmp_path / "cv"), "--methods", "svr", "--imputer", "bmc", "--durations", "4,5",
+                           "--ranks", "2", "--lambdas", "0.05", "--k", "5", "--seed", "0"])]
+    return codes, fits
+
+
+def test_svr_cv_fold_designs_converge_at_or_below_the_reference(cv_fold_fits):
+    codes, fits = cv_fold_fits
+    assert codes == [0, 0] and len(fits) == 10
     for design, kwargs, params in fits:
         assert kwargs == {"lambda_": 0.05, "censored_mode": "weighted"}
         got = svr_objective(design, params.w_vec, params.b, 1.0, 0.1, 0.05, "weighted")
@@ -301,6 +311,103 @@ def test_svr_cv_fold_designs_converge_at_or_below_the_reference(tmp_path, monkey
             warnings.simplefilter("ignore")
             reference_svr_fit(design, 1.0, 0.1, 0.05, "weighted", want_trace)
         assert got <= want_trace[-1] * (1 + 1e-6)
+
+
+def unstacked_svr_fit(design, C=1.0, epsilon_tube=0.1, lambda_=0.0, censored_mode="weighted", tol=1e-8,
+                      max_iter=100, trace_out=None):
+    """svr_fit's interior-point loop as it was with separate dual and slack arrays, kept as a reference.
+
+    Each iteration forms K = diag(reg) + (Z s) Z' and masked copies for the
+    step ratio; svr_fit now keeps one stacked state and K = (Z sqrt(s))(Z sqrt(s))' + diag(reg).
+    """
+    block, weight = baselines._augmented(design, lambda_, censored_mode)
+    keep = weight > 0
+    Z, y, c = block.X[:, keep], block.y[keep], C * weight[keep]
+    b_start = float(block.y[~block.censored].mean())
+    eps = epsilon_tube
+    Zt = np.ascontiguousarray(Z.T)
+    reg = np.ones(Z.shape[0])
+    reg[-1] = 0.0
+    signs = np.array([[1.0], [-1.0]])
+
+    def residuals(theta, dual, slack):
+        r = Zt @ theta - y
+        primal = slack[:2] - eps - slack[2:] + signs * r
+        return r, primal, reg * theta + Z @ (dual[0] - dual[1]), c - dual[:2] - dual[2:]
+
+    theta = np.zeros(Z.shape[0])
+    theta[-1] = b_start
+    r = Zt @ theta - y
+    xi = np.maximum(signs * r - eps, 0.0) + max(1.0, float(np.std(y)))
+    slack = np.vstack([eps + xi - signs * r, xi])
+    dual = np.tile(c / 2, (4, 1))
+    r, primal, stationarity, dual_box = residuals(theta, dual, slack)
+    primal_scale = 1.0 + float(np.abs(y).max()) + eps
+    dual_scale = 1.0 + float(c.max())
+
+    def max_step(d_dual, d_slack):
+        steps = [1.0]
+        for v, dv in ((dual, d_dual), (slack, d_slack)):
+            shrinking = dv < 0
+            steps.append(float(np.min(-v[shrinking] / dv[shrinking], initial=np.inf)))
+        return min(steps)
+
+    best = 0.5 * float(theta[:-1] @ theta[:-1]) + float(c @ np.maximum(np.abs(r) - eps, 0.0))
+    for _ in range(max_iter):
+        g = slack[:2] / dual[:2] + slack[2:] / dual[2:]
+        K = np.diag(reg) + (Z * (1.0 / g).sum(axis=0)) @ Zt
+
+        def newton(rc):
+            u = primal - rc[:2] / dual[:2] + (rc[2:] + slack[2:] * dual_box) / dual[2:]
+            d_theta = np.linalg.solve(K, -stationarity - Z @ (signs * u / g).sum(axis=0))
+            d_tube = (u + signs * (Zt @ d_theta)) / g
+            d_dual = np.vstack([d_tube, dual_box - d_tube])
+            return d_theta, d_dual, -(rc + slack * d_dual) / dual
+
+        gap = float(np.sum(dual * slack))
+        _, aff_dual, aff_slack = newton(dual * slack)
+        t = max_step(aff_dual, aff_slack)
+        gap_aff = float(np.sum((dual + t * aff_dual) * (slack + t * aff_slack)))
+        target = (gap_aff / gap) ** 3 * gap / dual.size
+        d_theta, d_dual, d_slack = newton(dual * slack + aff_dual * aff_slack - target)
+        t = min(1.0, 0.99 * max_step(d_dual, d_slack))
+        theta, dual, slack = theta + t * d_theta, dual + t * d_dual, slack + t * d_slack
+        r, primal, stationarity, dual_box = residuals(theta, dual, slack)
+        half_ww = 0.5 * float(theta[:-1] @ theta[:-1])
+        best = min(best, half_ww + float(c @ np.maximum(np.abs(r) - eps, 0.0)))
+        if trace_out is not None:
+            trace_out.append(best)
+        if (float(np.sum(dual * slack)) <= tol * (1.0 + abs(half_ww + float(c @ slack[2:].sum(axis=0))))
+                and np.abs(primal).max() <= tol * primal_scale
+                and max(np.abs(stationarity).max(), np.abs(dual_box).max()) <= tol * dual_scale):
+            break
+    theta[-1] = baselines._exact_intercept(Z[:-1].T @ theta[:-1] - y, c, eps, b_start)
+    return theta[:-1], float(theta[-1])
+
+
+def close_to_unstacked(design, **kwargs):
+    """svr_fit against unstacked_svr_fit: the same step count, and w and b within 1e-9 relative."""
+    got_trace, want_trace = [], []
+    got = svr_fit(design, **kwargs, trace_out=got_trace)
+    want_w, want_b = unstacked_svr_fit(design, **kwargs, trace_out=want_trace)
+    scale = max(np.linalg.norm(want_w), abs(want_b))
+    assert len(got_trace) == len(want_trace)
+    assert np.linalg.norm(got.w_vec - want_w) <= 1e-9 * scale and abs(got.b - want_b) <= 1e-9 * scale
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(60, 72))
+def test_svr_matches_the_unstacked_loop_on_random_designs(seed):
+    rng = np.random.default_rng(seed)
+    T, P = rng.integers(1, 5, size=2)
+    design = random_design(rng, T, P, int(rng.integers(10, 120)), int(rng.integers(0, 40)))
+    for lam, mode in itertools.product((0.05, 0.3), ("weighted", "ignore")):
+        close_to_unstacked(design, C=(0.5, 1.0, 4.0)[seed % 3], lambda_=lam, censored_mode=mode)
+
+
+def test_svr_matches_the_unstacked_loop_on_cv_fold_designs(cv_fold_fits):
+    for design, kwargs, _ in cv_fold_fits[1]:
+        close_to_unstacked(design, **kwargs)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

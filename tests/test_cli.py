@@ -551,6 +551,22 @@ class TestErrors:
         assert str(cfg) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", [["--censor-horizon", "0.5"], {"censor_horizon": -3},
+                                         {"censor_horizon": float("nan")}, {"noise_sigma": float("nan")},
+                                         {"noise_sigma": float("inf")}],
+                             ids=["horizon_below_one", "negative_horizon", "nan_horizon", "nan_noise", "inf_noise"])
+    def test_synth_setting_that_yields_no_usable_cohort_is_data_error(self, tmp_path, capsys, setting):
+        argv = ["synth", "--out", str(tmp_path / "x")]
+        if isinstance(setting, dict):
+            (tmp_path / "cfg.json").write_text(json.dumps(setting))  # NaN and Infinity, as Python's json writes them
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        else:
+            argv += setting
+        name = setting[0][2:].replace("-", "_") if isinstance(setting, list) else next(iter(setting))
+        assert dispatch(argv) == 2
+        assert f"data error: {name} " in capsys.readouterr().err
+        assert not (tmp_path / "x" / "observations.csv").exists()
+
     def test_no_subcommand_is_usage_error(self, capsys):
         assert dispatch([]) == 1
         assert "a subcommand is required" in capsys.readouterr().err
@@ -742,3 +758,35 @@ class TestFlagTable:
         cfg.write_text(json.dumps({key: 0}))
         assert dispatch([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert f"unknown keys for {command!r}: [{key!r}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(cli.DEFAULTS))
+    def test_one_subcommand_parser_matches_the_full_one(self, command, capsys):
+        def help_text(parser):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            return capsys.readouterr().out
+
+        def usage_error(parser):
+            with pytest.raises(cli.UsageError) as caught:
+                parser.parse_args([command, "--config"])
+            return str(caught.value)
+
+        full, one = cli._build_parser(), cli._build_parser((command,))
+        assert help_text(one) == help_text(full) and f"usage: cenrank {command}" in help_text(full)
+        assert usage_error(one) == usage_error(full) == "argument --config: expected one argument"
+
+    def test_top_level_help_and_unknown_command_list_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            dispatch(["--help"])
+        listing = "{" + ",".join(cli.DEFAULTS) + "}"
+        assert caught.value.code == 0 and listing in capsys.readouterr().out
+        assert dispatch(["fit"]) == 1
+        assert "invalid choice: 'fit'" in capsys.readouterr().err
+
+    def test_dispatch_builds_the_invoked_subcommand_only(self, tmp_path, monkeypatch):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda commands: built.append(tuple(commands)) or build(commands))
+        assert dispatch(["synth", "--out", str(tmp_path / "x"), "--n-subjects", "3"]) == 0
+        assert dispatch(["bogus"]) == dispatch([]) == 1
+        assert built == [("synth",), tuple(cli.DEFAULTS), tuple(cli.DEFAULTS)]

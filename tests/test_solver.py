@@ -208,6 +208,29 @@ class TestFitPgd:
         assert not report.converged and 0 < report.iterations < 5000
         assert np.all(np.diff(report.objective_trace) < 0)
 
+    def test_level_pass_at_a_stationary_point_ends_the_fit_converged(self):
+        # the first of a run of random designs whose fit ends by a pass that leaves the objective where it was
+        rng = np.random.default_rng(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the stalled fits before it
+            for _ in range(200):
+                T, P = int(rng.integers(3, 6)), int(rng.integers(3, 8))
+                r, lam = int(rng.integers(1, min(T, P))), (0.05, 0.3)[int(rng.integers(2))]
+                design = random_design(rng, T, P, int(rng.integers(20, 80)), int(rng.integers(5, 30)))
+                params, report = fit_pgd(design, lam, r, SolverOptions(tol=1e-9, max_iter=5000))
+                trace = report.objective_trace
+                if report.iterations and trace[-1] == trace[-2]:
+                    break
+            else:
+                pytest.fail("no fit ended by a level pass")
+        assert report.converged and np.all(np.diff(trace[:-1]) < 0)
+        assert abs(report.final_objective - objective(params, design)) <= 1e-12 * report.final_objective
+        U, s, Vt = np.linalg.svd(params.w)
+        u, v = U[:, :r] * np.sqrt(s[:r]), Vt[:r].T * np.sqrt(s[:r])
+        g_w, g_b = gradient(params, design)
+        G = g_w.reshape(T, P)
+        assert np.sqrt(np.sum((G @ v) ** 2) + np.sum((G.T @ u) ** 2) + g_b ** 2) <= 1e-9 * data_scale(design, lam)
+
     def test_unpreconditioned_rank_budget_holds_on_w(self):
         rng = np.random.default_rng(14)
         design = random_design(rng, 4, 6, 30, 10)
@@ -425,6 +448,27 @@ class TestCertifiedNewton:
         self.recorded(monkeypatch, "_solve", solved)
         fit_pgd(design, 0.05, r)
         assert certified[0] is False and solved and solved[0].shape == (design.T * design.P + 1,)
+
+
+class TestNewtonBlock:
+    """`_newton` on the unconstrained block [X; 1] of a random design."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_start_at_the_minimum_returns_after_one_step(self, seed, monkeypatch):
+        # before the rounding exit, seeds 2, 4 and 10 spent 5 to 198 objective evaluations here
+        rng = np.random.default_rng(seed)
+        T, P = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        design = random_design(rng, T, P, int(rng.integers(20, 60)), int(rng.integers(5, 30)))
+        block = solver._block(design.X, design)
+        theta, exact = solver._newton(block, 0.3, np.zeros(T * P + 1))
+        assert exact
+        calls = []
+        for name in ("_objective_vec", "_lu_solve", "_solve"):
+            fn = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+        again, exact = solver._newton(block, 0.3, theta)
+        assert exact and calls.count("_objective_vec") <= 2 and calls.count("_lu_solve") + calls.count("_solve") <= 1
+        assert np.linalg.norm(again - theta) <= 1e-9 * np.linalg.norm(theta)
 
 
 @pytest.mark.parametrize("seed", range(4))

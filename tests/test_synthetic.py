@@ -78,6 +78,20 @@ class TestGenerateCohort:
         with pytest.raises(DataError):
             generate_cohort(SyntheticSpec(n_subjects=5, days_per_subject=9, P=4, T_star=5, true_rank=5))
 
+    @pytest.mark.parametrize("setting, value", [("censor_horizon", 0.5), ("censor_horizon", -3.0),
+                                                ("censor_horizon", float("nan")), ("noise_sigma", float("nan")),
+                                                ("noise_sigma", float("inf"))])
+    def test_setting_that_yields_no_usable_cohort_rejected(self, setting, value):
+        spec = SyntheticSpec(n_subjects=5, days_per_subject=6, P=4, T_star=3, true_rank=1, noise_sigma=1.0)
+        setattr(spec, setting, value)
+        with pytest.raises(DataError, match=f"^{setting} "):
+            generate_cohort(spec)
+
+    def test_horizon_of_one_day_gives_one_row_per_subject(self):
+        cohort, _ = generate_cohort(SyntheticSpec(n_subjects=5, days_per_subject=6, P=4, T_star=3, true_rank=1,
+                                                  censor_horizon=1.0))
+        assert len(cohort.days) == 5 and not cohort.event.any()
+
     def test_rounded_onsets_are_integral(self):
         cohort, _ = generate_cohort(
             SyntheticSpec(n_subjects=25, days_per_subject=6, P=4, T_star=3, true_rank=1,
