@@ -16,7 +16,7 @@ import numpy as np
 
 from .cohort import DesignSet
 from .errors import DataError, NumericalError
-from .solver import ModelParams, _block, _solve, check_lambda
+from .solver import ModelParams, _certified, _lu_solve, _solve, check_lambda
 
 
 def _augmented(design: DesignSet, lambda_: float, censored_mode: str) -> tuple[DesignSet, np.ndarray]:
@@ -27,21 +27,24 @@ def _augmented(design: DesignSet, lambda_: float, censored_mode: str) -> tuple[D
     if design.censored.all():
         raise DataError("baseline fits require at least one complete sample")
     weight = lambda_ if censored_mode == "weighted" else 0.0
-    return _block(design.X, design), np.where(design.censored, weight, 1.0)
+    Z = np.vstack([design.X, np.ones(design.y.size)])
+    return DesignSet(Z, design.y, design.censored, 1, Z.shape[0]), np.where(design.censored, weight, 1.0)
 
 
 def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weighted") -> ModelParams:
     """Least squares on complete samples, optionally lambda-weighting censored ones.
 
-    The minimum-norm solution of the normal equations (`solver._solve`,
-    the rule of fit_pgd's Newton steps): no weight along directions the data
-    does not span, and exactly fittable data interpolated. The normal matrix
-    is formed as (Z sqrt(c)) (Z sqrt(c))', a product numpy computes exactly
-    symmetric.
+    The minimum-norm solution of the normal equations, solved as fit_pgd's
+    Newton steps are: by LU (`solver._lu_solve`) when `solver._certified`
+    shows the normal matrix far from singular, else by `solver._solve`, so
+    no weight goes along directions the data does not span, and exactly
+    fittable data are interpolated. The normal matrix is formed as
+    (Z sqrt(c)) (Z sqrt(c))', a product numpy computes exactly symmetric.
     """
     block, weight = _augmented(design, lambda_, censored_mode)
     Zs = block.X * np.sqrt(weight)
-    theta = _solve(Zs @ Zs.T, block.X @ (weight * block.y))
+    H = Zs @ Zs.T
+    theta = (_lu_solve if _certified(H, 0.0) else _solve)(H, block.X @ (weight * block.y))
     return ModelParams.unconstrained(theta, design, lambda_, "ols", {"censored_mode": censored_mode})
 
 

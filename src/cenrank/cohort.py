@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 
@@ -455,6 +456,8 @@ def extract_windows(cohort: Cohort, T: int, stride: int = 1, horizon: float = 21
     """
     if T < 1 or stride < 1 or horizon < 1:
         raise ValueError("T, stride and horizon must all be >= 1")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon!r}")
     onset = np.where(cohort.event, cohort.outcome_day, np.inf)
     # every start 0, stride, ... that fits in its subject, then only the windows ending before onset
     count = np.maximum((np.diff(cohort.start) - T) // stride + 1, 0)

@@ -20,7 +20,10 @@ truncation is the starting point. Each step, like OLS, is a minimum-norm
 solve (`_solve`), so weights the windows do not span stay zero. When one
 test per block solve (`_certified`) shows that no Hessian of the block can
 come near singular, each step has one solution, and LU finds it
-(`_lu_solve`) without an eigendecomposition.
+(`_lu_solve`) without an eigendecomposition. Each alternating pass is
+followed by one trial point along its own direction, kept when it is lower
+(`fit_pgd` gives the rule), and a fit orders its samples once, complete
+first, so every block reads its complete and censored columns as slices.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +44,10 @@ MAX_HALVINGS = 50
 NEWTON_STEPS = 50
 ARMIJO = 1e-4
 ROUNDING = np.finfo(float).eps
+# fit_pgd's extrapolation factor beta: its start, its cap and its floor
+EXTRAPOLATION = (1.0, 16.0, 0.5)
+# a pass that lowers the objective by less than GATE |f| is not extrapolated
+GATE = math.sqrt(ROUNDING)
 
 
 @dataclass
@@ -82,7 +90,7 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Stopping rule of fit_pgd: gradient tolerance and the cap on alternating passes, both nonnegative.
+    """Stopping rule of fit_pgd: gradient tolerance (finite) and the cap on alternating passes, both nonnegative.
 
     `precondition` is read by nothing. It stays only because the benchmark
     (bench/workloads.py) passes precondition=False; it goes when that
@@ -96,6 +104,9 @@ class SolverOptions:
     def __post_init__(self):
         if not (self.tol >= 0 and self.max_iter >= 0):
             raise ValueError(f"tol and max_iter must be nonnegative, got {self.tol!r} and {self.max_iter!r}")
+        if not math.isfinite(self.tol):
+            # a bound of inf holds at any point, so "converged" would not mean stationary
+            raise ValueError(f"tol must be finite, got {self.tol!r}")
 
 
 def check_lambda(lambda_):
@@ -108,38 +119,62 @@ def _check_design(w, design):
         raise DataError(f"w has shape {w.shape}, design expects {(design.T, design.P)}")
 
 
-def _margins(w_vec, b, design):
-    """Each sample's margin: its residual <x, w> + b - y, or min(0, residual) if it is censored."""
-    m = design.X.T @ w_vec + b - design.y
-    return np.minimum(m, 0.0, out=m, where=design.censored)
+class _Samples(NamedTuple):
+    """A fit's samples in its layout, complete first: labels, weights (1, then lambda_) and the complete count."""
+
+    y: np.ndarray
+    weight: np.ndarray
+    n_c: int
+    lambda_: float
 
 
-def _weights(design, lambda_):
-    """Each sample's weight in the objective: 1 if complete, lambda if censored."""
-    return np.where(design.censored, lambda_, 1.0)
+def _layout(design, lambda_):
+    """The design's samples ordered once, complete first (stable): [X; 1] over them, and their `_Samples`.
+
+    Every block of a fit keeps this order, so its complete and censored
+    columns are the slices [:n_c] and [n_c:].
+    """
+    n = design.y.size
+    order = np.argsort(design.censored, kind="stable")
+    Z = np.empty((design.X.shape[0] + 1, n))
+    Z[:-1] = design.X[:, order]
+    Z[-1] = 1.0
+    n_c = n - int(design.censored.sum())
+    weight = np.full(n, lambda_, dtype=float)
+    weight[:n_c] = 1.0
+    return Z, _Samples(design.y[order], weight, n_c, lambda_)
 
 
-def _objective_vec(w_vec, b, design, weight):
-    """Objective at (w_vec, b) under the sample weights `weight` (`_weights`), with the margins it was computed from."""
-    m = _margins(w_vec, b, design)
-    return 0.5 * float((weight * m) @ m), m
+def _objective_vec(Z, theta, s):
+    """Objective at theta over the features Z ([F; 1]) of the samples s, with the margins it was computed from.
+
+    A margin is the residual F'theta[:-1] + theta[-1] - y, or min(0, residual) for a censored sample.
+    """
+    m = Z[:-1].T @ theta[:-1]
+    m += theta[-1]
+    m -= s.y
+    tail = m[s.n_c:]
+    np.minimum(tail, 0.0, out=tail)
+    return 0.5 * float((s.weight * m) @ m), m
 
 
-def _gradient_vec(margins, design, weight):
-    weighted = weight * margins
-    return design.X @ weighted, float(weighted.sum())
+def _stacked(params, design):
+    """[vec(w); b] of params, and the design's layout."""
+    _check_design(params.w, design)
+    return (np.append(vectorize(params.w), params.b), *_layout(design, params.lambda_))
 
 
 def objective(params: ModelParams, design: DesignSet) -> float:
     """Censored least-squares / squared-hinge objective value."""
-    _check_design(params.w, design)
-    return _objective_vec(vectorize(params.w), params.b, design, _weights(design, params.lambda_))[0]
+    theta, Z, s = _stacked(params, design)
+    return _objective_vec(Z, theta, s)[0]
 
 
 def gradient(params: ModelParams, design: DesignSet) -> tuple[np.ndarray, float]:
     """Analytic gradient (d/d vec(w), d/db) of the objective."""
-    _check_design(params.w, design)
-    return _gradient_vec(_margins(vectorize(params.w), params.b, design), design, _weights(design, params.lambda_))
+    theta, Z, s = _stacked(params, design)
+    g = Z @ (s.weight * _objective_vec(Z, theta, s)[1])
+    return g[:-1], float(g[-1])
 
 
 def project_rank(w_hat: np.ndarray, r: int) -> np.ndarray:
@@ -156,18 +191,6 @@ def numerical_rank(w: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > RANK_TOL * s[0]))
-
-
-def _block(F, design) -> DesignSet:
-    """The least-squares block over theta = [coefficients; b]: features F over a row of ones.
-
-    Column i of F holds the features of the design's sample i, whose label
-    and censored mark the block keeps.
-    """
-    Z = np.empty((F.shape[0] + 1, F.shape[1]))
-    Z[:-1] = F
-    Z[-1] = 1.0
-    return DesignSet(Z, design.y, design.censored, 1, Z.shape[0])
 
 
 def _solve(H, rhs):
@@ -211,11 +234,14 @@ def _certified(H_c, censored_weight):
     return True
 
 
-def _newton(block: DesignSet, lambda_, theta):
+def _newton(Z, s, theta):
     """Minimise the block objective over theta by finite Newton steps.
 
-    The intercept is the last entry of theta, so the objective is taken at
-    b = 0; a non-finite objective at the start raises NumericalError.
+    Z is the block's features over a row of ones, one column per sample in
+    the fit's layout (`_layout`): the s.n_c complete samples first, so the
+    complete and censored columns are slices and no column is copied but
+    the active ones. The intercept is the last entry of theta; a non-finite
+    objective at the start raises NumericalError.
     Each step is the minimum-norm solution of the Newton system (`_solve`);
     when `_certified` shows that no Hessian of the call has an eigenvalue at
     `_solve`'s cut, that solution is the unique one, and an LU solve with
@@ -228,38 +254,37 @@ def _newton(block: DesignSet, lambda_, theta):
     set of censored margins, so theta minimises the quadratic that agrees
     with the objective around it, or that no descent direction is left.
     """
-    censored = block.censored
-    weight = _weights(block, lambda_)
-    X_c = block.X[:, ~censored]
-    H_c = X_c @ X_c.T
-    solve = _lu_solve if _certified(H_c, lambda_ * float((block.X[:, censored] ** 2).sum())) else _solve
-    f, margins = _objective_vec(theta, 0.0, block, weight)
+    n_c, lambda_ = s.n_c, s.lambda_
+    Z_c, Z_z = Z[:, :n_c], Z[:, n_c:]
+    H_c = Z_c @ Z_c.T
+    solve = _lu_solve if _certified(H_c, lambda_ * float(np.einsum("ij,ij->", Z_z, Z_z))) else _solve
+    f, margins = _objective_vec(Z, theta, s)
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting point")
     for _ in range(NEWTON_STEPS):
-        active = censored & (margins < 0)
-        g = block.X @ (weight * margins)
-        Z = block.X[:, active]
-        d = solve(H_c + lambda_ * (Z @ Z.T), -g)
+        active = margins[n_c:] < 0
+        g = Z @ (s.weight * margins)
+        Z_a = Z_z[:, active]
+        d = solve(H_c + lambda_ * (Z_a @ Z_a.T), -g)
         slope = float(g @ d)
         if not slope < 0:
             return theta, True
         if -slope <= ROUNDING * abs(f):
             # below f's rounding no step length can be told better than another: take the whole step and stop
             theta = theta + d
-            margins = _objective_vec(theta, 0.0, block, weight)[1]
-            return theta, np.array_equal(censored & (margins < 0), active)
+            margins = _objective_vec(Z, theta, s)[1]
+            return theta, np.array_equal(margins[n_c:] < 0, active)
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             trial = theta + t * d
-            f_new, new_margins = _objective_vec(trial, 0.0, block, weight)
+            f_new, new_margins = _objective_vec(Z, trial, s)
             if f_new <= f + ARMIJO * t * slope:
                 break
             t *= 0.5
         else:
             return theta, False
         theta, f, margins = trial, f_new, new_margins
-        if t == 1.0 and np.array_equal(censored & (margins < 0), active):
+        if t == 1.0 and np.array_equal(margins[n_c:] < 0, active):
             return theta, True
     return theta, False
 
@@ -275,19 +300,36 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
             options: SolverOptions | None = None) -> tuple[ModelParams, SolveReport]:
     """Fit the rank-constrained censored regression by exact alternating minimisation.
 
-    lambda_, options.tol and options.max_iter must be nonnegative, and
-    lambda_ finite (ValueError otherwise); a non-finite objective raises
-    NumericalError. The name is kept from the projected-gradient solver
-    this replaced.
+    lambda_ must be finite and nonnegative, options.tol finite and
+    nonnegative and options.max_iter nonnegative (ValueError otherwise); a
+    non-finite objective raises NumericalError. The name is kept from the
+    projected-gradient solver this replaced.
 
-    The start is the unconstrained minimiser over [vec(w); b], found by the
-    finite Newton routine. When r >= min(T, P) it is the answer, after 0
-    passes, and it is converged when the Newton routine ended exactly or
-    its gradient meets the bound below. Otherwise its rank-r SVD truncation
-    w = U V' (U = U_r S_r^1/2, V = V_r S_r^1/2) starts a sequence of passes.
+    The fit orders the design's samples once, complete first (`_layout`),
+    and every block it solves keeps that order. The start is the
+    unconstrained minimiser over [vec(w); b], found by the finite Newton
+    routine. When r >= min(T, P) it is the answer, after 0 passes, and it
+    is converged when the Newton routine ended exactly or its gradient
+    meets the bound below. Otherwise its rank-r SVD truncation w = U V'
+    (U = U_r S_r^1/2, V = V_r S_r^1/2) starts a sequence of passes.
     Each pass solves for (U, b) with V fixed, then for (V, b) with U fixed,
     then rebalances the factors (the SVD of U V', its singular values split
-    evenly) so that U and V keep equal scale.
+    evenly) so that U and V keep equal scale. The U-block and V-block
+    features of every sample, over a row of ones, are written into two
+    buffers allocated once per fit.
+
+    A pass that lowers the objective from f to f+ by at least
+    sqrt(eps) |f| is then extrapolated: from the last point (w, b) and the
+    pass's point (w+, b+) it tries w_e = U_e V_e', with (U_e, V_e) the
+    balanced rank-r factors of w+ + beta (w+ - w), and b_e = b+ + beta (b+ - b),
+    and keeps that point if its objective is strictly lower than f+.
+    beta starts at EXTRAPOLATION[0], doubles after a kept point up to
+    EXTRAPOLATION[1] and halves after a refused one down to
+    EXTRAPOLATION[2]. Alternation closes the gap to a minimum by a nearly
+    fixed factor per pass, so the step along a pass's direction saves
+    passes; below the sqrt(eps) gate the objective's rounding is too close
+    to the decrease for a trial point to be judged, so those passes stay
+    plain.
 
     converged=True means that, after the last pass (or at the start),
     ||(G V, G' U, g_b)|| <= tol * (||X_c y_c|| + lambda ||X_z y_z||), where
@@ -300,36 +342,36 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     ends converged at that point, and the pass is recorded with that
     point's objective; otherwise the fit ends "stalled" at the last point,
     and the pass is not recorded. So objective_trace, whose first entry is
-    the objective at the start, is non-increasing, and strictly decreasing
-    except that its last entry may equal the one before it. `iterations`
-    counts the recorded passes, at most options.max_iter; a fit that stops
-    before the bound is met emits a RuntimeWarning. rank(w) <= r by
-    construction, and `rank_w` is numerical_rank(w).
+    the objective at the start and which holds one point per pass, is
+    non-increasing, and strictly decreasing except that its last entry may
+    equal the one before it. `iterations` counts the recorded passes, at
+    most options.max_iter; a fit that stops before the bound is met emits
+    a RuntimeWarning. rank(w) <= r by construction, and `rank_w` is
+    numerical_rank(w).
 
     Floating point sets a floor between tol 1e-9 and 1e-8: of the 30 random
-    designs of tools/solver_floor.py, 29 converge at 1e-8, 7 at 1e-9 and 1
+    designs of tools/solver_floor.py, 29 converge at 1e-8, 7 at 1e-9 and 2
     at 1e-10; the others stall.
     """
     opts = options or SolverOptions()
     if r < 1:
         raise ValueError("rank must be >= 1")
     check_lambda(lambda_)
-    T, P, X, y, censored = design.T, design.P, design.X, design.y, design.censored
-    if not y.size:
+    T, P = design.T, design.P
+    if not design.y.size:
         raise DataError("design has no samples")
-    b0 = float(y[~censored].mean()) if not censored.all() else 0.0
-    theta, exact = _newton(_block(X, design), lambda_, np.append(np.zeros(T * P), b0))
-    bound = opts.tol * (np.linalg.norm(X[:, ~censored] @ y[~censored])
-                        + lambda_ * np.linalg.norm(X[:, censored] @ y[censored]))
+    Z, s = _layout(design, lambda_)
+    n_c, y = s.n_c, s.y
+    b0 = float(y[:n_c].mean()) if n_c else 0.0
+    theta, exact = _newton(Z, s, np.append(np.zeros(T * P), b0))
+    bound = opts.tol * (np.linalg.norm(Z[:-1, :n_c] @ y[:n_c]) + lambda_ * np.linalg.norm(Z[:-1, n_c:] @ y[n_c:]))
     w, b = theta[:-1].reshape(T, P), float(theta[-1])
     if r >= min(T, P):
-        weight = _weights(design, lambda_)
-        f, margins = _objective_vec(w.ravel(), b, design, weight)
-        g_w, g_b = _gradient_vec(margins, design, weight)
+        f, margins = _objective_vec(Z, theta, s)
         trace, capped = [f], False
-        converged = exact or math.hypot(np.linalg.norm(g_w), g_b) <= bound
+        converged = exact or np.linalg.norm(Z @ (s.weight * margins)) <= bound
     else:
-        w, b, trace, converged, capped = _alternate(design, lambda_, r, w, b, bound, opts.max_iter)
+        w, b, trace, converged, capped = _alternate(Z, s, r, w, b, bound, opts.max_iter)
 
     if not converged:
         why = f"stopped at max_iter={opts.max_iter}" if capped else "stalled"
@@ -344,46 +386,58 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
     return params, report
 
 
-def _alternate(design, lambda_, r, w, b, bound, max_iter):
-    """Alternating passes from the rank-r truncation of w.
+def _alternate(Z, s, r, w, b, bound, max_iter):
+    """Alternating passes, each extrapolated as `fit_pgd` describes, from the rank-r truncation of w.
 
-    Returns (w, b, objective trace, converged, capped); capped means the
-    passes ran out at max_iter.
+    Z is the fit's [X; 1] in its layout s. Returns (w, b, objective trace,
+    converged, capped); capped means the passes ran out at max_iter.
     """
-    T, P = design.T, design.P
-    weight = _weights(design, lambda_)
-    U, V = _split(w, r)
-    w = U @ V.T
-    f, margins = _objective_vec(w.ravel(), b, design, weight)
-    trace = [f]
+    T, P = w.shape
+    n = s.y.size
     # each sample's window as T x P (for the U block) and P x T (for the V block)
-    X = design.X.reshape(T, P, -1)
+    X = Z[:-1].reshape(T, P, n)
     Xt = X.transpose(1, 0, 2)
+    # the U-block features X V (T x r) and the V-block features X' U (P x r) of every sample, over a row of ones
+    Z_u, Z_v = np.empty((T * r + 1, n)), np.empty((P * r + 1, n))
+    Z_u[-1] = Z_v[-1] = 1.0
+    F_u, F_v = Z_u[:-1].reshape(T, r, n), Z_v[:-1].reshape(P, r, n)
+
+    def point(U, V, b):
+        """(U, V, w, b, objective, margins) at w = U V'."""
+        w = U @ V.T
+        return (U, V, w, b, *_objective_vec(Z, np.append(w.ravel(), b), s))
 
     def stationary(U, V, margins):
-        g_w, g_b = _gradient_vec(margins, design, weight)
-        G = g_w.reshape(T, P)
-        return math.sqrt(((G @ V) ** 2).sum() + ((G.T @ U) ** 2).sum() + g_b * g_b) <= bound
+        g = Z @ (s.weight * margins)
+        G = g[:-1].reshape(T, P)
+        return math.sqrt(((G @ V) ** 2).sum() + ((G.T @ U) ** 2).sum() + g[-1] ** 2) <= bound
 
+    U, V, w, b, f, margins = point(*_split(w, r), b)
+    trace = [f]
+    beta = EXTRAPOLATION[0]
     while not stationary(U, V, margins):
         if len(trace) - 1 == max_iter:
             return w, b, trace, False, True
-        # (U, b) with V fixed: the features of a sample are X V (T x r)
-        block = _block((V.T @ X).reshape(T * r, -1), design)
-        theta = _newton(block, lambda_, np.append(U.ravel(), b))[0]
+        np.matmul(V.T, X, out=F_u)
+        theta = _newton(Z_u, s, np.append(U.ravel(), b))[0]
         U_new = theta[:-1].reshape(T, r)
-        # (V, b) with U fixed: the features of a sample are X' U (P x r)
-        block = _block((U_new.T @ Xt).reshape(P * r, -1), design)
-        theta = _newton(block, lambda_, np.append(V.ravel(), theta[-1]))[0]
-        U_new, V_new = _split(U_new @ theta[:-1].reshape(P, r).T, r)
-        w_new, b_new = U_new @ V_new.T, float(theta[-1])
-        f_new, new_margins = _objective_vec(w_new.ravel(), b_new, design, weight)
+        np.matmul(U_new.T, Xt, out=F_v)
+        theta = _newton(Z_v, s, np.append(V.ravel(), theta[-1]))[0]
+        new = point(*_split(U_new @ theta[:-1].reshape(P, r).T, r), float(theta[-1]))
+        f_new = new[4]
         if not f_new < f:
             # no lower in floating point: the fit ends, at the new point if that one is stationary
-            if f_new == f and stationary(U_new, V_new, new_margins):
-                return w_new, b_new, trace + [f_new], True, False
+            if f_new == f and stationary(new[0], new[1], new[5]):
+                return new[2], new[3], trace + [f_new], True, False
             return w, b, trace, False, False
-        U, V, w, b, f, margins = U_new, V_new, w_new, b_new, f_new, new_margins
+        if f - f_new >= GATE * abs(f):
+            w_new, b_new = new[2], new[3]
+            trial = point(*_split(w_new + beta * (w_new - w), r), b_new + beta * (b_new - b))
+            if trial[4] < f_new:
+                new, beta = trial, min(2 * beta, EXTRAPOLATION[1])
+            else:
+                beta = max(beta / 2, EXTRAPOLATION[2])
+        U, V, w, b, f, margins = new
         trace.append(f)
     return w, b, trace, True, False
 

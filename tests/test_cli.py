@@ -243,6 +243,45 @@ class TestTrainPredict:
             assert "must be nonnegative" in capsys.readouterr().err
             assert not (run / "model.json").exists()
 
+    def test_infinite_tol_is_usage_error(self, cohort_dir, tmp_path, capsys):
+        # a tol of inf once reported converged=True after 0 passes
+        run = tmp_path / "run"
+        assert dispatch(["train", *cohort_args(cohort_dir), "--out", str(run), "--T", "4", "--tol", "inf"]) == 1
+        assert "tol must be finite" in capsys.readouterr().err
+        assert not (run / "model.json").exists()
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("method", evaluation.METHODS)
+    def test_non_finite_horizon_is_usage_error_for_train(self, cohort_dir, tmp_path, capsys, method, horizon):
+        run = tmp_path / "run"
+        argv = ["train", *cohort_args(cohort_dir), "--out", str(run), "--T", "4", "--method", method,
+                "--imputer", "mean", "--horizon", horizon]
+        assert dispatch(argv) == 1
+        assert "horizon must be finite" in capsys.readouterr().err
+        assert not (run / "model.json").exists()
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "1e400"])
+    def test_non_finite_horizon_is_usage_error_for_predict(self, cohort_dir, tmp_path, capsys, horizon):
+        # a NaN horizon once gave every censored window a label of NaN in predictions.csv
+        run, pred = tmp_path / "run", tmp_path / "pred"
+        assert dispatch(["train", *cohort_args(cohort_dir), "--out", str(run), "--T", "4", "--method", "ols",
+                         "--imputer", "mean"]) == 0
+        argv = ["predict", *cohort_args(cohort_dir), "--out", str(pred), "--model", str(run / "model.json"),
+                "--imputer-model", str(run / "imputer_model.json"), "--horizon", horizon]
+        assert dispatch(argv) == 1
+        assert "horizon must be finite" in capsys.readouterr().err
+        assert not (pred / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "1e400"])
+    def test_non_finite_horizon_is_usage_error_for_cv(self, cohort_dir, tmp_path, capsys, horizon):
+        # a NaN horizon once made every fold MAE NaN and marked a NaN cell best
+        out = tmp_path / "cv"
+        argv = ["cv", *cohort_args(cohort_dir), "--out", str(out), "--methods", "ols", "--imputer", "mean",
+                "--durations", "3", "--k", "3", "--horizon", horizon]
+        assert dispatch(argv) == 1
+        assert "horizon must be finite" in capsys.readouterr().err
+        assert not (out / "cv_report.json").exists()
+
     @pytest.mark.parametrize("method", evaluation.METHODS)
     @pytest.mark.parametrize("rank", ["0", "-5"])
     def test_rank_below_one_is_usage_error(self, cohort_dir, tmp_path, capsys, method, rank):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from cenrank.cohort import DesignSet, assemble_design, extract_windows
 from cenrank.errors import DataError, NumericalError, UnimputedSampleError
 from cenrank.evaluation import impute_split, predict_windows
 from cenrank import solver
+from cenrank.cli import dispatch
 from cenrank.imputation import MeanImputer
 from cenrank.solver import (
     ModelParams,
@@ -201,6 +203,12 @@ class TestFitPgd:
         with pytest.raises(AttributeError):
             SolverOptions().tol = -1.0
 
+    @pytest.mark.parametrize("tol", [float("inf"), 1e400])
+    def test_options_reject_an_infinite_tol(self, tol):
+        # a bound of inf holds everywhere: the fit would report converged=True after 0 passes
+        with pytest.raises(ValueError, match="tol must be finite, got inf"):
+            SolverOptions(tol=tol)
+
     def test_pass_that_does_not_lower_the_objective_ends_the_fit(self):
         design = random_design(np.random.default_rng(17), 4, 5, 40, 15)
         with pytest.warns(RuntimeWarning, match="stalled"):
@@ -341,6 +349,138 @@ class TestAlternatingSolver:
             assert norm <= tol * data_scale(design, lam) * (1 + 1e-6)
 
 
+def plain_fit(design, lambda_, r, tol=1e-4, max_iter=500):
+    """fit_pgd with plain alternating passes, as it was before passes were extrapolated, kept as the reference.
+
+    The start, the stopping bound and the level-or-stalled end rule are
+    fit_pgd's; the blocks are solved by `solver._newton` in the fit's
+    layout. Returns (objective trace, converged).
+    """
+    T, P = design.T, design.P
+    Z, s = solver._layout(design, lambda_)
+    theta = solver._newton(Z, s, np.append(np.zeros(T * P), s.y[:s.n_c].mean() if s.n_c else 0.0))[0]
+    bound = tol * data_scale(design, lambda_)
+    X = Z[:-1].reshape(T, P, -1)
+    Xt = X.transpose(1, 0, 2)
+
+    def evaluate(U, V, b):
+        return solver._objective_vec(Z, np.append((U @ V.T).ravel(), b), s)
+
+    def stationary(U, V, margins):
+        g = Z @ (s.weight * margins)
+        G = g[:-1].reshape(T, P)
+        return math.sqrt(((G @ V) ** 2).sum() + ((G.T @ U) ** 2).sum() + g[-1] ** 2) <= bound
+
+    U, V = solver._split(theta[:-1].reshape(T, P), r)
+    b = float(theta[-1])
+    f, margins = evaluate(U, V, b)
+    trace = [f]
+    while not stationary(U, V, margins):
+        if len(trace) - 1 == max_iter:
+            return trace, False
+        block = np.vstack([(V.T @ X).reshape(T * r, -1), np.ones(s.y.size)])
+        theta = solver._newton(block, s, np.append(U.ravel(), b))[0]
+        U_new = theta[:-1].reshape(T, r)
+        block = np.vstack([(U_new.T @ Xt).reshape(P * r, -1), np.ones(s.y.size)])
+        theta = solver._newton(block, s, np.append(V.ravel(), theta[-1]))[0]
+        U_new, V_new = solver._split(U_new @ theta[:-1].reshape(P, r).T, r)
+        b_new = float(theta[-1])
+        f_new, new_margins = evaluate(U_new, V_new, b_new)
+        if not f_new < f:
+            if f_new == f and stationary(U_new, V_new, new_margins):
+                return trace + [f_new], True
+            return trace, False
+        U, V, b, f, margins = U_new, V_new, b_new, f_new, new_margins
+        trace.append(f)
+    return trace, True
+
+
+def shuffled(design, rng):
+    """The design with its samples in random order, so that complete and censored samples interleave."""
+    perm = rng.permutation(design.y.size)
+    return DesignSet(design.X[:, perm], design.y[perm], design.censored[perm], design.T, design.P)
+
+
+def check_against_plain(design, lambda_, r, tol=1e-4):
+    """fit_pgd's report against `plain_fit`'s: converged where it is, and ending no higher; returns both pass counts."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        params, report = fit_pgd(design, lambda_, r, SolverOptions(tol=tol))
+        want, want_converged = plain_fit(design, lambda_, r, tol)
+    trace = report.objective_trace
+    assert report.converged or not want_converged
+    assert report.final_objective <= want[-1] * (1 + 1e-5)
+    assert np.all(np.diff(trace[:-1]) < 0) and trace[-1] <= trace[-2]
+    assert abs(report.final_objective - objective(params, design)) <= 1e-12 * report.final_objective
+    return report.iterations, len(want) - 1
+
+
+class TestExtrapolatedPasses:
+    """fit_pgd's extrapolated passes against the plain passes of `plain_fit`."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_designs_end_at_or_below_the_plain_passes(self, seed):
+        # odd seeds shuffle the samples, so that the fit's layout reorders them
+        rng = np.random.default_rng(100 + seed)
+        T, P = int(rng.integers(3, 7)), int(rng.integers(3, 11))
+        r, lam = int(rng.integers(1, min(T, P))), (0.05, 0.3)[seed % 4 // 2]
+        design = random_design(rng, T, P, int(rng.integers(20, 120)), int(rng.integers(5, 40)))
+        if seed % 2:
+            design = shuffled(design, rng)
+        for tol in (1e-4, 1e-8):
+            check_against_plain(design, lam, r, tol)
+
+    def test_cv_fold_designs_take_fewer_passes(self, cv_fold_designs):
+        passes = np.array([check_against_plain(design, lam, r) for design, lam, r in cv_fold_designs])
+        assert len(cv_fold_designs) == 60
+        assert passes[:, 0].sum() <= 0.65 * passes[:, 1].sum()
+
+    def test_gate_leaves_passes_at_the_rounding_floor_plain(self, monkeypatch):
+        # a pass that lowers f by less than sqrt(eps) |f| tries no extrapolated point
+        design = random_design(np.random.default_rng(17), 4, 5, 40, 15)
+        splits = []
+        split = solver._split
+
+        def recorded(w, r):
+            splits.append(w)
+            return split(w, r)
+        monkeypatch.setattr(solver, "_split", recorded)
+        with pytest.warns(RuntimeWarning, match="stalled"):
+            _, report = fit_pgd(design, 0.3, 2, SolverOptions(tol=1e-15, max_iter=5000))
+        trace = report.objective_trace
+        gated = np.diff(trace) > -solver.GATE * np.abs(trace[:-1])
+        # one split at the start, one per pass and one per pass above the gate, plus the unrecorded last pass
+        assert gated.any() and len(splits) == 1 + 2 * report.iterations - gated.sum() + 1
+
+
+@pytest.fixture(scope="module")
+def cv_fold_designs(tmp_path_factory):
+    """(design, lambda, rank) of the 60 fit_pgd calls of `cenrank cv` over the cv_grid benchmark's six cohorts.
+
+    Synth seeds 0-5, 40 subjects x 10 days, latent rank 8; BMC, T in {4, 5},
+    rank 2, lambda 0.05, 5 folds.
+    """
+    fits = []
+
+    def recorded(design, lambda_, r, options=None):
+        fits.append((design, lambda_, r))
+        return fit(design, lambda_, r, options)
+    fit = solver.fit_pgd
+    work = tmp_path_factory.mktemp("cv_fold_designs")
+    with pytest.MonkeyPatch.context() as patched, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # bmc_fit's iteration cap
+        patched.setattr(solver, "fit_pgd", recorded)
+        for seed in range(6):
+            data = work / f"data{seed}"
+            assert dispatch(["synth", "--out", str(data), "--seed", str(seed), "--n-subjects", "40",
+                             "--days-per-subject", "10", "--latent-rank", "8"]) == 0
+            assert dispatch(["cv", "--observations", str(data / "observations.csv"), "--outcomes",
+                             str(data / "outcomes.csv"), "--dictionary", str(data / "variables.txt"), "--out",
+                             str(work / f"cv{seed}"), "--imputer", "bmc", "--durations", "4,5", "--ranks", "2",
+                             "--lambdas", "0.05", "--k", "5", "--seed", str(seed)]) == 0
+    return fits
+
+
 def two_half_terms(design, lambda_, theta):
     """Objective, gradient and Newton Hessian at theta = [vec(w); b], from the complete and censored halves.
 
@@ -380,7 +520,7 @@ def test_one_matrix_terms_match_the_two_half_formulas(seed, monkeypatch):
         return np.zeros_like(rhs)  # no descent direction: _newton returns after its first system
     monkeypatch.setattr(solver, "_certified", lambda *args: False)
     monkeypatch.setattr(solver, "_solve", recorded)
-    solver._newton(solver._block(design.X, design), lam, theta)
+    solver._newton(*solver._layout(design, lam), theta)
 
     def close(got, want):
         return np.linalg.norm(np.asarray(got) - want) <= 1e-12 * np.linalg.norm(want)
@@ -451,7 +591,7 @@ class TestCertifiedNewton:
 
 
 class TestNewtonBlock:
-    """`_newton` on the unconstrained block [X; 1] of a random design."""
+    """`_newton` on the unconstrained block [X; 1] of a random design, in the fit's layout."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_start_at_the_minimum_returns_after_one_step(self, seed, monkeypatch):
@@ -459,14 +599,14 @@ class TestNewtonBlock:
         rng = np.random.default_rng(seed)
         T, P = int(rng.integers(2, 5)), int(rng.integers(2, 6))
         design = random_design(rng, T, P, int(rng.integers(20, 60)), int(rng.integers(5, 30)))
-        block = solver._block(design.X, design)
-        theta, exact = solver._newton(block, 0.3, np.zeros(T * P + 1))
+        Z, samples = solver._layout(design, 0.3)
+        theta, exact = solver._newton(Z, samples, np.zeros(T * P + 1))
         assert exact
         calls = []
         for name in ("_objective_vec", "_lu_solve", "_solve"):
             fn = getattr(solver, name)
             monkeypatch.setattr(solver, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
-        again, exact = solver._newton(block, 0.3, theta)
+        again, exact = solver._newton(Z, samples, theta)
         assert exact and calls.count("_objective_vec") <= 2 and calls.count("_lu_solve") + calls.count("_solve") <= 1
         assert np.linalg.norm(again - theta) <= 1e-9 * np.linalg.norm(theta)
 

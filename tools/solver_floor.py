@@ -6,9 +6,9 @@ Draws 30 designs with tests/helpers.random_design from default_rng(0)
 (T 3-6, P 3-10, rank 1 to min(T, P) - 1, 20-119 complete and 5-39
 censored samples, lambda 0.05 and 0.3 in turn). For each tol in 1e-8,
 1e-9 and 1e-10 it prints how many rank-constrained fits converged, how
-many stalled and how many stopped at max_iter 5000, and lists every fit
-whose final objective lies more than 1e-6 (relative) above the test
-suite's reference_pgd at tol 1e-13.
+many stalled and how many stopped at max_iter 5000, and the total passes
+of the 30 fits, and lists every fit whose final objective lies more than
+1e-6 (relative) above the test suite's reference_pgd at tol 1e-13.
 """
 
 from __future__ import annotations
@@ -40,18 +40,19 @@ def main() -> int:
     cases = [(name, design, lam, r, reference_pgd(design, lam, r, tol=1e-13, max_iter=200_000))
              for name, design, lam, r in designs()]
     for tol in (1e-8, 1e-9, 1e-10):
-        counts, above = {"converged": 0, "stalled": 0, "max_iter": 0}, []
+        counts, above, passes = {"converged": 0, "stalled": 0, "max_iter": 0}, [], 0
         for name, design, lam, r, reference in cases:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 _, report = fit_pgd(design, lam, r, SolverOptions(tol=tol, max_iter=5000))
             counts["converged"] += report.converged
+            passes += report.iterations
             for key in ("stalled", "max_iter"):
                 counts[key] += any(key in str(w.message) for w in caught)
             if report.final_objective > (1 + 1e-6) * reference:
                 above.append(f"{name}: {report.final_objective:.6g} vs {reference:.6g}")
         print(f"tol {tol:g}: " + ", ".join(f"{key} {n}/30" for key, n in counts.items())
-              + f"; above reference_pgd: {len(above)}" + "".join(f"\n  {line}" for line in above))
+              + f"; passes {passes}; above reference_pgd: {len(above)}" + "".join(f"\n  {line}" for line in above))
     return 0
 
 
