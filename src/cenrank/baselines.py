@@ -1,11 +1,12 @@
 """Benchmark regressors: ordinary least squares and linear epsilon-SVR.
 
-Both can either ignore censored samples or weight them into the fit by
-lambda, treating the censoring label as a plain regression target (the
-conventional way unbalanced samples are folded into these models); lambda
-must be finite and nonnegative, and "ignore" means a censored weight of 0.
-Both fit theta = (w, b) over the solver's intercept block and return the
-solver's ModelParams, with no rank budget.
+Both weight censored samples into the fit by lambda, treating the
+censoring label as a plain regression target (the conventional way
+unbalanced samples are folded into these models); lambda must be finite
+and nonnegative. OLS can also ignore censored samples ("ignore" means a
+censored weight of 0); SVR has no such mode, since lambda = 0 gives the
+same fit. Both fit theta = (w, b) over [X; 1] and return the solver's
+ModelParams, with no rank budget.
 """
 
 from __future__ import annotations
@@ -16,47 +17,50 @@ import numpy as np
 
 from .cohort import DesignSet
 from .errors import DataError, NumericalError
-from .solver import ModelParams, _certified, _lu_solve, _solve, check_lambda
+from .solver import ModelParams, _solve, check_lambda
+
+# svr_fit's settings, read at each call: the cost C of a complete sample, the half-width of the tube, and the
+# stopping tolerance and iteration cap of its interior-point method
+SVR_C = 1.0
+SVR_EPSILON = 0.1
+SVR_TOL = 1e-8
+SVR_MAX_ITER = 100
 
 
-def _augmented(design: DesignSet, lambda_: float, censored_mode: str) -> tuple[DesignSet, np.ndarray]:
-    """The intercept block of the design, and each sample's weight: 1 if complete, else lambda, or 0 if ignored."""
+def _augmented(design: DesignSet, lambda_: float, censored_mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """[X; 1] of the design, and each sample's weight: 1 if complete, else lambda, or 0 if ignored."""
     if censored_mode not in ("ignore", "weighted"):
         raise ValueError(f"unknown censored_mode {censored_mode!r}")
     check_lambda(lambda_)
     if design.censored.all():
         raise DataError("baseline fits require at least one complete sample")
     weight = lambda_ if censored_mode == "weighted" else 0.0
-    Z = np.vstack([design.X, np.ones(design.y.size)])
-    return DesignSet(Z, design.y, design.censored, 1, Z.shape[0]), np.where(design.censored, weight, 1.0)
+    return np.vstack([design.X, np.ones(design.y.size)]), np.where(design.censored, weight, 1.0)
 
 
 def ols_fit(design: DesignSet, lambda_: float = 0.0, censored_mode: str = "weighted") -> ModelParams:
     """Least squares on complete samples, optionally lambda-weighting censored ones.
 
-    The minimum-norm solution of the normal equations, solved as fit_pgd's
-    Newton steps are: by LU (`solver._lu_solve`) when `solver._certified`
-    shows the normal matrix far from singular, else by `solver._solve`, so
-    no weight goes along directions the data does not span, and exactly
-    fittable data are interpolated. The normal matrix is formed as
-    (Z sqrt(c)) (Z sqrt(c))', a product numpy computes exactly symmetric.
+    The minimum-norm solution of the normal equations by `solver._solve`,
+    as fit_pgd's Newton steps are solved, so no weight goes along
+    directions the data does not span, and exactly fittable data are
+    interpolated. The normal matrix is formed as (Z sqrt(c)) (Z sqrt(c))',
+    a product numpy computes exactly symmetric.
     """
-    block, weight = _augmented(design, lambda_, censored_mode)
-    Zs = block.X * np.sqrt(weight)
-    H = Zs @ Zs.T
-    theta = (_lu_solve if _certified(H, 0.0) else _solve)(H, block.X @ (weight * block.y))
+    Z, weight = _augmented(design, lambda_, censored_mode)
+    Zs = Z * np.sqrt(weight)
+    theta = _solve(Zs @ Zs.T, Z @ (weight * design.y))
     return ModelParams.unconstrained(theta, design, lambda_, "ols", {"censored_mode": censored_mode})
 
 
-def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
-            lambda_: float = 0.0, censored_mode: str = "weighted",
-            tol: float = 1e-8, max_iter: int = 100, trace_out: list | None = None) -> ModelParams:
+def svr_fit(design: DesignSet, lambda_: float = 0.0, trace_out: list | None = None) -> ModelParams:
     """Linear epsilon-insensitive SVR by a primal-dual interior-point method.
 
     Minimizes 1/2 ||w||^2 + sum c_i max(0, |z_i'theta - y_i| - eps) over
     theta = (w, b), with c_i = C for complete samples and C * lambda for the
     censored ones; a censored sample enters the QP only when its weight is
-    nonzero.
+    nonzero. C, eps, the tolerance and the iteration cap are the module's
+    SVR_C, SVR_EPSILON, SVR_TOL and SVR_MAX_ITER, read at each call.
     This is the QP
 
         min 1/2 ||w||^2 + c'(xi + xi*)
@@ -70,24 +74,20 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
     K = diag(1, ..., 1, 0) + (Z D^1/2)(Z D^1/2)', (d + 1) x (d + 1) and
     exactly symmetric, solved by LU twice per iteration (predictor and
     corrector); a non-finite or singular K raises NumericalError. The fit
-    stops once the duality gap is at most `tol` times 1 + |primal
-    objective| and both residuals are at most `tol` times their data
-    scale; stopping after `max_iter` iterations instead emits a
+    stops once the duality gap is at most the tolerance times 1 + |primal
+    objective| and both residuals are at most the tolerance times their
+    data scale; stopping at the iteration cap instead emits a
     RuntimeWarning.
     `trace_out`, if given, records the best objective after each iteration
     (non-increasing). After the last iteration, b is set exactly for the
     final w; where a whole interval minimizes, b is its point nearest the
     complete samples' mean label. A non-finite iterate raises NumericalError.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if epsilon_tube < 0:
-        raise ValueError("epsilon_tube must be nonnegative")
-    block, weight = _augmented(design, lambda_, censored_mode)
+    C, eps, tol, max_iter = SVR_C, SVR_EPSILON, SVR_TOL, SVR_MAX_ITER
+    Z, weight = _augmented(design, lambda_, "weighted")
     keep = weight > 0
-    Z, y, c = block.X[:, keep], block.y[keep], C * weight[keep]
-    b_start = float(block.y[~block.censored].mean())
-    eps = epsilon_tube
+    Z, y, c = Z[:, keep], design.y[keep], C * weight[keep]
+    b_start = float(design.y[~design.censored].mean())
     Zt = np.ascontiguousarray(Z.T)
     reg = np.ones(Z.shape[0])
     reg[-1] = 0.0  # the intercept is not regularized
@@ -184,7 +184,7 @@ def svr_fit(design: DesignSet, C: float = 1.0, epsilon_tube: float = 0.1,
                       RuntimeWarning, stacklevel=2)
     theta[-1] = _exact_intercept(Z[:-1].T @ theta[:-1] - y, c, eps, b_start)
     return ModelParams.unconstrained(theta, design, lambda_, "svr",
-                                     {"C": C, "epsilon_tube": epsilon_tube, "censored_mode": censored_mode})
+                                     {"C": C, "epsilon_tube": eps, "censored_mode": "weighted"})
 
 
 def _exact_intercept(a: np.ndarray, c: np.ndarray, eps: float, prefer: float) -> float:

@@ -138,7 +138,7 @@ def fit_method(design: DesignSet, method: str, rank: int, lambda_: float,
     if method == "ols":
         return baselines.ols_fit(design, lambda_, censored_mode="weighted"), None
     if method == "svr":
-        return baselines.svr_fit(design, lambda_=lambda_, censored_mode="weighted"), None
+        return baselines.svr_fit(design, lambda_=lambda_), None
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -3,8 +3,8 @@
 Floats are written through Python's shortest round-trip representation,
 so a save/load cycle reproduces every parameter bit for bit and repeated
 saves of the same object are byte-identical. A file that cannot be read,
-is not JSON, lacks a key or holds arrays of the wrong size raises a
-DataError naming the file.
+is not JSON, lacks a key, or holds arrays of the wrong size or with a NaN
+or infinity raises a DataError naming the file.
 """
 
 from __future__ import annotations
@@ -25,11 +25,17 @@ def _floats(a) -> list[float]:
 
 
 def _array(doc, key, *shape) -> np.ndarray:
-    """doc[key] as a float array of `shape`; any other number of values is a ValueError naming the key."""
+    """doc[key] as a float array of `shape`.
+
+    Any other number of values, or a NaN or infinity, is a ValueError naming the key.
+    """
     try:
-        return np.asarray(doc[key], dtype=float).reshape(shape)
+        a = np.asarray(doc[key], dtype=float).reshape(shape)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise ValueError(f"{key}: every value must be finite")
+    return a
 
 
 def write_json(path, doc):
@@ -96,7 +102,7 @@ def load_model(path, variables=None) -> ModelParams:
         T, P = int(doc["T"]), int(doc["P"])
         return ModelParams(
             w=_array(doc, "w", T, P),
-            b=float(doc["b"]),
+            b=float(_array(doc, "b")),
             rank=int(doc["rank"]),
             lambda_=float(doc["lambda"]),
             kind=kind,
@@ -142,9 +148,12 @@ def load_imputer(path, variables=None):
         kind = doc.get("kind")
         if kind == "bmc":
             P, r = int(doc["P"]), int(doc["rank"])
+            lower, upper = _array(doc, "lower", P), _array(doc, "upper", P)
+            if np.any(lower > upper):
+                raise ValueError(f"lower exceeds upper in {int(np.sum(lower > upper))} of {P} columns")
             imp = BmcImputer(rank=r)
-            imp.model = BmcModel(basis=_array(doc, "basis", P, r), lower=_array(doc, "lower", P),
-                                 upper=_array(doc, "upper", P), col_means=_array(doc, "col_means", P))
+            imp.model = BmcModel(basis=_array(doc, "basis", P, r), lower=lower, upper=upper,
+                                 col_means=_array(doc, "col_means", P))
             return imp
         if kind == "mean":
             imp = MeanImputer()

@@ -17,13 +17,13 @@ covers the complete samples plus the censored samples whose margin is
 below zero, and an Armijo backtracking search guards each step. The same
 routine solves the unconstrained problem over [vec(w); b], whose rank-r
 truncation is the starting point. Each step, like OLS, is a minimum-norm
-solve (`_solve`), so weights the windows do not span stay zero. When one
-test per block solve (`_certified`) shows that no Hessian of the block can
-come near singular, each step has one solution, and LU finds it
-(`_lu_solve`) without an eigendecomposition. Each alternating pass is
-followed by one trial point along its own direction, kept when it is lower
-(`fit_pgd` gives the rule), and a fit orders its samples once, complete
-first, so every block reads its complete and censored columns as slices.
+solve (`_solve`), so weights the windows do not span stay zero. When a
+test on the step's matrix (`_certified`) shows it far from singular, the
+step has one solution, and `_solve` finds it by LU without an
+eigendecomposition. Each alternating pass is followed by one trial point
+along its own direction, kept when it is lower (`fit_pgd` gives the
+rule), and a fit orders its samples once, complete first, so every block
+reads its complete and censored columns as slices.
 """
 
 from __future__ import annotations
@@ -79,9 +79,13 @@ class ModelParams:
 @dataclass
 class SolveReport:
     objective_trace: np.ndarray
-    iterations: int
     converged: bool
     rank_w: int
+
+    @property
+    def iterations(self) -> int:
+        """The recorded passes: one per objective_trace entry after the start."""
+        return len(self.objective_trace) - 1
 
     @property
     def final_objective(self) -> float:
@@ -177,13 +181,18 @@ def gradient(params: ModelParams, design: DesignSet) -> tuple[np.ndarray, float]
     return g[:-1], float(g[-1])
 
 
+def _truncated(w, r):
+    """The rank-r SVD truncation of w as its factors (U_r, s_r, V_r'); fewer when w has fewer singular values."""
+    U, s, Vt = np.linalg.svd(w, full_matrices=False)
+    return U[:, :r], s[:r], Vt[:r]
+
+
 def project_rank(w_hat: np.ndarray, r: int) -> np.ndarray:
     """Best rank-r Frobenius approximation via SVD truncation."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    U, s, Vt = np.linalg.svd(w_hat, full_matrices=False)
-    k = min(r, s.size)
-    return (U[:, :k] * s[:k]) @ Vt[:k]
+    U, s, Vt = _truncated(w_hat, r)
+    return (U * s) @ Vt
 
 
 def numerical_rank(w: np.ndarray) -> int:
@@ -193,45 +202,40 @@ def numerical_rank(w: np.ndarray) -> int:
     return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def _solve(H, rhs):
-    """The minimum-norm solution of H x = rhs for symmetric positive semidefinite H, from one eigh.
+def _certified(H):
+    """Whether symmetric H's smallest eigenvalue exceeds EIG_CUT times its trace, so `_solve` cuts no direction.
 
-    Directions with eigenvalue at most EIG_CUT times the largest get no
-    component (H = 0 gives x = 0); one refinement step on the kept ones
-    restores the accuracy a plain eigh solve loses.
+    H's largest eigenvalue is at most its trace, so the smallest then
+    exceeds EIG_CUT times the largest. One Cholesky factorisation of H less
+    EIG_CUT tr(H) times the identity shows it.
     """
-    mu, V = np.linalg.eigh(H)
-    keep = mu > EIG_CUT * mu[-1]
-    mu, V = mu[keep], V[:, keep]
-    x = V @ ((V.T @ rhs) / mu)
-    return x + V @ ((V.T @ (rhs - H @ x)) / mu)
-
-
-def _lu_solve(H, rhs):
-    """The solution of H x = rhs for nonsingular H by LU, with `_solve`'s one refinement step."""
-    x = np.linalg.solve(H, rhs)
-    return x + np.linalg.solve(H, rhs - H @ x)
-
-
-def _certified(H_c, censored_weight):
-    """Whether every Newton Hessian H = H_c + lambda Z_A Z_A' of a block keeps all its directions under `_solve`.
-
-    H_c is X_c X_c' over the block's complete columns X_c, and Z_A holds the
-    censored columns whose margin is active. censored_weight is
-    lambda ||X_z||_F^2 over all censored columns X_z, the trace of lambda X_z X_z'.
-    Whatever the active set A, H's largest eigenvalue is at most its trace,
-    tr H_c + censored_weight at most, and its smallest at least H_c's; so
-    it suffices that H_c's smallest eigenvalue exceeds EIG_CUT times that
-    trace bound, which one Cholesky factorisation of H_c less that much
-    times the identity shows.
-    """
-    shifted = H_c.copy()
-    shifted.flat[::shifted.shape[0] + 1] -= EIG_CUT * (H_c.trace() + censored_weight)
+    shifted = H.copy()
+    shifted.flat[::shifted.shape[0] + 1] -= EIG_CUT * H.trace()
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _solve(H, rhs):
+    """The minimum-norm solution of H x = rhs for symmetric positive semidefinite H.
+
+    The choice is made per matrix. When `_certified` shows H far from
+    singular, the solution is unique and LU finds it. Otherwise one eigh
+    gives it: directions with eigenvalue at most EIG_CUT times the largest
+    get no component (H = 0 gives x = 0). Either way one refinement step
+    follows (on the kept directions for eigh), which restores the accuracy
+    a plain solve loses.
+    """
+    if _certified(H):
+        x = np.linalg.solve(H, rhs)
+        return x + np.linalg.solve(H, rhs - H @ x)
+    mu, V = np.linalg.eigh(H)
+    keep = mu > EIG_CUT * mu[-1]
+    mu, V = mu[keep], V[:, keep]
+    x = V @ ((V.T @ rhs) / mu)
+    return x + V @ ((V.T @ (rhs - H @ x)) / mu)
 
 
 def _newton(Z, s, theta):
@@ -242,14 +246,11 @@ def _newton(Z, s, theta):
     complete and censored columns are slices and no column is copied but
     the active ones. The intercept is the last entry of theta; a non-finite
     objective at the start raises NumericalError.
-    Each step is the minimum-norm solution of the Newton system (`_solve`);
-    when `_certified` shows that no Hessian of the call has an eigenvalue at
-    `_solve`'s cut, that solution is the unique one, and an LU solve with
-    the same refinement step gives it (`_lu_solve`). A step is halved
-    until it meets the Armijo condition, except once its predicted decrease
-    -g'd is at most ROUNDING |f|: there no step length can be told better
-    than another in floating point, so the full step is taken and the call
-    ends.
+    Each step is the minimum-norm solution of the Newton system (`_solve`).
+    A step is halved until it meets the Armijo condition, except once its
+    predicted decrease -g'd is at most ROUNDING |f|: there no step length
+    can be told better than another in floating point, so the full step is
+    taken and the call ends.
     Returns (theta, exact); exact means the last full step kept the active
     set of censored margins, so theta minimises the quadratic that agrees
     with the objective around it, or that no descent direction is left.
@@ -257,7 +258,6 @@ def _newton(Z, s, theta):
     n_c, lambda_ = s.n_c, s.lambda_
     Z_c, Z_z = Z[:, :n_c], Z[:, n_c:]
     H_c = Z_c @ Z_c.T
-    solve = _lu_solve if _certified(H_c, lambda_ * float(np.einsum("ij,ij->", Z_z, Z_z))) else _solve
     f, margins = _objective_vec(Z, theta, s)
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting point")
@@ -265,7 +265,7 @@ def _newton(Z, s, theta):
         active = margins[n_c:] < 0
         g = Z @ (s.weight * margins)
         Z_a = Z_z[:, active]
-        d = solve(H_c + lambda_ * (Z_a @ Z_a.T), -g)
+        d = _solve(H_c + lambda_ * (Z_a @ Z_a.T), -g)
         slope = float(g @ d)
         if not slope < 0:
             return theta, True
@@ -291,9 +291,9 @@ def _newton(Z, s, theta):
 
 def _split(w, r):
     """The rank-r SVD factors (U, V) of w, U V' its truncation, with the singular values split evenly."""
-    A, s, Bt = np.linalg.svd(w, full_matrices=False)
-    root = np.sqrt(s[:r])
-    return A[:, :r] * root, Bt[:r].T * root
+    A, s, Bt = _truncated(w, r)
+    root = np.sqrt(s)
+    return A * root, Bt.T * root
 
 
 def fit_pgd(design: DesignSet, lambda_: float, r: int,
@@ -377,12 +377,7 @@ def fit_pgd(design: DesignSet, lambda_: float, r: int,
         why = f"stopped at max_iter={opts.max_iter}" if capped else "stalled"
         warnings.warn(f"fit_pgd {why} before reaching tol={opts.tol:g}", RuntimeWarning, stacklevel=2)
     params = ModelParams(w=w, b=b, rank=r, lambda_=lambda_)
-    report = SolveReport(
-        objective_trace=np.asarray(trace),
-        iterations=len(trace) - 1,
-        converged=bool(converged),
-        rank_w=numerical_rank(w),
-    )
+    report = SolveReport(objective_trace=np.asarray(trace), converged=bool(converged), rank_w=numerical_rank(w))
     return params, report
 
 
@@ -449,8 +444,5 @@ def factorize(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     (P x r). Faithful only when rank(w) <= params.rank; any spill beyond
     the rank budget is truncated.
     """
-    U, s, Vt = np.linalg.svd(params.w, full_matrices=False)
-    k = min(params.rank, s.size)
-    u = U[:, :k] * s[:k]
-    v = Vt[:k].T
-    return u, v
+    U, s, Vt = _truncated(params.w, params.rank)
+    return U * s, Vt.T

@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+import csv
+import random
+
 import numpy as np
 
 from cenrank.cohort import Cohort, DesignSet, Windows, assemble_design
@@ -119,3 +122,21 @@ def write_cohort_files(tmp_path, observations, outcomes, variables):
     dic = tmp_path / "variables.txt"
     dic.write_text("".join(f"{v}\n" for v in variables))
     return obs, out, dic
+
+
+def write_noisy_cohort(src, out, sigma, seed=0):
+    """Copy the cohort files in `src` to the new directory `out`, adding N(0, sigma^2) to each observed value.
+
+    Synthetic cohorts' day rows lie in a span of exactly their latent rank;
+    the noise takes that span away. The draws come from random.Random(seed),
+    one per observation row in file order, as in tools/output_fingerprint.py.
+    """
+    rng = random.Random(seed)
+    out.mkdir()
+    for name in ("outcomes.csv", "variables.txt"):
+        (out / name).write_bytes((src / name).read_bytes())
+    with open(src / "observations.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rows = [[*row[:3], "%.17g" % (float(row[3]) + rng.gauss(0.0, sigma))] for row in rows]
+    with open(out / "observations.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import warnings
 
@@ -144,9 +143,8 @@ class TestOls:
         # a general product (Z c) Z' leaves hundreds of entries of this block unequal to their transpose
         design = random_design(np.random.default_rng(34), 5, 10, 200, 80)
         seen = []
-        for name in ("_solve", "_lu_solve"):  # whichever of the two solves the normal equations
-            solve = getattr(baselines, name)
-            monkeypatch.setattr(baselines, name, lambda H, rhs, solve=solve: seen.append(H) or solve(H, rhs))
+        solve = baselines._solve
+        monkeypatch.setattr(baselines, "_solve", lambda H, rhs: seen.append(H) or solve(H, rhs))
         ols_fit(design, 0.05, mode)
         assert len(seen) == 1 and np.array_equal(seen[0], seen[0].T)
 
@@ -157,9 +155,9 @@ class TestOls:
             T, P = rng.integers(1, 6, size=2)
             design = random_design(rng, T, P, int(rng.integers(5, 120)), int(rng.integers(0, 60)))
             lam = float(rng.choice([0.0, 0.05, 0.3, 1.0]))
-            block, weight = baselines._augmented(design, lam, "weighted")
-            Zw = block.X * weight
-            want = baselines._solve(Zw @ block.X.T, Zw @ block.y)
+            Z, weight = baselines._augmented(design, lam, "weighted")
+            Zw = Z * weight
+            want = baselines._solve(Zw @ Z.T, Zw @ design.y)
             got = ols_fit(design, lam)
             theta = np.append(got.w_vec, got.b)
             assert np.max(np.abs(theta - want)) <= 1e-12 * np.max(np.abs(want))
@@ -170,32 +168,48 @@ class TestOls:
             ols_fit(design, 0.0)
 
 
+def svr_settings(patched, C=1.0, eps=0.1, tol=1e-8, max_iter=100):
+    """Set svr_fit's module constants through the monkeypatch `patched`; the defaults are the module's values."""
+    for name, value in (("SVR_C", C), ("SVR_EPSILON", eps), ("SVR_TOL", tol), ("SVR_MAX_ITER", max_iter)):
+        patched.setattr(baselines, name, value)
+
+
 class TestSvr:
-    def test_constant_targets(self):
+    def test_settings_are_the_documented_constants(self):
+        assert (baselines.SVR_C, baselines.SVR_EPSILON, baselines.SVR_TOL, baselines.SVR_MAX_ITER) == (
+            1.0, 0.1, 1e-8, 100)
+        design = random_design(np.random.default_rng(4), 2, 2, 10, 4)
+        assert svr_fit(design, lambda_=0.05).hyperparams == {"C": 1.0, "epsilon_tube": 0.1,
+                                                              "censored_mode": "weighted"}
+
+    def test_constant_targets(self, monkeypatch):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((6, 12))
         design = DesignSet(X, np.full(12, 3.0), np.zeros(12, dtype=bool), 2, 3)
-        params = svr_fit(design, C=100.0, epsilon_tube=0.1)
+        svr_settings(monkeypatch, C=100.0, eps=0.1)
+        params = svr_fit(design)
         assert abs(params.b - 3.0) < 1e-3
         assert np.linalg.norm(params.w_vec) < 1e-3
 
-    def test_inactive_tube_keeps_zero_solution(self):
+    def test_inactive_tube_keeps_zero_solution(self, monkeypatch):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((4, 8))
         y = 2.0 + rng.uniform(-0.05, 0.05, 8)  # all inside the default tube at b = mean(y)
         design = DesignSet(X, y, np.zeros(8, dtype=bool), 2, 2)
-        params = svr_fit(design, C=1.0, epsilon_tube=0.2)
+        svr_settings(monkeypatch, C=1.0, eps=0.2)
+        params = svr_fit(design)
         assert np.allclose(params.w_vec, 0.0)
         assert params.b == pytest.approx(float(y.mean()))
 
-    def test_matches_dense_grid_oracle(self):
+    def test_matches_dense_grid_oracle(self, monkeypatch):
         # one-dimensional five-point instance; the (w, b) plane is scanned
         # on a fine grid as an independent reference
         x = np.array([[0.0, 1.0, 2.0, 3.0, 4.0]])
         y = np.array([0.2, 1.1, 1.9, 3.2, 3.8])
         design = DesignSet(x, y, np.zeros(5, dtype=bool), 1, 1)
         C, eps = 1.0, 0.1
-        params = svr_fit(design, C=C, epsilon_tube=eps, max_iter=20000, tol=1e-10)
+        svr_settings(monkeypatch, C=C, eps=eps, max_iter=20000, tol=1e-10)
+        params = svr_fit(design)
 
         ws = np.linspace(0.5, 1.5, 401)
         bs = np.linspace(-0.5, 0.8, 521)
@@ -207,33 +221,20 @@ class TestSvr:
         got = svr_objective(design, params.w_vec, params.b, C, eps, 0.0, "ignore")
         assert got <= best + 1e-4
 
-    def test_trace_non_increasing(self):
+    def test_trace_non_increasing(self, monkeypatch):
         rng = np.random.default_rng(6)
         design = random_design(rng, 2, 3, 20, 6)
         trace = []
-        svr_fit(design, C=2.0, epsilon_tube=0.1, lambda_=0.3, max_iter=3000, trace_out=trace)
+        svr_settings(monkeypatch, C=2.0, eps=0.1, max_iter=3000)
+        svr_fit(design, lambda_=0.3, trace_out=trace)
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
-    def test_lambda_zero_matches_ignore(self):
-        rng = np.random.default_rng(7)
-        design = random_design(rng, 2, 2, 12, 6)
-        a = svr_fit(design, lambda_=0.0, censored_mode="weighted", max_iter=2000)
-        b = svr_fit(design, lambda_=0.0, censored_mode="ignore", max_iter=2000)
-        assert np.array_equal(a.w_vec, b.w_vec) and a.b == b.b
-
-    def test_rejects_bad_hyperparams(self):
-        rng = np.random.default_rng(8)
-        design = random_design(rng, 2, 2, 6, 0)
-        with pytest.raises(ValueError):
-            svr_fit(design, C=0.0)
-        with pytest.raises(ValueError):
-            svr_fit(design, epsilon_tube=-0.1)
-
-    def test_warns_when_stopped_at_max_iter(self):
+    def test_warns_when_stopped_at_max_iter(self, monkeypatch):
         rng = np.random.default_rng(9)
         design = random_design(rng, 2, 3, 20, 6)
+        svr_settings(monkeypatch, max_iter=5)
         with pytest.warns(RuntimeWarning, match="max_iter=5"):
-            svr_fit(design, lambda_=0.3, max_iter=5)
+            svr_fit(design, lambda_=0.3)
 
     def test_no_warning_when_the_step_converges(self):
         rng = np.random.default_rng(10)
@@ -242,17 +243,19 @@ class TestSvr:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             svr_fit(design, lambda_=0.3, trace_out=trace)
-        assert len(trace) < inspect.signature(svr_fit).parameters["max_iter"].default
+        assert len(trace) < baselines.SVR_MAX_ITER
 
 
 @pytest.mark.parametrize("seed", range(20, 30))
-def test_svr_matches_unfused_reference(seed):
-    # the interior-point fit ends at or below the subgradient loop's best iterate
+def test_svr_matches_unfused_reference(seed, monkeypatch):
+    # the interior-point fit ends at or below the subgradient loop's best iterate; the reference's
+    # "ignore" mode is svr_fit's lambda = 0
     rng = np.random.default_rng(seed)
     T, P = rng.integers(1, 4, size=2)
     design = random_design(rng, T, P, int(rng.integers(15, 60)), int(rng.integers(4, 25)))
+    svr_settings(monkeypatch, C=2.0, eps=0.1)
     for lam, mode in ((0.05, "weighted"), (0.3, "weighted"), (0.3, "ignore")):
-        got = svr_fit(design, C=2.0, epsilon_tube=0.1, lambda_=lam, censored_mode=mode)
+        got = svr_fit(design, lambda_=lam if mode == "weighted" else 0.0)
         want_trace = []
         reference_svr_fit(design, 2.0, 0.1, lam, mode, want_trace)
         got_obj = svr_objective(design, got.w_vec, got.b, 2.0, 0.1, lam, mode)
@@ -260,11 +263,12 @@ def test_svr_matches_unfused_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(30, 35))
-def test_svr_no_small_step_lowers_the_objective(seed):
+def test_svr_no_small_step_lowers_the_objective(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     design = random_design(rng, 2, 3, 30, 12)
     C, eps, lam = 2.0, 0.1, 0.3
-    params = svr_fit(design, C=C, epsilon_tube=eps, lambda_=lam, censored_mode="weighted")
+    svr_settings(monkeypatch, C=C, eps=eps)
+    params = svr_fit(design, lambda_=lam)
     base = svr_objective(design, params.w_vec, params.b, C, eps, lam, "weighted")
     for _ in range(200):
         dw = rng.standard_normal(params.w_vec.size) * 1e-4
@@ -305,7 +309,7 @@ def test_svr_cv_fold_designs_converge_at_or_below_the_reference(cv_fold_fits):
     codes, fits = cv_fold_fits
     assert codes == [0, 0] and len(fits) == 10
     for design, kwargs, params in fits:
-        assert kwargs == {"lambda_": 0.05, "censored_mode": "weighted"}
+        assert kwargs == {"lambda_": 0.05}
         got = svr_objective(design, params.w_vec, params.b, 1.0, 0.1, 0.05, "weighted")
         want_trace = []
         with warnings.catch_warnings():
@@ -321,10 +325,10 @@ def unstacked_svr_fit(design, C=1.0, epsilon_tube=0.1, lambda_=0.0, censored_mod
     Each iteration forms K = diag(reg) + (Z s) Z' and masked copies for the
     step ratio; svr_fit now keeps one stacked state and K = (Z sqrt(s))(Z sqrt(s))' + diag(reg).
     """
-    block, weight = baselines._augmented(design, lambda_, censored_mode)
+    Z, weight = baselines._augmented(design, lambda_, censored_mode)
     keep = weight > 0
-    Z, y, c = block.X[:, keep], block.y[keep], C * weight[keep]
-    b_start = float(block.y[~block.censored].mean())
+    Z, y, c = Z[:, keep], design.y[keep], C * weight[keep]
+    b_start = float(design.y[~design.censored].mean())
     eps = epsilon_tube
     Zt = np.ascontiguousarray(Z.T)
     reg = np.ones(Z.shape[0])
@@ -386,11 +390,13 @@ def unstacked_svr_fit(design, C=1.0, epsilon_tube=0.1, lambda_=0.0, censored_mod
     return theta[:-1], float(theta[-1])
 
 
-def close_to_unstacked(design, **kwargs):
-    """svr_fit against unstacked_svr_fit: the same step count, and w and b within 1e-9 relative."""
+def close_to_unstacked(design, lambda_, C=1.0):
+    """svr_fit at cost C against unstacked_svr_fit: the same step count, and w and b within 1e-9 relative."""
     got_trace, want_trace = [], []
-    got = svr_fit(design, **kwargs, trace_out=got_trace)
-    want_w, want_b = unstacked_svr_fit(design, **kwargs, trace_out=want_trace)
+    with pytest.MonkeyPatch.context() as patched:
+        svr_settings(patched, C=C)
+        got = svr_fit(design, lambda_=lambda_, trace_out=got_trace)
+    want_w, want_b = unstacked_svr_fit(design, C=C, lambda_=lambda_, trace_out=want_trace)
     scale = max(np.linalg.norm(want_w), abs(want_b))
     assert len(got_trace) == len(want_trace)
     assert np.linalg.norm(got.w_vec - want_w) <= 1e-9 * scale and abs(got.b - want_b) <= 1e-9 * scale
@@ -402,13 +408,13 @@ def test_svr_matches_the_unstacked_loop_on_random_designs(seed):
     rng = np.random.default_rng(seed)
     T, P = rng.integers(1, 5, size=2)
     design = random_design(rng, T, P, int(rng.integers(10, 120)), int(rng.integers(0, 40)))
-    for lam, mode in itertools.product((0.05, 0.3), ("weighted", "ignore")):
-        close_to_unstacked(design, C=(0.5, 1.0, 4.0)[seed % 3], lambda_=lam, censored_mode=mode)
+    for lam in (0.0, 0.05, 0.3):  # lambda = 0 is the fit that ignores censored samples
+        close_to_unstacked(design, lam, C=(0.5, 1.0, 4.0)[seed % 3])
 
 
 def test_svr_matches_the_unstacked_loop_on_cv_fold_designs(cv_fold_fits):
     for design, kwargs, _ in cv_fold_fits[1]:
-        close_to_unstacked(design, **kwargs)
+        close_to_unstacked(design, kwargs["lambda_"])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -421,24 +427,23 @@ def test_svr_non_finite_iterate_is_numerical_error():
 
 
 def stacked_augmented(design, lambda_, censored_mode):
-    """`_augmented` written out on its own: the [X; 1] block, and each sample's weight 1, lambda or 0."""
+    """`_augmented` written out on its own: [X; 1], and each sample's weight 1, lambda or 0."""
     Z = np.vstack([design.X, np.ones((1, design.y.size))])
-    weight = np.where(design.censored, lambda_ if censored_mode == "weighted" else 0.0, 1.0)
-    return DesignSet(Z, design.y, design.censored, 1, Z.shape[0]), weight
+    return Z, np.where(design.censored, lambda_ if censored_mode == "weighted" else 0.0, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed", range(40, 52))
 def test_fits_match_the_stacked_blocks_bit_for_bit(seed, monkeypatch):
-    # every third design has no censored samples; "ignore" is reached by no CLI command
+    # every third design has no censored samples; "ignore" is reached by no CLI command, and svr has no such mode
     rng = np.random.default_rng(seed)
     T, P = rng.integers(1, 4, size=2)
     n_z = 0 if seed % 3 == 0 else int(rng.integers(1, 20))
     design = random_design(rng, T, P, int(rng.integers(5, 40)), n_z)
     for lam, mode in itertools.product((0.0, 0.05, 0.3), ("weighted", "ignore")):
-        got = [ols_fit(design, lam, mode), svr_fit(design, lambda_=lam, censored_mode=mode)]
+        got = [ols_fit(design, lam, mode), svr_fit(design, lambda_=lam)]
         with monkeypatch.context() as patched:
             patched.setattr(baselines, "_augmented", stacked_augmented)
-            want = [ols_fit(design, lam, mode), svr_fit(design, lambda_=lam, censored_mode=mode)]
+            want = [ols_fit(design, lam, mode), svr_fit(design, lambda_=lam)]
         for g, w in zip(got, want):
-            assert np.array_equal(g.w, w.w) and g.b == w.b, (g.method, lam, mode)
+            assert np.array_equal(g.w, w.w) and g.b == w.b, (g.kind, lam, mode)

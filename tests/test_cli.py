@@ -14,7 +14,7 @@ from cenrank.evaluation import predict_windows
 from cenrank.imputation import fill_windows
 from cenrank.modelio import load_imputer, load_model, save_model
 from cenrank.solver import ModelParams
-from helpers import write_cohort_files
+from helpers import write_cohort_files, write_noisy_cohort
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,14 @@ def cohort_dir(tmp_path_factory):
         "--true-rank", "2", "--latent-rank", "3", "--missing-rate", "0.1",
     ])
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module", params=[0.01, 0.1], ids=["sigma0.01", "sigma0.1"])
+def noisy_cohort_dir(cohort_dir, tmp_path_factory, request):
+    """`cohort_dir` with N(0, sigma^2) added to every observed value, so its day rows have no exact span."""
+    out = tmp_path_factory.mktemp("noisy") / "data"
+    write_noisy_cohort(cohort_dir, out, request.param)
     return out
 
 
@@ -69,6 +77,87 @@ def read_predictions(out_dir):
         return np.array([float(r["prediction"]) for r in csv.DictReader(fh)])
 
 
+def check_roundtrip_predictions(cohort_dir, tmp_path):
+    """`train`, then `predict` on the same cohort; predictions.csv must match predictions made in process."""
+    run = tmp_path / "run"
+    assert dispatch([
+        "train", *cohort_args(cohort_dir), "--out", str(run),
+        "--T", "4", "--rank", "2", "--lambda", "0.05",
+        "--imputer", "bmc", "--imputer-rank", "3", "--max-iter", "300",
+    ]) == 0
+    for name in ("model.json", "imputer_model.json", "coefficients.csv", "onset_hist.csv"):
+        assert (run / name).exists()
+    pred = tmp_path / "pred"
+    assert dispatch([
+        "predict", *cohort_args(cohort_dir), "--out", str(pred),
+        "--model", str(run / "model.json"),
+        "--imputer-model", str(run / "imputer_model.json"),
+    ]) == 0
+    assert (pred / "onset_hist.csv").exists()
+
+    # replicate in process: the CSV must carry bit-identical predictions
+    cohort = load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
+                         cohort_dir / "variables.txt")
+    windows = extract_windows(cohort, 4)
+    filled = fill_windows(windows, load_imputer(run / "imputer_model.json").transform)
+    model = load_model(run / "model.json")
+    expected = predict_windows(model, filled)
+    with open(pred / "predictions.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    got = np.array([float(r["prediction"]) for r in rows])
+    assert np.array_equal(got, expected)
+
+
+def check_cv_table_and_determinism(cohort_dir, tmp_path):
+    """`cv` twice into one directory: byte-identical outputs, and one grid row per cell with one best."""
+    out1 = tmp_path / "cv1"
+    args = [
+        "cv", *cohort_args(cohort_dir), "--out", str(out1),
+        "--durations", "3,4", "--ranks", "2", "--lambdas", "0.01,0.05",
+        "--methods", "censored_lowrank,ols", "--k", "3", "--seed", "7",
+        "--max-iter", "150",
+    ]
+    assert dispatch(args) == 0
+    files = ["cv_report.json", "grid.csv", "lambda_curve.csv", "duration_curve.csv", "effective_config.json"]
+    snapshot = {name: (out1 / name).read_bytes() for name in files}
+    assert dispatch(args) == 0  # rerun into the same directory
+    for name in files:
+        assert (out1 / name).read_bytes() == snapshot[name]
+    with open(out1 / "grid.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 1 * 2 * 2
+    assert sum(int(r["is_best"]) for r in rows) == 1
+
+
+def check_completed_matrix(cohort_dir, tmp_path):
+    """`impute` with BMC: one finite completed row per observation row."""
+    out = tmp_path / "imp"
+    assert dispatch([
+        "impute", *cohort_args(cohort_dir), "--out", str(out),
+        "--imputer", "bmc", "--imputer-rank", "3",
+    ]) == 0
+    cohort = load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
+                         cohort_dir / "variables.txt")
+    n_rows = len(cohort.days)
+    with open(out / "completed_matrix.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == n_rows
+    assert all(np.isfinite(float(r[v])) for r in rows for v in cohort.variables)
+
+
+class TestNoisyCohorts:
+    """The impute, train/predict and cv checks of `cohort_dir`, on its copies without an exact span."""
+
+    def test_completed_matrix_covers_all_rows(self, noisy_cohort_dir, tmp_path):
+        check_completed_matrix(noisy_cohort_dir, tmp_path)
+
+    def test_roundtrip_predictions_match_in_process(self, noisy_cohort_dir, tmp_path):
+        check_roundtrip_predictions(noisy_cohort_dir, tmp_path)
+
+    def test_table_shape_and_determinism(self, noisy_cohort_dir, tmp_path):
+        check_cv_table_and_determinism(noisy_cohort_dir, tmp_path)
+
+
 class TestSynth:
     def test_outputs_and_effective_config(self, cohort_dir):
         for name in ("observations.csv", "outcomes.csv", "variables.txt", "truth.json", "effective_config.json"):
@@ -91,33 +180,7 @@ class TestSynth:
 
 class TestTrainPredict:
     def test_roundtrip_predictions_match_in_process(self, cohort_dir, tmp_path):
-        run = tmp_path / "run"
-        assert dispatch([
-            "train", *cohort_args(cohort_dir), "--out", str(run),
-            "--T", "4", "--rank", "2", "--lambda", "0.05",
-            "--imputer", "bmc", "--imputer-rank", "3", "--max-iter", "300",
-        ]) == 0
-        for name in ("model.json", "imputer_model.json", "coefficients.csv", "onset_hist.csv"):
-            assert (run / name).exists()
-        pred = tmp_path / "pred"
-        assert dispatch([
-            "predict", *cohort_args(cohort_dir), "--out", str(pred),
-            "--model", str(run / "model.json"),
-            "--imputer-model", str(run / "imputer_model.json"),
-        ]) == 0
-        assert (pred / "onset_hist.csv").exists()
-
-        # replicate in process: the CSV must carry bit-identical predictions
-        cohort = load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
-                             cohort_dir / "variables.txt")
-        windows = extract_windows(cohort, 4)
-        filled = fill_windows(windows, load_imputer(run / "imputer_model.json").transform)
-        model = load_model(run / "model.json")
-        expected = predict_windows(model, filled)
-        with open(pred / "predictions.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        got = np.array([float(r["prediction"]) for r in rows])
-        assert np.array_equal(got, expected)
+        check_roundtrip_predictions(cohort_dir, tmp_path)
 
     def test_predict_scores_each_window_once(self, cohort_dir, tmp_path, monkeypatch):
         run = tmp_path / "run"
@@ -341,6 +404,25 @@ class TestBrokenModelFiles:
         assert str(path) in err and message in err
         assert not (tmp_path / "pred" / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("which, key, edit", [
+        ("model", "b", lambda doc: doc.update(b=float("nan"))),
+        ("model", "w", lambda doc: doc["w"].__setitem__(0, float("inf"))),
+        ("imputer", "basis", lambda doc: doc["basis"].__setitem__(0, float("nan"))),
+        ("imputer", "lower", lambda doc: doc["lower"].__setitem__(0, doc["upper"][0] + 1.0)),
+        ("imputer", "col_means", lambda doc: doc["col_means"].__setitem__(0, float("nan"))),
+    ], ids=["nan_b", "infinite_w", "nan_basis", "lower_above_upper", "nan_col_means"])
+    def test_non_finite_or_crossed_array_is_data_error(self, cohort_dir, trained, tmp_path, capsys, which, key, edit):
+        # json writes NaN and Infinity as bare words, and reads them back
+        name = "model.json" if which == "model" else "imputer_model.json"
+        doc = json.loads((trained / name).read_text())
+        edit(doc)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert self.predict(cohort_dir, trained, tmp_path, **{which: path}) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}" in err and key in err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
     @pytest.mark.parametrize("edit", [lambda doc: doc.update(variables=None), lambda doc: doc.pop("variables")],
                              ids=["null", "missing"])
     @pytest.mark.parametrize("which", ["model.json", "imputer_model.json"])
@@ -394,23 +476,7 @@ class TestBrokenModelFiles:
 
 class TestCv:
     def test_table_shape_and_determinism(self, cohort_dir, tmp_path):
-        out1 = tmp_path / "cv1"
-        args = [
-            "cv", *cohort_args(cohort_dir), "--out", str(out1),
-            "--durations", "3,4", "--ranks", "2", "--lambdas", "0.01,0.05",
-            "--methods", "censored_lowrank,ols", "--k", "3", "--seed", "7",
-            "--max-iter", "150",
-        ]
-        assert dispatch(args) == 0
-        files = ["cv_report.json", "grid.csv", "lambda_curve.csv", "duration_curve.csv", "effective_config.json"]
-        snapshot = {name: (out1 / name).read_bytes() for name in files}
-        assert dispatch(args) == 0  # rerun into the same directory
-        for name in files:
-            assert (out1 / name).read_bytes() == snapshot[name]
-        with open(out1 / "grid.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 * 1 * 2 * 2
-        assert sum(int(r["is_best"]) for r in rows) == 1
+        check_cv_table_and_determinism(cohort_dir, tmp_path)
 
     def test_report_regenerates_same_csvs(self, cohort_dir, tmp_path):
         out = tmp_path / "cv"
@@ -484,18 +550,7 @@ class TestCv:
 
 class TestImpute:
     def test_completed_matrix_covers_all_rows(self, cohort_dir, tmp_path):
-        out = tmp_path / "imp"
-        assert dispatch([
-            "impute", *cohort_args(cohort_dir), "--out", str(out),
-            "--imputer", "bmc", "--imputer-rank", "3",
-        ]) == 0
-        cohort = load_cohort(cohort_dir / "observations.csv", cohort_dir / "outcomes.csv",
-                             cohort_dir / "variables.txt")
-        n_rows = len(cohort.days)
-        with open(out / "completed_matrix.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == n_rows
-        assert all(np.isfinite(float(r[v])) for r in rows for v in cohort.variables)
+        check_completed_matrix(cohort_dir, tmp_path)
 
     def test_labels_start_at_the_first_day_and_cover_gap_days(self, tmp_path):
         obs, out, dic = write_cohort_files(

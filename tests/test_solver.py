@@ -518,7 +518,6 @@ def test_one_matrix_terms_match_the_two_half_formulas(seed, monkeypatch):
     def recorded(H, rhs):
         hessians.append(H)
         return np.zeros_like(rhs)  # no descent direction: _newton returns after its first system
-    monkeypatch.setattr(solver, "_certified", lambda *args: False)
     monkeypatch.setattr(solver, "_solve", recorded)
     solver._newton(*solver._layout(design, lam), theta)
 
@@ -551,8 +550,79 @@ class TestNullSpace:
         assert report.converged and not params.w.any() and params.b == 0.0
 
 
+def block_certified(H_c, censored_weight):
+    """The certificate `_newton` took once per block before `_solve` tested each matrix, kept as the reference.
+
+    It certified every Hessian H_c + lambda Z_A Z_A' of a block at once:
+    H_c less EIG_CUT (tr H_c + censored_weight) times the identity is
+    positive definite, censored_weight being lambda ||Z_z||_F^2 over all
+    censored columns Z_z.
+    """
+    shifted = H_c.copy()
+    shifted.flat[::shifted.shape[0] + 1] -= solver.EIG_CUT * (H_c.trace() + censored_weight)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestSolveRule:
+    """`_solve` chooses LU or eigh per matrix, by `_certified`."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_certificate_covers_the_block_bound(self, seed):
+        # whatever the block-wide bound certified, the per-matrix test certifies too, for every active set
+        rng = np.random.default_rng(200 + seed)
+        certified = 0
+        for _ in range(20):
+            d = int(rng.integers(2, 12))
+            n_c, n_z = int(rng.integers(0, 3 * d)), int(rng.integers(0, 30))
+            Z_c = rng.standard_normal((d, n_c)) * rng.choice([1e-6, 1.0, 1e3], size=(d, 1))
+            Z_z = rng.standard_normal((d, n_z)) * rng.choice([1e-3, 1.0, 1e4])
+            lam = float(rng.choice([0.0, 0.05, 0.3, 1.0, 50.0]))
+            H_c = Z_c @ Z_c.T
+            if not block_certified(H_c, lam * float((Z_z ** 2).sum())):
+                continue
+            certified += 1
+            for _ in range(10):
+                Z_a = Z_z[:, rng.random(n_z) < rng.random()]
+                assert solver._certified(H_c + lam * (Z_a @ Z_a.T))
+        assert certified
+
+    def test_certificate_is_wider_than_the_block_bound(self):
+        # a censored column far larger than the complete ones spoils the block bound, not the matrix's own test
+        rng = np.random.default_rng(210)
+        Z_c, Z_z = rng.standard_normal((4, 20)), 1e6 * rng.standard_normal((4, 1))
+        H_c = Z_c @ Z_c.T
+        assert not block_certified(H_c, float((Z_z ** 2).sum())) and solver._certified(H_c)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lu_branch_matches_the_eigh_branch(self, seed, monkeypatch):
+        rng = np.random.default_rng(220 + seed)
+        for _ in range(20):
+            d = int(rng.integers(1, 15))
+            A = rng.standard_normal((d, d + int(rng.integers(0, 40)))) * np.exp(rng.uniform(-3, 3, size=(d, 1)))
+            H, rhs = A @ A.T, rng.standard_normal(d)
+            if not solver._certified(H):
+                continue
+            got = solver._solve(H, rhs)
+            with monkeypatch.context() as patched:
+                patched.setattr(solver, "_certified", lambda H: False)
+                want = solver._solve(H, rhs)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_singular_matrix_takes_the_eigh_branch(self):
+        # a rank-1 H = v v' has no unique solution; the minimum-norm one of H x = |v|^2 v is v, in H's range
+        v = np.array([1.0, 2.0, 2.0])
+        H = np.outer(v, v)
+        assert not solver._certified(H) and not solver._certified(np.zeros((3, 3)))
+        assert np.linalg.norm(solver._solve(H, 9.0 * v) - v) <= 1e-12
+        assert not solver._solve(np.zeros((3, 3)), v).any()
+
+
 class TestCertifiedNewton:
-    """A block whose complete-sample Hessian is certified far from singular is solved by LU, not eigh."""
+    """A Newton step whose matrix is certified far from singular is solved by LU, not eigh."""
 
     @staticmethod
     def recorded(monkeypatch, name, log):
@@ -603,11 +673,11 @@ class TestNewtonBlock:
         theta, exact = solver._newton(Z, samples, np.zeros(T * P + 1))
         assert exact
         calls = []
-        for name in ("_objective_vec", "_lu_solve", "_solve"):
+        for name in ("_objective_vec", "_solve"):
             fn = getattr(solver, name)
             monkeypatch.setattr(solver, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
         again, exact = solver._newton(Z, samples, theta)
-        assert exact and calls.count("_objective_vec") <= 2 and calls.count("_lu_solve") + calls.count("_solve") <= 1
+        assert exact and calls.count("_objective_vec") <= 2 and calls.count("_solve") <= 1
         assert np.linalg.norm(again - theta) <= 1e-9 * np.linalg.norm(theta)
 
 

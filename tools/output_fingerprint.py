@@ -10,12 +10,17 @@ its standard output, then one line per output file with its sha256.
 run. Besides the synthetic cohorts, which all start on day 1 with no gaps,
 the script writes one hand-made cohort with later first days, gap days,
 rows after onset and ids that need quoting, and runs `impute`, `train`,
-`predict` and `cv` on it. The `synth` commands, the hand-made cohort's
-commands and the `predict` without an imputer model (which must exit 2)
-are checked against their expected exit codes; the script exits 1 when
-one differs. Each command's exit code and standard output are also kept
-in <workdir>/runs.json, for tools/output_diff.py. Two checkouts produce
-the same outputs when their printouts are equal:
+`predict` and `cv` on it. Every synthetic cohort's day rows lie in a
+span of exactly their latent rank, so the script also writes two cohorts
+without one: the `low` cohort (`synth --seed 7`) with N(0, sigma^2) noise
+added to each observed value, at sigma 0.01 and 0.1, and runs `impute`,
+`train` and `predict` with each method, and `cv`, on each. The `synth`
+commands, the hand-made and noisy cohorts' commands and the `predict`
+without an imputer model (which must exit 2) are checked against their
+expected exit codes; the script exits 1 when one differs. Each command's
+exit code and standard output are also kept in <workdir>/runs.json, for
+tools/output_diff.py. Two checkouts produce the same outputs when their
+printouts are equal:
 
     python tools/output_fingerprint.py old/ /tmp/fp-old > old.txt
     python tools/output_fingerprint.py new/ /tmp/fp-new > new.txt
@@ -37,6 +42,8 @@ IMPUTERS = ("bmc", "mean", "knn")
 METHODS = ("censored_lowrank", "ols", "svr")
 SKIPPED = {"effective_config.json"}
 HAND_IDS = ["plain", "with,comma", 'with"quote', "Zürich-Ω", " padded ", "multi\nline"]
+LOW_SYNTH = ["synth", "--seed", "7", "--n-subjects", "120", "--days-per-subject", "10"]
+NOISE = (0.01, 0.1)
 
 
 def write_hand_cohort(out: Path, n_subjects=30, variables=("hr", "temp", "wbc", "crp")):
@@ -73,6 +80,23 @@ def write_hand_cohort(out: Path, n_subjects=30, variables=("hr", "temp", "wbc", 
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
+def write_noisy_cohort(src: Path, out: Path, sigma: float, seed: int = 0):
+    """Copy the cohort in `src` to `out`, adding N(0, sigma^2) noise to each observed value.
+
+    The draws come from random.Random(seed), one per observation row in
+    file order, and the values are written with 17 significant digits.
+    """
+    rng = random.Random(seed)
+    out.mkdir()
+    for name in ("outcomes.csv", "variables.txt"):
+        (out / name).write_bytes((src / name).read_bytes())
+    with open(src / "observations.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rows = [[*row[:3], "%.17g" % (float(row[3]) + rng.gauss(0.0, sigma))] for row in rows]
+    with open(out / "observations.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
 def _cohort(name):
     return ["--observations", f"{name}/observations.csv", "--outcomes", f"{name}/outcomes.csv",
             "--dictionary", f"{name}/variables.txt"]
@@ -86,7 +110,9 @@ def commands():
     Then a third cohort with whole-day onsets runs `train`, `predict` and
     `cv` with strides above 1 and a non-default horizon, and a fourth, at
     the default latent rank of 3 (so every design is rank-deficient), runs
-    `train` and a subject-split `cv`.
+    `train` and a subject-split `cv`. The hand-made cohort follows, and
+    last the fourth cohort's noisy copies run every method with the same
+    settings.
     """
     seeds = (0, 3)
     for seed in seeds:
@@ -118,7 +144,7 @@ def commands():
     yield "round_cv_stride2", ["cv", *rounded, "--stride", "2", "--durations", "3",
                                "--methods", "censored_lowrank"], None
     low = _cohort("synth_low")
-    yield "synth_low", ["synth", "--seed", "7", "--n-subjects", "120", "--days-per-subject", "10"], 0
+    yield "synth_low", LOW_SYNTH, 0
     yield "low_train", ["train", *low, "--T", "6", "--rank", "2"], None
     yield "low_cv_subject", ["cv", *low, "--split-unit", "subject", "--imputer", "bmc",
                              "--methods", "censored_lowrank,ols", "--durations", "6", "--ranks", "2",
@@ -130,6 +156,18 @@ def commands():
     yield "hand_predict", ["predict", *hand, "--model", "hand_train/model.json",
                            "--imputer-model", "hand_train/imputer_model.json"], 0
     yield "hand_cv", ["cv", *hand, "--durations", "3", "--k", "3", "--methods", ",".join(METHODS)], 0
+    for sigma in NOISE:
+        tag = f"noisy{sigma:g}"
+        noisy = _cohort(tag)
+        yield f"{tag}_impute", ["impute", *noisy], 0
+        for method in METHODS:
+            train = f"{tag}_train_{method}"
+            yield train, ["train", *noisy, "--T", "6", "--rank", "2", "--method", method], 0
+            yield f"{tag}_predict_{method}", ["predict", *noisy, "--model", f"{train}/model.json",
+                                              "--imputer-model", f"{train}/imputer_model.json"], 0
+        yield f"{tag}_cv_subject", ["cv", *noisy, "--split-unit", "subject", "--imputer", "bmc",
+                                    "--methods", ",".join(METHODS), "--durations", "6", "--ranks", "2",
+                                    "--lambdas", "0.05"], 0
 
 
 def _sha256(data: bytes) -> str:
@@ -144,6 +182,11 @@ def main(argv) -> int:
     work.mkdir(parents=True)
     write_hand_cohort(work / "hand")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    # the noisy cohorts' source, the same cohort as synth_low, whose outputs are fingerprinted below
+    subprocess.run([sys.executable, "-m", "cenrank.cli", *LOW_SYNTH, "--out", "noisy_src"],
+                   cwd=work, env=env, capture_output=True, check=True)
+    for sigma in NOISE:
+        write_noisy_cohort(work / "noisy_src", work / f"noisy{sigma:g}", sigma)
     unexpected, runs = 0, {}
     for out, args, expected in commands():
         run = subprocess.run([sys.executable, "-m", "cenrank.cli", *args, "--out", out],
